@@ -123,14 +123,6 @@ class Adfe:
             }
         return Adfe(self.inner, scaled)
 
-    def apply_to_jets(self, component_jets, base_jets, order: int):
-        """Apply the operator to truncated component series (testing helper).
-
-        component_jets[i] is the jet of G_i at the inner value; base_jets[i]
-        the jet of V_i at the plane base point.  Returns the jet of the
-        left-hand side (valid to the common truncation order)."""
-        raise NotImplementedError("used only in tests via jets module helpers")
-
     def __repr__(self):
         tv = self.type_vector()
         return f"Adfe(type={{{', '.join(f'{i + 1}:{m}' for i, m in tv.items())}}})"
@@ -215,10 +207,6 @@ class UnivarODE:
         if not self.coeffs[0].is_zero():
             terms.append(f"({format_ratfunc(self.coeffs[0], (self.variable, '_'))})*g")
         return " + ".join(terms) + " = 0"
-
-
-def _univar_in(f: RatFunc) -> bool:
-    return f.num.degree_in("y") <= 0 and f.den.degree_in("y") <= 0
 
 
 def reexpress(f: RatFunc, u: RatFunc, degree_bound: int) -> RatFunc:

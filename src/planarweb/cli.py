@@ -25,9 +25,23 @@ def _emit(report: dict, out_path=None) -> None:
     print(text)
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _point(text):
     x, y = text.split(",")
-    return (Fraction(x), Fraction(y))
+    return (_fraction(x), _fraction(y))
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not positive")
+    return value
 
 
 def cmd_sigma(args) -> int:
@@ -60,7 +74,7 @@ def cmd_rank(args) -> int:
 
     web = load_web(args.webfile)
     base = pick_generic_point(
-        web, seed=args.seed, preferred=_point(args.point) if args.point else (Fraction(1, 3), Fraction(1, 2))
+        web, seed=args.seed, preferred=args.point or (Fraction(1, 3), Fraction(1, 2))
     )
     rank, basis = abelian_rank(
         web, base, max_order=args.max_order, stabilize=args.stabilize
@@ -143,14 +157,11 @@ def cmd_verify_num(args) -> int:
     from .hyperlog.verify import load_afe, verify_afe_numeric
 
     instance = load_afe(args.afefile)
-    tol = Fraction(args.tolerance) if "/" in args.tolerance else Fraction(
-        1, 10 ** int(args.tolerance.split("e-")[1])
-    ) if "e-" in args.tolerance else Fraction(args.tolerance)
     report = verify_afe_numeric(
         instance,
         samples=args.samples,
         dps=args.precision,
-        tolerance=tol,
+        tolerance=args.tolerance,
         seed=args.seed,
     )
     _emit(report, args.output)
@@ -212,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--output", "-o", help="also write the JSON report here")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1, help="worker cap (results identical for any value)")
 
     sp = sub.add_parser("sigma", help="singular locus of a web")
     sp.add_argument("webfile")
@@ -222,9 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rank", help="web rank by exact jet linear algebra")
     sp.add_argument("webfile")
-    sp.add_argument("--point", help="preferred base point 'x,y'")
+    sp.add_argument("--point", type=_point, help="preferred base point 'x,y'")
     sp.add_argument("--max-order", type=int, default=None)
-    sp.add_argument("--stabilize", type=int, default=3)
+    sp.add_argument("--stabilize", type=_positive_int, default=3)
     sp.add_argument("--filtration", action="store_true")
     sp.add_argument("--subwebs", help="comma-separated subweb sizes to tabulate")
     common(sp)
@@ -253,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("afefile")
     sp.add_argument("--samples", type=int, default=20)
     sp.add_argument("--precision", type=int, default=50)
-    sp.add_argument("--tolerance", default="1e-40")
+    sp.add_argument("--tolerance", type=_fraction, default="1e-40")
     common(sp)
     sp.set_defaults(fn=cmd_verify_num)
 

@@ -390,16 +390,6 @@ class WordEvaluator:
         exps = self.local_expansions_at(letter_point)
         return {w: exps[w][0][0] for w in self.closure}
 
-    def continue_loop(self, loop: Sequence) -> Dict[Word, object]:
-        """Values after transporting around a closed polyline based at the
-        anchor (numeric analytic continuation; monodromy oracle)."""
-        closed = list(loop)
-        if closed[0] != self.anchor:
-            closed = [self.anchor] + closed
-        if closed[-1] != closed[0]:
-            closed = closed + [closed[0]]
-        return self.values_along(closed)
-
 
 def eval_word(
     word: Sequence[str],

@@ -13,7 +13,7 @@ from typing import Callable, Dict, Optional
 
 from ..errors import UnknownName
 from .constants import SymConst
-from .words import HyperlogExpr, STANDARD
+from .words import HyperlogExpr
 
 
 def _w(*letters) -> HyperlogExpr:
@@ -35,9 +35,6 @@ class SpecialFunction:
         self.name = name
         self.expr = expr
         self.native = native
-
-    def is_word_expressible(self) -> bool:
-        return self.expr is not None
 
 
 def _build_registry() -> Dict[str, SpecialFunction]:

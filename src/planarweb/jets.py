@@ -24,7 +24,7 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotStabilized
-from .linalg import ExactKernel, _ExactReducer, exact_nullspace, exact_rank_of_span
+from .linalg import ExactKernel, exact_nullspace, exact_rank_of_span, independent_rows
 from .ratfunc import RatFunc
 from .web import BasePoint, Web, pick_generic_point
 
@@ -210,7 +210,7 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
     col_of = basis.unknown_index
     n_cols = len(col_of)
     out: Dict[int, int] = {}
-    reducer = _ExactReducer()
+    vecs: List[List[Fraction]] = []  # a basis of F^(p-1), then the new jets
     for p in range(3, n + 1):
         for subset in combinations(range(1, n + 1), p):
             sub = web.subweb(subset)
@@ -228,8 +228,9 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
                 for (si, k), col in system.unknown_index.items():
                     gi = subset[si] - 1
                     big[col_of[(gi, k)]] = v[col]
-                reducer.add(big)
-        out[p] = reducer.rank
+                vecs.append(big)
+        vecs = [vecs[i] for i in independent_rows(vecs)]
+        out[p] = len(vecs)
     assert out[n] == rank, "full filtration level must equal the rank"
     return out
 
@@ -443,7 +444,9 @@ def constrained_rank(
         projected.append(big)
     dim_image = exact_rank_of_span(projected)
 
-    sub_reducer = _ExactReducer()
+    # sub-solutions first, so a projected vector is kept iff it enlarges the
+    # span of the sub-solution jets and of the projected vectors before it
+    sub_jets: List[List[Fraction]] = []
     for subset in combinations(range(1, n + 1), n - 1):
         sub = web.subweb(subset)
         sub_base = BasePoint(sub, base.point)
@@ -452,32 +455,19 @@ def constrained_rank(
             big = [Fraction(0)] * len(slot_cols)
             for (si, k), col in system.unknown_index.items():
                 big[slot_cols[(subset[si] - 1, k)]] = v[col]
-            sub_reducer.add(big)
-    joint = _ExactReducer(sub_reducer.rows)
-    extra = 0
-    genuine = []
-    for v in projected:
-        if joint.add(v):
-            extra += 1
-            genuine.append(v)
+            sub_jets.append(big)
+    n_sub = len(sub_jets)
+    genuine = [
+        projected[i - n_sub] for i in independent_rows(sub_jets + projected) if i >= n_sub
+    ]
     return {
         "web": web.name,
         "dim_mod_constants": dims[-1],
         "dim_jet_image": dim_image,
-        "dim_mod_subsolutions": extra,
+        "dim_mod_subsolutions": len(genuine),
         "order": order,
         "aux_points": [(str(a), str(b)) for a, b in aux_pts],
         "kernel": KernelBasis(kern.basis, order, col_of),
         "genuine_jets": genuine,
         "slot_columns": slot_cols,
     }
-
-
-def _const_only_dim(basis: List[List[Fraction]], const_cols) -> int:
-    """Kernel dimension lost when constant columns are quotiented out: the
-    rank of the kernel's projection off the constant coordinates is taken
-    directly in constrained_rank; this helper reports the complement."""
-    if not basis:
-        return 0
-    noncst = [c for c in range(len(basis[0])) if c not in const_cols]
-    return len(basis) - exact_rank_of_span([[v[c] for c in noncst] for v in basis])

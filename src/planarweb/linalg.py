@@ -10,26 +10,23 @@ over Q, so the mod-p nullity bounds the rational nullity from above, while
 exactly verified independent kernel vectors bound it from below.  Once
 verification succeeds the two bounds meet and the kernel is exact.
 
+The same certificate answers span questions.  Put vectors in the columns of
+a matrix: each verified kernel vector writes one free column as a combination
+of earlier pivot columns only, so the pivot columns are exactly the vectors
+that a greedy pass over Q keeps.  Ranks of spans and independent subsets are
+read off those pivots; there is no second elimination engine.
+
 Primes are 27-bit so the elimination fits int64 numpy arithmetic
-((p-1)^2 * n_cols < 2^63).  A pure-Python elimination kernel doubles as a
-fallback and a benchmark baseline; set PLANARWEB_PUREPY=1 to force it.
+((p-1)^2 * n_cols < 2^63).
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import List, Optional, Sequence, Tuple
 
-try:
-    import numpy as _np
-except Exception:  # pragma: no cover
-    _np = None
-
-
-def _use_numpy() -> bool:
-    return _np is not None and not os.environ.get("PLANARWEB_PUREPY")
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -74,68 +71,31 @@ def prime_stream():
 # ---------------------------------------------------------------------------
 
 
-def _rref_numpy(rows_mod: List[List[int]], p: int):
-    m = _np.array(rows_mod, dtype=_np.int64)
+def modp_rref(rows: Sequence[Sequence[int]], p: int):
+    """(pivot columns, reduced rows) of the integer matrix modulo p."""
+    if not rows:
+        return [], []
+    m = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
     n_rows, n_cols = m.shape
     piv_cols: List[int] = []
     r = 0
     for c in range(n_cols):
         if r >= n_rows:
             break
-        nz = _np.nonzero(m[r:, c])[0]
+        nz = np.nonzero(m[r:, c])[0]
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
             m[[r, i]] = m[[i, r]]
         m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        others = _np.nonzero(m[:, c])[0]
+        others = np.nonzero(m[:, c])[0]
         others = others[others != r]
         if others.size:
-            m[others] = (m[others] - _np.outer(m[others, c], m[r])) % p
+            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
         piv_cols.append(c)
         r += 1
-    return piv_cols, m[: len(piv_cols)]
-
-
-def _rref_pure(rows_mod: List[List[int]], p: int):
-    m = [list(r) for r in rows_mod]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r >= n_rows:
-            break
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], p - 2, p)
-        m[r] = [(v * inv) % p for v in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mr = m[r]
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], mr)]
-        piv_cols.append(c)
-        r += 1
-    return piv_cols, m[: len(piv_cols)]
-
-
-def modp_rref(rows: Sequence[Sequence[int]], p: int):
-    """(pivot columns, reduced rows) of the matrix modulo p."""
-    rows_mod = [[v % p for v in row] for row in rows]
-    if not rows_mod:
-        return [], []
-    if _use_numpy():
-        piv, m = _rref_numpy(rows_mod, p)
-        return piv, [[int(v) for v in row] for row in m]
-    return _rref_pure(rows_mod, p)
-
-
-def modp_rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(modp_rref(rows, p)[0])
+    return piv_cols, m[: len(piv_cols)].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +178,7 @@ def exact_nullspace(
             continue  # unlucky prime (lower or different rank profile)
         primes_used.append(p)
         piv_list = list(best[0])
-        free_cols = [c for c in range(n) if c not in set(piv_list)]
+        free_cols = sorted(set(range(n)).difference(piv_list))
         residues.append({(f, k): red[k][f] for f in free_cols for k in range(len(piv_list))})
         # try to reconstruct once a few primes are in, then every couple more
         if len(primes_used) >= 2 and (len(primes_used) % 2 == 0 or len(primes_used) == 2):
@@ -274,129 +234,22 @@ def _verify_kernel(int_rows: List[List[int]], basis: List[List[Fraction]]) -> bo
 
 
 # ---------------------------------------------------------------------------
-# span ranks and membership
+# span ranks and independent subsets
 # ---------------------------------------------------------------------------
 
 
-def exact_rank_of_span(vectors: Sequence[Sequence[Fraction]]) -> int:
-    """Certified rank of the Q-span of the given vectors.
+def independent_rows(vectors: Sequence[Sequence[Fraction]]) -> List[int]:
+    """Indices of the vectors a greedy pass over Q keeps, in order.
 
-    A mod-p independent subset is independent over Q; the remaining vectors
-    are verified to lie in its span by exact elimination.
+    Vector i is kept iff it is not in the span of vectors 0..i-1.  These are
+    the pivot columns of the certified nullspace of the matrix whose columns
+    are the vectors (see the module docstring).
     """
-    vecs = [list(v) for v in vectors if any(v)]
-    if not vecs:
-        return 0
-    int_rows = _clear_rows(vecs)
-    p = next(prime_stream())
-    sel = _greedy_independent(int_rows, p)
-    basis = [vecs[i] for i in sel]
-    rank = len(sel)
-    sel_set = set(sel)
-    reducer = _ExactReducer(basis)
-    for i, v in enumerate(vecs):
-        if i in sel_set:
-            continue
-        if not reducer.contains(v):
-            reducer.add(v)
-            rank += 1
-    return rank
-
-
-def _greedy_independent(int_rows: List[List[int]], p: int) -> List[int]:
-    n = len(int_rows[0])
-    ech: List[List[int]] = []
-    piv_of: List[int] = []
-    chosen: List[int] = []
-    for idx, row in enumerate(int_rows):
-        v = [x % p for x in row]
-        for e_row, pc in zip(ech, piv_of):
-            if v[pc]:
-                f = v[pc]
-                v = [(a - f * b) % p for a, b in zip(v, e_row)]
-        pc = next((c for c in range(n) if v[c]), None)
-        if pc is None:
-            continue
-        inv = pow(v[pc], p - 2, p)
-        ech.append([(a * inv) % p for a in v])
-        piv_of.append(pc)
-        chosen.append(idx)
-    return chosen
-
-
-class _ExactReducer:
-    """Incremental exact echelon basis for span-membership tests."""
-
-    def __init__(self, vectors: Sequence[Sequence[Fraction]] = ()):
-        self.rows: List[List[Fraction]] = []
-        self.pivots: List[int] = []
-        for v in vectors:
-            self.add(v)
-
-    def _reduce(self, v: Sequence[Fraction]) -> List[Fraction]:
-        w = [Fraction(x) for x in v]
-        for row, pc in zip(self.rows, self.pivots):
-            if w[pc]:
-                f = w[pc]
-                w = [a - f * b for a, b in zip(w, row)]
-        return w
-
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        return not any(self._reduce(v))
-
-    def add(self, v: Sequence[Fraction]) -> bool:
-        """Add v to the span; returns True if it enlarged the span."""
-        w = self._reduce(v)
-        pc = next((c for c, a in enumerate(w) if a), None)
-        if pc is None:
-            return False
-        f = w[pc]
-        w = [a / f for a in w]
-        self.rows.append(w)
-        self.pivots.append(pc)
-        return True
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-
-def in_span(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
-    """Exact membership of v in the Q-span of the basis vectors."""
-    red = _ExactReducer(basis)
-    return red.contains(v)
-
-
-def solve_exact(
-    mat: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
-    """One exact solution of M x = rhs, or None if inconsistent.
-
-    Plain rational Gauss; intended for small systems.
-    """
-    m = [list(row) + [Fraction(v)] for row, v in zip(mat, rhs)]
-    if not m:
+    if not vectors:
         return []
-    n_rows, n_cols = len(m), len(m[0]) - 1
-    piv_cols = []
-    r = 0
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [a / pv for a in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, n_rows):
-        if m[i][n_cols] != 0:
-            return None
-    x = [Fraction(0)] * n_cols
-    for k, c in enumerate(piv_cols):
-        x[c] = m[k][n_cols]
-    return x
+    return exact_nullspace(list(zip(*vectors)), n_cols=len(vectors)).pivot_cols
+
+
+def exact_rank_of_span(vectors: Sequence[Sequence[Fraction]]) -> int:
+    """Certified rank of the Q-span of the given vectors."""
+    return len(independent_rows(vectors))

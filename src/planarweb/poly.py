@@ -169,22 +169,6 @@ class BivarPoly:
             total += c * x**ex * y**ey
         return total
 
-    def subst_monomials(self, fx: "BivarPoly", fy: "BivarPoly") -> "BivarPoly":
-        """Substitute polynomials for x and y (used by pullbacks)."""
-        # Horner-free direct expansion; degrees stay small in practice.
-        out = BivarPoly()
-        powx: Dict[int, BivarPoly] = {0: BivarPoly.const(1)}
-        powy: Dict[int, BivarPoly] = {0: BivarPoly.const(1)}
-
-        def pw(cache, base, n):
-            if n not in cache:
-                cache[n] = pw(cache, base, n - 1) * base
-            return cache[n]
-
-        for (ex, ey), c in self.terms.items():
-            out = out + (pw(powx, fx, ex) * pw(powy, fy, ey)).scale(c)
-        return out
-
     # -- normalization ------------------------------------------------
 
     def monic(self) -> "BivarPoly":

@@ -229,11 +229,6 @@ def named_configuration(name: str, a=None) -> Configuration:
     raise InvalidParameter(f"unknown configuration {name!r}")
 
 
-def cremona_map() -> Tuple[RatFunc, RatFunc]:
-    """The quadratic Cremona transform (x, y) -> (1/(x-1), 1/(y-1))."""
-    return (parse_ratfunc("1/(x-1)"), parse_ratfunc("1/(y-1)"))
-
-
 def cremona_inverse() -> Tuple[RatFunc, RatFunc]:
     return (parse_ratfunc("(x+1)/x"), parse_ratfunc("(y+1)/y"))
 

@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from conftest import fixture_path
 
 
@@ -93,7 +94,20 @@ def test_determinism_byte_identical():
     assert out3 == out4
 
 
-def test_jobs_flag_output_identical():
-    _, _, a = run_cli("rank", fixture_path("bol.web"), "--jobs", "1")
-    _, _, b = run_cli("rank", fixture_path("bol.web"), "--jobs", "4")
-    assert a == b
+
+def test_verify_num_keeps_the_given_tolerance():
+    rc, doc, _ = run_cli(
+        "verify-num", fixture_path("arctan.afe"), "--samples", "1", "--tolerance", "5e-40"
+    )
+    assert rc == 0 and doc["tolerance"] == "5.0e-40"
+
+
+@pytest.mark.parametrize("option", [("--point", "abc"), ("--stabilize", "0")])
+def test_bad_rank_argument_is_usage_error(option):
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarweb.cli", "rank", fixture_path("bol.web"), *option],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr

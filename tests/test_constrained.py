@@ -10,10 +10,10 @@ surviving the quotient by sub-equation solution jets.
 
 from fractions import Fraction
 
+from exact_oracle import FractionSpan
 from planarweb.hyperlog.calculus import PrefactoredExpr
 from planarweb.hyperlog.registry import special
 from planarweb.jets import JetSystem, Pattern, constrained_rank
-from planarweb.linalg import _ExactReducer
 from planarweb.web import BasePoint, pick_generic_point
 
 
@@ -90,7 +90,7 @@ def test_prop11_dimension_and_d_direction(bol_web_indomain):
 
     # each split part solves the pattern system: it lies in the kernel span
     noncst = [c for (key, c) in col_of.items() if key[2] != 0]
-    red = _ExactReducer([[v[c] for c in noncst] for v in kernel])
+    red = FractionSpan([[v[c] for c in noncst] for v in kernel])
     for idx in range(3):
         part = [vecs[idx][c] for c in noncst]
         if any(part):
@@ -98,7 +98,7 @@ def test_prop11_dimension_and_d_direction(bol_web_indomain):
 
     # the d direction is exactly what survives modulo sub-equation jets
     slot_cols = rep["slot_columns"]
-    sub = _ExactReducer()
+    sub = FractionSpan()
     for removed in range(1, web.size + 1):
         subweb = web.subweb_without([removed])
         system = JetSystem(subweb, BasePoint(subweb, base.point), order)

@@ -1,14 +1,12 @@
 import random
 from fractions import Fraction
 
+from exact_oracle import greedy_independent
 from planarweb.linalg import (
-    _ExactReducer,
     exact_nullspace,
     exact_rank_of_span,
-    in_span,
-    modp_rref,
+    independent_rows,
     rational_reconstruct,
-    solve_exact,
 )
 
 
@@ -80,23 +78,6 @@ def test_rank_of_span():
     assert exact_rank_of_span(vecs) == 2
 
 
-def test_in_span_and_solve():
-    basis = [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]]
-    assert in_span(basis, [Fraction(3), Fraction(7)])
-    assert not in_span([[Fraction(1), Fraction(2)]], [Fraction(1), Fraction(3)])
-    sol = solve_exact([[Fraction(2), Fraction(0)], [Fraction(0), Fraction(4)]], [Fraction(1), Fraction(2)])
-    assert sol == [Fraction(1, 2), Fraction(1, 2)]
-    assert solve_exact([[Fraction(0)], [Fraction(0)]], [Fraction(0), Fraction(1)]) is None
-
-
-def test_reducer():
-    red = _ExactReducer()
-    assert red.add([Fraction(1), Fraction(1)])
-    assert not red.add([Fraction(2), Fraction(2)])
-    assert red.add([Fraction(0), Fraction(1)])
-    assert red.rank == 2
-
-
 def test_rational_reconstruction_roundtrip():
     rng = random.Random(5)
     from planarweb.linalg import prime_stream
@@ -114,18 +95,39 @@ def test_rational_reconstruction_roundtrip():
         assert rational_reconstruct(a, m) == q
 
 
-def test_pure_python_kernel_agrees():
-    import os
 
-    rng = random.Random(2)
-    m = random_matrix(rng, 6, 5)
-    int_rows = [[int(v * 420) for v in row] for row in m]
-    p = 134217689
-    got_fast = modp_rref(int_rows, p)
-    os.environ["PLANARWEB_PUREPY"] = "1"
-    try:
-        got_pure = modp_rref(int_rows, p)
-    finally:
-        del os.environ["PLANARWEB_PUREPY"]
-    assert got_fast[0] == got_pure[0]
-    assert [list(map(int, r)) for r in got_fast[1]] == [list(map(int, r)) for r in got_pure[1]]
+def rank_deficient_vectors(rng, count, dim, big):
+    """Vectors built from a few random generators, with zero and repeated
+    vectors mixed in; entries reach 10^60 when big is set."""
+    scale = 10**60 if big else 10
+    gens = [
+        [Fraction(rng.randrange(-scale, scale), rng.randrange(1, 5)) for _ in range(dim)]
+        for _ in range(rng.randrange(1, dim + 1))
+    ]
+    vecs = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            vecs.append([Fraction(0)] * dim)
+        elif kind < 0.3 and vecs:
+            vecs.append(list(rng.choice(vecs)))
+        else:
+            coeffs = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in gens]
+            vecs.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(dim)])
+    return vecs
+
+
+def test_independent_rows_is_greedy_selection():
+    rng = random.Random(17)
+    for trial in range(40):
+        dim = rng.randrange(1, 7)
+        vecs = rank_deficient_vectors(rng, rng.randrange(1, 10), dim, big=trial % 2 == 1)
+        assert independent_rows(vecs) == greedy_independent(vecs)
+        assert exact_rank_of_span(vecs) == dim - brute_nullspace_dim(vecs, dim)
+
+
+def test_independent_rows_degenerate_inputs():
+    assert independent_rows([]) == []
+    assert independent_rows([[Fraction(0)] * 3] * 2) == []
+    v = [Fraction(1), Fraction(-2), Fraction(10**60, 7)]
+    assert independent_rows([v, [Fraction(0)] * 3, v, [2 * x for x in v]]) == [0]
