@@ -44,6 +44,13 @@ def _positive_int(text):
     return value
 
 
+def _subweb_sizes(text):
+    sizes = [int(s) for s in text.split(",")]
+    if min(sizes) < 3:
+        raise ValueError(f"subweb sizes must be at least 3, got {text!r}")
+    return sizes
+
+
 def cmd_sigma(args) -> int:
     from .web import load_web, singular_locus, verify_sigma_factors
 
@@ -90,8 +97,7 @@ def cmd_rank(args) -> int:
     if args.filtration:
         report["filtration"] = {str(p): d for p, d in filtration_dims(web, base).items()}
     if args.subwebs:
-        sizes = [int(s) for s in args.subwebs.split(",")]
-        report["subwebs"] = rank_report(web, sizes, base_seed=args.seed)["subwebs"]
+        report["subwebs"] = rank_report(web, args.subwebs, base)["subwebs"]
     _emit(report, args.output)
     return 0
 
@@ -102,6 +108,9 @@ def cmd_abel_ode(args) -> int:
     from .web import load_web
 
     web = load_web(args.webfile)
+    if not 1 <= args.target <= web.size:
+        print(json.dumps({"error": f"--target must be between 1 and {web.size}"}))
+        return 2
     try:
         ode = derive_lde(web, args.target)
     except TrivialEquation as exc:
@@ -236,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-order", type=int, default=None)
     sp.add_argument("--stabilize", type=_positive_int, default=3)
     sp.add_argument("--filtration", action="store_true")
-    sp.add_argument("--subwebs", help="comma-separated subweb sizes to tabulate")
+    sp.add_argument("--subwebs", type=_subweb_sizes, help="comma-separated subweb sizes to tabulate")
     common(sp)
     sp.set_defaults(fn=cmd_rank)
 
@@ -261,16 +270,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-num", help="numeric verification of an AFE instance")
     sp.add_argument("afefile")
-    sp.add_argument("--samples", type=int, default=20)
-    sp.add_argument("--precision", type=int, default=50)
+    sp.add_argument("--samples", type=_positive_int, default=20)
+    sp.add_argument("--precision", type=_positive_int, default=50)
     sp.add_argument("--tolerance", type=_fraction, default="1e-40")
     common(sp)
     sp.set_defaults(fn=cmd_verify_num)
 
     sp = sub.add_parser("constant", help="constancy check of an AFE left-hand side")
     sp.add_argument("afefile")
-    sp.add_argument("--samples", type=int, default=12)
-    sp.add_argument("--precision", type=int, default=50)
+    sp.add_argument("--samples", type=_positive_int, default=12)
+    sp.add_argument("--precision", type=_positive_int, default=50)
     common(sp)
     sp.set_defaults(fn=cmd_constant)
 

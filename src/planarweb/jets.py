@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import NotStabilized
 from .linalg import ExactKernel, exact_nullspace, exact_rank_of_span, independent_rows
 from .ratfunc import RatFunc
-from .web import BasePoint, Web, pick_generic_point
+from .web import BasePoint, Web, pick_generic_point, singular_locus
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,11 @@ def _vanishing_jet_powers(u: RatFunc, value: Fraction, point, order: int) -> Lis
 # ---------------------------------------------------------------------------
 
 
+def _jet_columns(n: int, order: int) -> Dict[Tuple[int, int], int]:
+    """Column of the unknown c_{i,k}: i = 0..n-1 in turn, k = 1..order."""
+    return {(i, k): i * order + k - 1 for i in range(n) for k in range(1, order + 1)}
+
+
 class JetSystem:
     """Exact truncated linear system of a web at a base point."""
 
@@ -97,10 +102,7 @@ class JetSystem:
         self.web = web
         self.base = base
         self.order = order
-        self.unknown_index: Dict[Tuple[int, int], int] = {}
-        for i in range(web.size):
-            for k in range(1, order + 1):
-                self.unknown_index[(i, k)] = len(self.unknown_index)
+        self.unknown_index = _jet_columns(web.size, order)
         self.rows: List[List[Fraction]] = []
         self.row_index: List[Tuple[int, int]] = []
         powers_by_i = [
@@ -194,6 +196,21 @@ def rank_only(web: Web, base: Optional[BasePoint] = None, **kw) -> int:
     return abelian_rank(web, base, **kw)[0]
 
 
+def _subweb_jets(web: Web, subset: Sequence[int], base: BasePoint, order: int, col_of):
+    """The subweb's base point (the parent's point) and its order-`order`
+    kernel vectors, embedded in the parent's jet columns `col_of`.  A point
+    off the web's singular locus is off every subweb's locus."""
+    sub_base = BasePoint(web.subweb(subset), base.point)
+    system = JetSystem(sub_base.web, sub_base, order)
+    jets = []
+    for v in system.nullspace().basis:
+        big = [Fraction(0)] * len(col_of)
+        for (si, k), col in system.unknown_index.items():
+            big[col_of[(subset[si] - 1, k)]] = v[col]
+        jets.append(big)
+    return sub_base, jets
+
+
 # ---------------------------------------------------------------------------
 # filtration by solution order
 # ---------------------------------------------------------------------------
@@ -207,28 +224,18 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
     rank, basis = abelian_rank(web, base)
     order = basis.order
     n = web.size
-    col_of = basis.unknown_index
-    n_cols = len(col_of)
     out: Dict[int, int] = {}
     vecs: List[List[Fraction]] = []  # a basis of F^(p-1), then the new jets
     for p in range(3, n + 1):
         for subset in combinations(range(1, n + 1), p):
-            sub = web.subweb(subset)
-            sub_base = BasePoint(sub, base.point)
-            system = JetSystem(sub, sub_base, order)
-            kern = system.nullspace()
-            sub_rank = rank_only(sub, sub_base)
-            if kern.dimension != sub_rank:
+            sub_base, jets = _subweb_jets(web, subset, base, order, basis.unknown_index)
+            sub_rank = rank_only(sub_base.web, sub_base)
+            if len(jets) != sub_rank:
                 raise NotStabilized(
                     f"subweb {subset} kernel at order {order} has dim "
-                    f"{kern.dimension} but stabilized rank {sub_rank}"
+                    f"{len(jets)} but stabilized rank {sub_rank}"
                 )
-            for v in kern.basis:
-                big = [Fraction(0)] * n_cols
-                for (si, k), col in system.unknown_index.items():
-                    gi = subset[si] - 1
-                    big[col_of[(gi, k)]] = v[col]
-                vecs.append(big)
+            vecs.extend(jets)
         vecs = [vecs[i] for i in independent_rows(vecs)]
         out[p] = len(vecs)
     assert out[n] == rank, "full filtration level must equal the rank"
@@ -242,24 +249,25 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
 
 def hexagonality(web: Web, base_seed: int = 0) -> dict:
     """A web is reported hexagonal iff every 3-subweb has rank exactly 1."""
-    triples = []
-    hexagonal = True
-    for subset in combinations(range(1, web.size + 1), 3):
-        sub = web.subweb(subset)
-        r = rank_only(sub, pick_generic_point(sub, seed=base_seed))
-        triples.append({"indices": list(subset), "rank": r})
-        hexagonal = hexagonal and r == 1
-    return {"web": web.name, "hexagonal": hexagonal, "triples": triples}
+    entries = rank_report(web, [3], pick_generic_point(web, seed=base_seed))["subwebs"]
+    return {
+        "web": web.name,
+        "hexagonal": all(e["hexagonal"] for e in entries),
+        "triples": [{"indices": e["indices"], "rank": e["rank"]} for e in entries],
+    }
 
 
-def rank_report(web: Web, subweb_sizes: Sequence[int], base_seed: int = 0) -> dict:
+def rank_report(web: Web, subweb_sizes: Sequence[int], base: Optional[BasePoint] = None) -> dict:
     """Rank, maximal-rank flag (and hexagonality for size 3) for every
-    subweb of each requested size, in deterministic index order."""
+    subweb of each requested size, in deterministic index order, all at the
+    web's base point."""
+    if base is None:
+        base = pick_generic_point(web, seed=0, preferred=(Fraction(1, 3), Fraction(1, 2)))
     entries = []
     for size in sorted(set(subweb_sizes)):
         for subset in combinations(range(1, web.size + 1), size):
             sub = web.subweb(subset)
-            r = rank_only(sub, pick_generic_point(sub, seed=base_seed))
+            r = rank_only(sub, BasePoint(sub, base.point))
             entry = {
                 "indices": list(subset),
                 "size": size,
@@ -310,32 +318,21 @@ def _value_closed_points(web: Web, pattern: Pattern, base: BasePoint, budget: in
     system see that class germs belong to one function)."""
     slots = pattern.slots()
     values = sorted({base.images[s - 1] for s in slots})
-    candidates = sorted({v for v in values}) + [
-        base.point[0],
-        base.point[1],
-    ]
+    candidates = values + list(base.point)
+    integrals = web.integrals()
+    locus = singular_locus(web)
     pts = []
     seen = {base.point}
     for px in candidates:
         for py in candidates:
             if (px, py) in seen:
                 continue
-            ok = True
-            for s in slots:
-                u = base.web.integrals()[s - 1]
-                if u.den.evaluate(px, py) == 0:
-                    ok = False
-                    break
-                if u.evaluate(px, py) not in values:
-                    ok = False
-                    break
-            if ok:
-                # must also be generic (off the singular locus)
-                from .web import singular_locus
-
-                if not singular_locus(web).vanishes_at(px, py):
-                    pts.append((px, py))
-                    seen.add((px, py))
+            # generic (off the singular locus, so every integral is finite)
+            if not locus.vanishes_at(px, py) and all(
+                integrals[s - 1].evaluate(px, py) in values for s in slots
+            ):
+                pts.append((px, py))
+                seen.add((px, py))
             if len(pts) >= budget:
                 return pts
     return pts
@@ -426,10 +423,7 @@ def constrained_rank(
 
     # project kernel vectors to slot-jet coordinates at the primary point and
     # quotient by the span of proper-sub-equation solution jets there
-    slot_cols: Dict[Tuple[int, int], int] = {}
-    for i in range(n):
-        for k in range(1, order + 1):
-            slot_cols[(i, k)] = len(slot_cols)
+    slot_cols = _jet_columns(n, order)
     projected = []
     for v in kern.basis:
         big = [Fraction(0)] * len(slot_cols)
@@ -448,14 +442,7 @@ def constrained_rank(
     # span of the sub-solution jets and of the projected vectors before it
     sub_jets: List[List[Fraction]] = []
     for subset in combinations(range(1, n + 1), n - 1):
-        sub = web.subweb(subset)
-        sub_base = BasePoint(sub, base.point)
-        system = JetSystem(sub, sub_base, order)
-        for v in system.nullspace().basis:
-            big = [Fraction(0)] * len(slot_cols)
-            for (si, k), col in system.unknown_index.items():
-                big[slot_cols[(subset[si] - 1, k)]] = v[col]
-            sub_jets.append(big)
+        sub_jets.extend(_subweb_jets(web, subset, base, order, slot_cols)[1])
     n_sub = len(sub_jets)
     genuine = [
         projected[i - n_sub] for i in independent_rows(sub_jets + projected) if i >= n_sub

@@ -22,10 +22,11 @@ only ever needs avoidance, which is decided by evaluation.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ConstantInput, DegenerateMap, SearchExhausted, TooFewFoliations
+from .errors import ConstantInput, DegenerateMap, ExprSyntaxError, SearchExhausted, TooFewFoliations
 from .parse import format_ratfunc, parse_ratfunc
 from .poly import BivarPoly, coprime_split, poly_divides, poly_divmod_exact, squarefree_part
 from .ratfunc import RatFunc, cleared_jacobian, jacobian_numerator
@@ -81,13 +82,18 @@ class Web:
         return Web.from_integrals([parse_ratfunc(e) for e in exprs], name=name)
 
     def subweb(self, indices: Sequence[int], name: Optional[str] = None) -> "Web":
-        """Web of the selected foliations (1-based indices)."""
+        """Web of the selected foliations (1-based indices).  Any subset of
+        pairwise distinct foliations is pairwise distinct, so the check of
+        the constructor is not repeated."""
         idx = sorted(set(indices))
         if len(idx) < 3:
             raise TooFewFoliations("a subweb needs at least 3 foliations")
         if idx[0] < 1 or idx[-1] > self.size:
             raise ValueError("subweb index out of range")
-        return Web([self.foliations[i - 1] for i in idx], name=name)
+        sub = Web.__new__(Web)
+        sub.foliations = [self.foliations[i - 1] for i in idx]
+        sub.name = name
+        return sub
 
     def subweb_without(self, removed: Sequence[int], name: Optional[str] = None) -> "Web":
         """Complement convention: drop the listed (1-based) indices."""
@@ -185,26 +191,16 @@ def pick_generic_point(
     preferred: Optional[Tuple[Fraction, Fraction]] = None,
     max_trials: int = 20000,
 ):
-    """Deterministic search for a rational base point off the singular locus
-    with every integral finite.  A valid preferred point wins."""
+    """Deterministic search for a rational base point off the singular locus;
+    the locus holds every integral's pole curve, so every integral is finite
+    there.  A valid preferred point wins."""
     locus = singular_locus(web)
-
-    def valid(px, py) -> bool:
-        if locus.vanishes_at(px, py):
-            return False
-        for u in web.integrals():
-            if u.den.evaluate(px, py) == 0:
-                return False
-        return True
-
     if preferred is not None:
         px, py = Fraction(preferred[0]), Fraction(preferred[1])
-        if valid(px, py):
+        if not locus.vanishes_at(px, py):
             return BasePoint(web, (px, py))
 
     # seeded deterministic spiral over small-denominator rationals
-    import random
-
     rng = random.Random(seed)
     trials = 0
     for den in (2, 3, 5, 7, 11, 13, 17, 23, 31, 43):
@@ -212,7 +208,7 @@ def pick_generic_point(
             trials += 1
             px = Fraction(rng.randrange(1, 4 * den), den)
             py = Fraction(rng.randrange(1, 4 * den), den + rng.randrange(1, 3))
-            if valid(px, py):
+            if not locus.vanishes_at(px, py):
                 return BasePoint(web, (px, py))
     raise SearchExhausted(f"no generic point found in {trials} trials")
 
@@ -324,7 +320,7 @@ def web_from_text(text: str) -> Web:
         elif line.startswith("variables:"):
             parts = line[10:].split()
             if len(parts) != 2:
-                raise ValueError("variables line must list exactly two names")
+                raise ExprSyntaxError("variables line must list exactly two names", 10)
             variables = (parts[0], parts[1])
         else:
             exprs.append(parse_ratfunc(line, variables))

@@ -102,7 +102,16 @@ def test_verify_num_keeps_the_given_tolerance():
     assert rc == 0 and doc["tolerance"] == "5.0e-40"
 
 
-@pytest.mark.parametrize("option", [("--point", "abc"), ("--stabilize", "0")])
+@pytest.mark.parametrize(
+    "option",
+    [
+        ("--point", "abc"),
+        ("--stabilize", "0"),
+        ("--subwebs", "abc"),
+        ("--subwebs", "2"),
+        ("--subwebs", "3,x"),
+    ],
+)
 def test_bad_rank_argument_is_usage_error(option):
     proc = subprocess.run(
         [sys.executable, "-m", "planarweb.cli", "rank", fixture_path("bol.web"), *option],
@@ -111,3 +120,35 @@ def test_bad_rank_argument_is_usage_error(option):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command,afe", [("verify-num", "arctan.afe"), ("constant", "rogers_d.afe")])
+@pytest.mark.parametrize("option", [("--samples", "0"), ("--precision", "0")])
+def test_bad_sample_or_precision_is_usage_error(command, afe, option):
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarweb.cli", command, fixture_path(afe), *option],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("target", ["0", "6"])
+def test_abel_ode_target_out_of_range_is_usage_error(target):
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarweb.cli", "abel-ode", fixture_path("bol.web"), "--target", target],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stdout)
+
+
+def test_bad_variables_line_is_a_syntax_error(tmp_path):
+    path = tmp_path / "three.web"
+    path.write_text("variables: x y z\nx\ny\nx+y\n", encoding="utf-8")
+    rc, doc, _ = run_cli("rank", str(path))
+    assert rc == 1
+    assert doc["type"] == "ExprSyntaxError"

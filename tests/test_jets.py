@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -90,6 +91,20 @@ def test_hexagonality_examples():
     rep = hexagonality(bad)
     assert not rep["hexagonal"]
     assert rank_only(bad) == 0
+
+
+@pytest.mark.parametrize("web_name,sizes", [("bol_web", [3, 4, 5]), ("sk_web", [3])])
+def test_rank_report_shared_point_matches_own_points(web_name, sizes, request):
+    # every subweb is ranked at the parent's base point; each must agree
+    # with the rank at the subweb's own generic point
+    web = request.getfixturevalue(web_name)
+    base = pick_generic_point(web, seed=0, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    entries = rank_report(web, sizes, base)["subwebs"]
+    assert len(entries) == sum(comb(web.size, k) for k in sizes)
+    for e in entries:
+        sub = web.subweb(e["indices"])
+        for s in (0, 1):
+            assert e["rank"] == rank_only(sub, pick_generic_point(sub, seed=s)), e
 
 
 def test_rank_report_three_webs(bol_web):

@@ -128,6 +128,18 @@ def test_subweb(sk_web, bol_web):
         sk_web.subweb([1, 2])
 
 
+def test_subweb_trusts_the_parent_distinctness(sk_web, monkeypatch):
+    import planarweb.web
+
+    def refuse(f, g):
+        raise AssertionError("subweb re-checked distinctness")
+
+    monkeypatch.setattr(planarweb.web, "same_foliation", refuse)
+    sub = sk_web.subweb([2, 5, 9])
+    assert sub.integrals() == [sk_web.integrals()[i] for i in (1, 4, 8)]
+    assert sk_web.subweb_without([1]).size == 8
+
+
 def test_condition_c_local(cauchy_web, bol_web):
     rep = condition_c_local(cauchy_web)
     assert rep["holds"]
