@@ -44,6 +44,13 @@ def _positive_int(text):
     return value
 
 
+def _indices(text):
+    indices = [int(s) for s in text.split(",")]
+    if min(indices) < 1:
+        raise ValueError(f"indices are 1-based, got {text!r}")
+    return indices
+
+
 def _subweb_sizes(text):
     sizes = [int(s) for s in text.split(",")]
     if min(sizes) < 3:
@@ -80,6 +87,9 @@ def cmd_rank(args) -> int:
     from .web import load_web, pick_generic_point
 
     web = load_web(args.webfile)
+    if args.max_order is not None and args.max_order < web.size:
+        print(json.dumps({"error": f"--max-order must be at least the web size {web.size}"}))
+        return 2
     base = pick_generic_point(
         web, seed=args.seed, preferred=args.point or (Fraction(1, 3), Fraction(1, 2))
     )
@@ -215,8 +225,13 @@ def cmd_prop7(args) -> int:
 
         config = load_configuration(args.config)
     if args.subset:
-        idx = [int(i) for i in args.subset.split(",")]
-        config = Configuration([config.points[i - 1] for i in idx], name=f"{config.name}[{args.subset}]")
+        if max(args.subset) > len(config):
+            print(json.dumps({"error": f"--subset indices must be at most {len(config)}"}))
+            return 2
+        config = Configuration(
+            [config.points[i - 1] for i in args.subset],
+            name=f"{config.name}[{','.join(map(str, args.subset))}]",
+        )
     report = prop7_check(web, config)
     _emit(report, args.output)
     return 0 if report["match"] else 1
@@ -242,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rank", help="web rank by exact jet linear algebra")
     sp.add_argument("webfile")
     sp.add_argument("--point", type=_point, help="preferred base point 'x,y'")
-    sp.add_argument("--max-order", type=int, default=None)
+    sp.add_argument("--max-order", type=_positive_int, default=None)
     sp.add_argument("--stabilize", type=_positive_int, default=3)
     sp.add_argument("--filtration", action="store_true")
     sp.add_argument("--subwebs", type=_subweb_sizes, help="comma-separated subweb sizes to tabulate")
@@ -286,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("prop7", help="Cremona image versus a configuration web")
     sp.add_argument("webfile")
     sp.add_argument("--config", default="q", help="named configuration or a .cfg path")
-    sp.add_argument("--subset", help="1-based subset of configuration points")
+    sp.add_argument("--subset", type=_indices, help="1-based subset of configuration points")
     common(sp)
     sp.set_defaults(fn=cmd_prop7)
     return p

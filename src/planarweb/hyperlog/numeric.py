@@ -7,6 +7,16 @@ steps stay within half the distance to the nearest ramification point.  The
 Taylor recursion at a regular point uses the geometric structure of the
 kernels, so one step costs O(terms) per word.
 
+Transport runs in fixed point on plain Python ints, real and imaginary parts
+apart, scaled by 2**(mp.prec + GUARD_BITS); only the anchor values going in
+and the word values coming out are mpmath numbers.  The recurrence of a step
+p -> q is scaled by the step: it carries the coefficients of h**n, h = q - p,
+so each term is O(theta**n) with theta <= 1/2 however far p lies from the
+alphabet, and the value at q is the plain sum of the terms.  Unscaled
+coefficients of (z - p)**n grow like |p|**n and would leave no correct bit
+of a fixed-point sum far from the alphabet.  The guard bits absorb the
+rounding of the ~n_terms operations per word and step.
+
 Default paths stay inside the cut plane: vertical cuts leave each real
 ramification point downward except at 1, where the cut goes upward (so the
 segment (1, oo) is reached below the cut).  Values carry a validated error
@@ -15,10 +25,12 @@ estimate obtained by recomputing with increased precision and depth.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import mpmath
+from mpmath.libmp import from_man_exp, to_fixed
 
 from ..errors import OnCut, PrecisionNotReached
 from .words import Alphabet, HyperlogExpr, STANDARD, Word
@@ -135,32 +147,55 @@ def _eval_log_series(slices, z, logz, mp):
 # ---------------------------------------------------------------------------
 
 
-def _transport_step(alphabet: Alphabet, closure, values, p, q, n_terms, mp):
-    """Taylor-transport all word values from p to q (|q-p| small enough)."""
-    coeffs: Dict[Word, List] = {(): [mp.mpc(1)] + [mp.mpc(0)] * (n_terms - 1)}
-    for w in closure:
-        if not w:
-            continue
-        a = w[0]
-        tail = coeffs[w[1:]]
-        pa = p - mp.mpf(alphabet.points[a].numerator) / alphabet.points[a].denominator
-        g0 = alphabet.signs[a] / pa
-        r = -1 / pa
-        t = [mp.mpc(0)] * n_terms
-        t[0] = values[w]
-        acc = mp.mpc(0)
-        for n in range(n_terms - 1):
-            acc = acc * r + tail[n]
-            t[n + 1] = g0 * acc / (n + 1)
-        coeffs[w] = t
-    h = q - p
-    out = {}
-    for w in closure:
-        acc = mp.mpc(0)
-        for c in reversed(coeffs[w]):
-            acc = acc * h + c
-        out[w] = acc
-    return out
+# bits carried below the working precision by the fixed-point transport; they
+# absorb the rounding of ~n_terms operations per word and step over the 1-30
+# steps of a route (-9000/17 takes 29)
+GUARD_BITS = 40
+
+
+def _to_fixed(z, prec):
+    """(re, im) of an mpc as ints scaled by 2**prec."""
+    re, im = z._mpc_
+    return to_fixed(re, prec), to_fixed(im, prec)
+
+
+def _transport(alphabet: Alphabet, closure, values, pts, n_terms, mp):
+    """Taylor-transport all word values along the points pts.
+
+    Fixed point: every number is a pair of ints (re, im) scaled by 2**prec,
+    prec = mp.prec + GUARD_BITS.  A step p -> q carries the coefficients of
+    h**n, h = q - p, so with u = h/(p - a) the kernel sign/(z - a) becomes
+    sign*u * sum (-u)**n and every term is O(theta**n) whatever |p|."""
+    prec = mp.prec + GUARD_BITS
+    vals = {w: _to_fixed(values[w], prec) for w in closure}
+    letters = {a: mp.mpf(pt.numerator) / pt.denominator for a, pt in alphabet.points.items()}
+    unit = ([1 << prec] + [0] * (n_terms - 1), [0] * n_terms)
+    for p, q in zip(pts, pts[1:]):
+        with mp.workprec(prec):
+            ratio = {a: _to_fixed((q - p) / (p - pt), prec) for a, pt in letters.items()}
+        coeffs = {(): unit}
+        for w in closure:
+            if not w:
+                continue
+            ur, ui = ratio[w[0]]
+            sign = alphabet.signs[w[0]]
+            tr, ti = coeffs[w[1:]]
+            cr, ci = [vals[w][0]], [vals[w][1]]
+            ar, ai = tr[0], ti[0]
+            for n in range(1, n_terms):
+                # m = u * acc_{n-1};  c_n = sign * m / n;  acc_n = tail_n - m
+                mr = (ar * ur - ai * ui) >> prec
+                mi = (ar * ui + ai * ur) >> prec
+                cr.append(sign * mr // n)
+                ci.append(sign * mi // n)
+                ar = tr[n] - mr
+                ai = ti[n] - mi
+            coeffs[w] = (cr, ci)
+            vals[w] = (sum(cr), sum(ci))
+    return {
+        w: mp.make_mpc((from_man_exp(re, -prec, mp.prec, "n"), from_man_exp(im, -prec, mp.prec, "n")))
+        for w, (re, im) in vals.items()
+    }
 
 
 def _nearest_letter_distance(alphabet: Alphabet, z, mp):
@@ -197,7 +232,24 @@ def _subdivide(alphabet: Alphabet, path, mp, theta=0.5):
 # ---------------------------------------------------------------------------
 
 
-_ANCHOR_CACHE: Dict[Tuple, Dict[Word, object]] = {}
+def _anchor_point(alphabet: Alphabet, mp):
+    """Regular real point at 2/5 of the distance from 0 to the nearest
+    nonzero ramification point."""
+    nonzero = [p for p in alphabet.points.values() if p != 0]
+    scale = min(abs(Fraction(p)) for p in nonzero) if nonzero else Fraction(1)
+    return mp.mpf(2 * scale.numerator) / (5 * scale.denominator)
+
+
+@functools.lru_cache(maxsize=32)
+def _anchor_values(alphabet: Alphabet, closure, dps: int, n_terms: int) -> Dict[Word, object]:
+    """Values of the closure words at the anchor, summed from the expansion
+    at 0.  Shared, so callers must not mutate the result."""
+    mp = mpmath.mp.clone()
+    mp.dps = dps
+    anchor = _anchor_point(alphabet, mp)
+    series = _series_at_zero(alphabet, closure, n_terms, mp)
+    logz = mp.log(anchor)
+    return {w: _eval_log_series(series[w], mp.mpc(anchor), logz, mp) for w in closure}
 
 
 class WordEvaluator:
@@ -210,25 +262,10 @@ class WordEvaluator:
         self.mp = mpmath.mp.clone()
         self.mp.dps = dps + 10 + 5 * max(len(w) for w in self.closure)
         self.n_terms = int(self.mp.dps * 3.4) + 24
-        nonzero = [p for p in alphabet.points.values() if p != 0]
-        scale = min(abs(Fraction(p)) for p in nonzero) if nonzero else Fraction(1)
-        self.anchor = self.mp.mpf(2 * scale.numerator) / (5 * scale.denominator)
-        self._anchor_values = self._compute_anchor_values()
-
-    def _compute_anchor_values(self):
-        key = (self.alphabet, tuple(self.closure), self.mp.dps, self.n_terms)
-        cached = _ANCHOR_CACHE.get(key)
-        if cached is not None:
-            return cached
-        mp = self.mp
-        series = _series_at_zero(self.alphabet, self.closure, self.n_terms, mp)
-        logz = mp.log(self.anchor)
-        vals = {
-            w: _eval_log_series(series[w], mp.mpc(self.anchor), logz, mp)
-            for w in self.closure
-        }
-        _ANCHOR_CACHE[key] = vals
-        return vals
+        self.anchor = _anchor_point(alphabet, self.mp)
+        self._anchor_values = _anchor_values(
+            alphabet, tuple(self.closure), self.mp.dps, self.n_terms
+        )
 
     # -- paths ---------------------------------------------------------
 
@@ -286,12 +323,9 @@ class WordEvaluator:
         """Transport all closure words from the anchor along the polyline."""
         mp = self.mp
         pts = _subdivide(self.alphabet, [mp.mpc(p) for p in path], mp)
-        vals = dict(self._anchor_values)
-        for p, q in zip(pts, pts[1:]):
-            vals = _transport_step(
-                self.alphabet, self.closure, vals, p, q, self.n_terms, mp
-            )
-        return vals
+        return _transport(
+            self.alphabet, self.closure, self._anchor_values, pts, self.n_terms, mp
+        )
 
     def value_vector(self, z, strict_words: Optional[Iterable[Word]] = None) -> Dict[Word, object]:
         """Values of all closure words at z.  At a ramification point itself,

@@ -110,6 +110,8 @@ def test_verify_num_keeps_the_given_tolerance():
         ("--subwebs", "abc"),
         ("--subwebs", "2"),
         ("--subwebs", "3,x"),
+        ("--max-order", "0"),
+        ("--max-order", "4"),
     ],
 )
 def test_bad_rank_argument_is_usage_error(option):
@@ -144,6 +146,22 @@ def test_abel_ode_target_out_of_range_is_usage_error(target):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "error" in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("subset", ["abc", "0", ","])
+def test_bad_prop7_subset_is_usage_error(subset):
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarweb.cli", "prop7", fixture_path("sk.web"), "--subset", subset],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
+def test_prop7_subset_past_the_configuration_reports_an_error():
+    rc, doc, _ = run_cli("prop7", fixture_path("sk.web"), "--subset", "1,2,99")
+    assert rc == 2 and "error" in doc
 
 
 def test_bad_variables_line_is_a_syntax_error(tmp_path):

@@ -109,3 +109,63 @@ def test_shuffle_evaluation_homomorphism():
         for w, c in sh.terms.items():
             total += c.numeric(mpl) * vals[w]
         assert abs(prod - total) < mpf(10) ** -35
+
+
+LI3, LI2, X1, XM1 = ("x0", "x0", "x1"), ("x0", "x1"), ("x1",), ("x-1",)
+
+
+@pytest.mark.parametrize(
+    "z,side",
+    [
+        (Fraction(1, 9973), 0),  # next to the letter 0
+        (Fraction(9972, 9973), 0),  # next to the letter 1
+        (Fraction(-9000, 17), 1),  # far from the alphabet; log(1+z) reached from above
+        (Fraction(5, 2), -1),  # beyond 1, reached below the upward cut
+        (0.3 + 0.7j, 0),
+        (0.3 - 0.7j, 0),
+        (-2 + 0.5j, 0),
+    ],
+)
+def test_transport_matches_mpmath(z, side):
+    # side: the real point is the limit of z + side*i*eps on the route's branch
+    dps = 50
+    ev = WordEvaluator(STANDARD, [LI3, LI2, X1, XM1], dps=dps)
+    mpl = ev.mp
+    zm = mpl.mpf(z.numerator) / z.denominator if isinstance(z, Fraction) else mpl.mpc(z)
+    vals = ev.value_vector(zm)
+    zr = zm + side * mpl.mpc(0, mpl.mpf(10) ** -(mpl.dps + 10))
+    expected = {
+        LI3: mpl.polylog(3, zr),
+        LI2: mpl.polylog(2, zr),
+        X1: -mpl.log(1 - zr),
+        XM1: mpl.log(1 + zr),
+    }
+    for w, ref in expected.items():
+        assert abs(vals[w] - ref) < mpf(10) ** -dps * max(1, abs(ref)), (z, w)
+
+
+def test_transport_below_the_axis_left_of_minus_one():
+    # the route to -2-0.5i passes left of the downward cut at -1, so log(1+z)
+    # sits 2*pi*i above its principal value; Li_n and log(1-z) are principal
+    dps = 50
+    ev = WordEvaluator(STANDARD, [LI3, LI2, X1, XM1], dps=dps)
+    mpl = ev.mp
+    z = mpl.mpc(-2, "-0.5")
+    vals = ev.value_vector(z)
+    assert abs(vals[LI3] - mpl.polylog(3, z)) < mpf(10) ** -dps
+    assert abs(vals[LI2] - mpl.polylog(2, z)) < mpf(10) ** -dps
+    assert abs(vals[X1] + mpl.log(1 - z)) < mpf(10) ** -dps
+    assert abs(vals[XM1] - mpl.log(1 + z) - 2j * mpl.pi) < mpf(10) ** -dps
+
+
+@pytest.mark.parametrize(
+    "word,z",
+    [(LI2, mpf(1) / 2), (LI3, mpf(-3)), (LI2, mpmath.mpc("0.3", "0.7"))],
+)
+def test_validated_digits_reach_the_floor(word, z):
+    # eval_word's error is the difference of its two runs plus a floor of
+    # 10**-(dps+4); its digits are int(-log10(error)), dps + 3 at the floor
+    for dps in (30, 50):
+        got = eval_word(word, z, dps=dps)
+        assert got.error < 2 * mpf(10) ** -(dps + 4)
+        assert got.digits >= dps + 3
