@@ -7,6 +7,10 @@ steps stay within half the distance to the nearest ramification point.  The
 Taylor recursion at a regular point uses the geometric structure of the
 kernels, so one step costs O(terms) per word.
 
+One log-series routine gives the expansion at the base point 0 (every
+integration constant 0) and at every ramification point (each word's
+constant fixed from its value transported to a nearby point).
+
 Transport runs in fixed point on plain Python ints, real and imaginary parts
 apart, scaled by 2**(mp.prec + GUARD_BITS); only the anchor values going in
 and the word values coming out are mpmath numbers.  The recurrence of a step
@@ -60,53 +64,58 @@ def suffix_closure(words: Iterable[Word]) -> List[Word]:
 
 
 # ---------------------------------------------------------------------------
-# regularized expansion at the base point 0
+# log-series expansion at the base point 0 and at the ramification points
 # ---------------------------------------------------------------------------
 
 
-def _series_at_zero(alphabet: Alphabet, closure: Sequence[Word], n_terms: int, mp):
-    """For each word, slices[k] = coefficients of log(z)^k * z^n.
+def _log_series(
+    alphabet: Alphabet, closure: Sequence[Word], center: Fraction, n_terms: int, mp, at=None
+):
+    """For each word, slices[k][n] = coefficient of log(h)^k * h^n, h = z - center.
 
-    Shuffle regularization: no integration constants, so every value at the
-    tangential base point is 0 except the empty word."""
-    series: Dict[Word, List[List]] = {(): [[mp.mpf(1)] + [mp.mpf(0)] * (n_terms - 1)]}
-    zero_pt = Fraction(0)
+    Without `at`, every integration constant is 0: the shuffle regularization
+    at the tangential base point 0.  With at = (h, log h, values), each word's
+    constant makes its expansion take values[w] at h; word by word, because
+    later words integrate the constants of their tails.  Any branch of log(h)
+    or of log(-h) serves, since both have derivative 1/h; log h in `at`
+    picks it."""
+    zero = mp.mpf(0)
+    series: Dict[Word, List[List]] = {(): [[mp.mpf(1)] + [zero] * (n_terms - 1)]}
     for w in closure:
         if not w:
             continue
-        a = w[0]
         tail = series[w[1:]]
-        point = alphabet.points[a]
-        sign = alphabet.signs[a]
-        if point == zero_pt:
-            # multiply by sign/z then integrate: index shift, log-raise at n=0
-            integ = [[mp.mpf(0)] * n_terms for _ in range(len(tail) + 1)]
+        sign = alphabet.signs[w[0]]
+        offset = center - alphabet.points[w[0]]
+        if offset == 0:
+            # multiply by sign/h then integrate: index shift, log-raise at n=0
+            integ = [[zero] * n_terms for _ in range(len(tail) + 1)]
             for k, slice_k in enumerate(tail):
-                # n=0 term: sign * c0 * log^k / z -> sign*c0 log^{k+1}/(k+1)
+                # n=0 term: sign * c0 * log^k / h -> sign*c0 log^{k+1}/(k+1)
                 c0 = slice_k[0]
                 if c0:
                     integ[k + 1][0] += sign * c0 / (k + 1)
-                # n>=1 terms: integrand sign*c_n z^{n-1} log^k
-                b = [mp.mpf(0)] * n_terms
+                # n>=1 terms: integrand sign*c_n h^{n-1} log^k
+                b = [zero] * n_terms
                 for n in range(1, n_terms):
                     b[n - 1] = sign * slice_k[n]
                 _integrate_slices_into(integ, k, b, mp)
         else:
-            # kernel geometric: sign/(z-q) = -(sign/q) sum (z/q)^m
-            g0 = -sign / mp.mpf(point.numerator) * point.denominator
-            r = mp.mpf(point.denominator) / point.numerator
-            integ = [[mp.mpf(0)] * n_terms for _ in range(len(tail))]
+            # kernel geometric: sign/(h + offset) = (sign/offset) sum (-h/offset)^m
+            g0 = mp.mpf(sign * offset.denominator) / offset.numerator
+            r = mp.mpf(-offset.denominator) / offset.numerator
+            integ = [[zero] * n_terms for _ in range(len(tail))]
             for k, slice_k in enumerate(tail):
-                prod = [mp.mpf(0)] * n_terms
-                acc = mp.mpf(0)
-                for n in range(n_terms):
-                    acc = acc * r + slice_k[n]
-                    prod[n] = g0 * acc
-                # integrand prod_n z^n log^k -> shift to b_{n} = coeff of z^{n-1}
-                b = [mp.mpf(0)] * n_terms
+                # integrand b_n h^n log^k
+                b = [zero] * n_terms
+                acc = zero
                 for n in range(n_terms - 1):
-                    b[n] = prod[n]
+                    acc = acc * r + slice_k[n]
+                    b[n] = g0 * acc
                 _integrate_slices_into(integ, k, b, mp)
+        if at is not None:
+            h, logh, values = at
+            integ[0][0] += values[w] - _eval_log_series(integ, h, logh, mp)
         while len(integ) > 1 and not any(integ[-1]):
             integ.pop()
         series[w] = integ
@@ -247,7 +256,7 @@ def _anchor_values(alphabet: Alphabet, closure, dps: int, n_terms: int) -> Dict[
     mp = mpmath.mp.clone()
     mp.dps = dps
     anchor = _anchor_point(alphabet, mp)
-    series = _series_at_zero(alphabet, closure, n_terms, mp)
+    series = _log_series(alphabet, closure, Fraction(0), n_terms, mp)
     logz = mp.log(anchor)
     return {w: _eval_log_series(series[w], mp.mpc(anchor), logz, mp) for w in closure}
 
@@ -374,49 +383,8 @@ class WordEvaluator:
         p = a + direction * rho / 2
         vals = self.values_along(self.route(p))
         h_p = mp.mpc(p - a)
-        log_hp = mp.log(direction * h_p)
-        out: Dict[Word, List[List]] = {(): [[mp.mpc(1)] + [mp.mpc(0)] * (self.n_terms - 1)]}
-        for w in self.closure:
-            if not w:
-                continue
-            b = w[0]
-            tail = out[w[1:]]
-            bpt = self.alphabet.points[b]
-            sign = self.alphabet.signs[b]
-            if bpt == pt:
-                integ = [[mp.mpc(0)] * self.n_terms for _ in range(len(tail) + 1)]
-                for k, slice_k in enumerate(tail):
-                    c0 = slice_k[0]
-                    if c0:
-                        integ[k + 1][0] += sign * c0 / (k + 1)
-                    bb = [mp.mpc(0)] * self.n_terms
-                    for n in range(1, self.n_terms):
-                        bb[n - 1] = sign * slice_k[n]
-                    _integrate_slices_into(integ, k, bb, mp)
-            else:
-                qa = a - mp.mpf(bpt.numerator) / bpt.denominator
-                g0 = sign / qa
-                r = -1 / qa
-                integ = [[mp.mpc(0)] * self.n_terms for _ in range(len(tail))]
-                for k, slice_k in enumerate(tail):
-                    bb = [mp.mpc(0)] * self.n_terms
-                    acc = mp.mpc(0)
-                    for n in range(self.n_terms - 1):
-                        acc = acc * r + slice_k[n]
-                        bb[n] = g0 * acc
-                    _integrate_slices_into(integ, k, bb, mp)
-            # branch constant from the transported value
-            particular = mp.mpc(0)
-            for k, slice_k in enumerate(integ):
-                acc = mp.mpc(0)
-                for c in reversed(slice_k):
-                    acc = acc * h_p + c
-                particular += acc * log_hp**k
-            integ[0][0] += vals[w] - particular
-            while len(integ) > 1 and not any(integ[-1]):
-                integ.pop()
-            out[w] = integ
-        return out
+        at = (h_p, mp.log(direction * h_p), vals)
+        return _log_series(self.alphabet, self.closure, pt, self.n_terms, mp, at)
 
     def regularized_values_at(self, letter_point) -> Dict[Word, object]:
         """Shuffle-regularized values (constant terms of the local
@@ -443,8 +411,9 @@ def eval_word(
         else:
             vals = ev.value_vector(z, strict_words=[w])
         results.append(vals[w])
-    err = abs(results[0] - results[1]) + mpmath.mpf(10) ** (-(dps + 4))
-    digits = int(-mpmath.log10(err)) if err > 0 else dps
+    mp = ev.mp
+    err = abs(results[0] - results[1]) + mp.mpf(10) ** (-(dps + 4))
+    digits = int(-mp.log10(err)) if err > 0 else dps
     if digits < dps - 2:
         raise PrecisionNotReached(f"validated only {digits} of {dps} digits")
     return MultiFloat(results[1], err, digits)

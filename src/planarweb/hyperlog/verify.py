@@ -85,24 +85,16 @@ def _component_value(comp, mp, z, evaluator: Optional[WordEvaluator]):
     return total
 
 
-def verify_afe_numeric(
-    instance: AfeInstance,
-    samples: int = 20,
-    dps: int = 50,
-    tolerance: Fraction = Fraction(1, 10**40),
-    seed: int = 0,
-) -> dict:
-    """PASS iff |residual| < tolerance at every seeded sample."""
+def _sample_values(instance: AfeInstance, samples: int, dps: int, seed: int, rhs=None):
+    """The working context and, for each seeded sample (x, y), the value of
+    sum_i m_i comp_i(U_i(x, y)), minus rhs(x, y) when rhs is given."""
     rng = random.Random(seed)
     words = instance.word_pool()
-    evaluator = WordEvaluator(STANDARD, words or [()], dps=dps) if words else None
+    evaluator = WordEvaluator(STANDARD, words, dps=dps) if words else None
     mp = evaluator.mp if evaluator else mpmath.mp.clone()
     if not evaluator:
         mp.dps = dps + 10
-    rhs = rhs_function(instance.rhs) if instance.rhs else None
-    tol = mp.mpf(tolerance.numerator) / tolerance.denominator
-    rows = []
-    max_res = mp.mpf(0)
+    out = []
     for _ in range(samples):
         x, y = _sample_domain(instance.domain, rng)
         total = mp.mpc(0)
@@ -119,6 +111,24 @@ def verify_afe_numeric(
             raise EvaluationFailure(
                 f"evaluation failed at ({x}, {y}): {exc}", point=(x, y)
             ) from exc
+        out.append((x, y, total))
+    return mp, out
+
+
+def verify_afe_numeric(
+    instance: AfeInstance,
+    samples: int = 20,
+    dps: int = 50,
+    tolerance: Fraction = Fraction(1, 10**40),
+    seed: int = 0,
+) -> dict:
+    """PASS iff |residual| < tolerance at every seeded sample."""
+    rhs = rhs_function(instance.rhs) if instance.rhs else None
+    mp, sampled = _sample_values(instance, samples, dps, seed, rhs)
+    tol = mp.mpf(tolerance.numerator) / tolerance.denominator
+    rows = []
+    max_res = mp.mpf(0)
+    for x, y, total in sampled:
         res = abs(total)
         max_res = max(max_res, res)
         rows.append({"x": str(x), "y": str(y), "residual": mpmath.nstr(res, 8)})
@@ -143,27 +153,9 @@ def constancy_check(
 ) -> dict:
     """The left-hand side must be constant across samples; the empirical
     constant is matched against the supplied candidate closed forms."""
-    rng = random.Random(seed)
-    words = instance.word_pool()
-    evaluator = WordEvaluator(STANDARD, words or [()], dps=dps) if words else None
-    mp = evaluator.mp if evaluator else mpmath.mp.clone()
-    if not evaluator:
-        mp.dps = dps + 10
+    mp, sampled = _sample_values(instance, samples, dps, seed)
     tol = mp.mpf(tolerance.numerator) / tolerance.denominator
-    values = []
-    for _ in range(samples):
-        x, y = _sample_domain(instance.domain, rng)
-        total = mp.mpc(0)
-        try:
-            for u, comp, m in zip(instance.inner, instance.components, instance.multipliers):
-                z = u.evaluate(x, y)
-                zval = mp.mpf(z.numerator) / z.denominator
-                total += m * _component_value(comp, mp, zval, evaluator)
-        except Exception as exc:  # noqa: BLE001
-            raise EvaluationFailure(
-                f"evaluation failed at ({x}, {y})", point=(x, y)
-            ) from exc
-        values.append(total)
+    values = [total for _, _, total in sampled]
     mean = sum(values) / len(values)
     spread = max(abs(v - mean) for v in values)
     if spread > tol:

@@ -170,3 +170,17 @@ def test_bad_variables_line_is_a_syntax_error(tmp_path):
     rc, doc, _ = run_cli("rank", str(path))
     assert rc == 1
     assert doc["type"] == "ExprSyntaxError"
+
+
+def test_closed_stdout_gives_no_traceback():
+    # the reader goes away before the report is written, as with `| head`
+    with subprocess.Popen(
+        [sys.executable, "-m", "planarweb.cli", "sigma", fixture_path("sk.web")],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in stderr

@@ -11,29 +11,31 @@ from planarweb.hyperlog.words import STANDARD
 
 def test_li2_half_against_direct_series():
     # oracle: direct series summation of Li2(1/2)
-    mp.dps = 60
-    s = mpf(0)
-    term = mpf(1)
-    for n in range(1, 200):
-        term /= 2
-        s += term / n**2
-    got = eval_word(("x0", "x1"), mpf(1) / 2, dps=50)
-    assert abs(got.value - s) < mpf(10) ** -49
-    closed = mp.pi**2 / 12 - mp.log(2) ** 2 / 2
-    assert abs(got.value - closed) < mpf(10) ** -49
-    assert got.digits >= 50
+    with mp.workdps(60):
+        s = mpf(0)
+        term = mpf(1)
+        for n in range(1, 200):
+            term /= 2
+            s += term / n**2
+        got = eval_word(("x0", "x1"), mpf(1) / 2, dps=50)
+        assert abs(got.value - s) < mpf(10) ** -49
+        closed = mp.pi**2 / 12 - mp.log(2) ** 2 / 2
+        assert abs(got.value - closed) < mpf(10) ** -49
+        assert got.digits >= 50
 
 
 def test_weight_one_values():
-    got = eval_word(("x1",), mpf(1) / 2, dps=50)
-    assert abs(got.value - mp.log(2)) < mpf(10) ** -49
-    got = eval_word(("x0",), 1, dps=50)
-    assert abs(got.value) < mpf(10) ** -49
+    with mp.workdps(60):
+        got = eval_word(("x1",), mpf(1) / 2, dps=50)
+        assert abs(got.value - mp.log(2)) < mpf(10) ** -49
+        got = eval_word(("x0",), 1, dps=50)
+        assert abs(got.value) < mpf(10) ** -49
 
 
 def test_li2_at_one():
-    got = eval_word(("x0", "x1"), 1, dps=50)
-    assert abs(got.value - mp.pi**2 / 6) < mpf(10) ** -48
+    with mp.workdps(60):
+        got = eval_word(("x0", "x1"), 1, dps=50)
+        assert abs(got.value - mp.pi**2 / 6) < mpf(10) ** -48
 
 
 def test_divergent_at_letter_raises():
@@ -169,3 +171,45 @@ def test_validated_digits_reach_the_floor(word, z):
         got = eval_word(word, z, dps=dps)
         assert got.error < 2 * mpf(10) ** -(dps + 4)
         assert got.digits >= dps + 3
+
+
+def test_validated_digits_ignore_the_global_precision():
+    digits = []
+    for global_dps in (15, 60):
+        with mpmath.workdps(global_dps):
+            digits.append(eval_word(LI2, mpf(1) / 2, dps=30).digits)
+    assert digits[0] == digits[1]
+
+
+WEIGHT3 = [("x0", "x0", "x1"), ("x1", "x0", "x-1"), ("x-1", "x1", "x0")]
+
+
+@pytest.mark.parametrize("center", [-1, 0, 1])
+def test_local_expansion_sums_to_the_transported_values(center):
+    # summed at a point other than the one the branch constants were fixed
+    # at, every slice and constant of every closure word must hold
+    ev = WordEvaluator(STANDARD, WEIGHT3, dps=40)
+    mpl = ev.mp
+    exps = ev.local_expansions_at(center)
+    direction = 1 if ev.anchor >= center else -1
+    z = Fraction(center) + direction * Fraction(1, 4)
+    h = mpl.mpf(direction) / 4
+    log_h = mpl.log(direction * h)
+    vals = ev.value_vector(z)
+    for w in ev.closure:
+        total = sum(
+            log_h**k * sum(c * h**n for n, c in enumerate(slice_k))
+            for k, slice_k in enumerate(exps[w])
+        )
+        assert abs(total - vals[w]) < mpf(10) ** -40, (center, w)
+
+
+def test_anchor_values_against_mpmath():
+    ev = WordEvaluator(STANDARD, WEIGHT3, dps=40)
+    mpl = ev.mp
+    anchor = ev.anchor
+    assert anchor == mpl.mpf(2) / 5
+    vals = ev._anchor_values
+    assert abs(vals[LI3] - mpl.polylog(3, anchor)) < mpf(10) ** -40
+    assert abs(vals[LI2] - mpl.polylog(2, anchor)) < mpf(10) ** -40
+    assert abs(vals[X1] + mpl.log(mpl.mpf(3) / 5)) < mpf(10) ** -40

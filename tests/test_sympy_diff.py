@@ -1,0 +1,72 @@
+"""Differential tests against sympy: gcd, squarefree part and Taylor jets of
+the exact bivariate arithmetic on random small inputs."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from planarweb.poly import BivarPoly, poly_gcd, squarefree_part
+from planarweb.ratfunc import RatFunc
+
+sympy = pytest.importorskip("sympy")
+
+X, Y = sympy.symbols("x y")
+coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+centers = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@st.composite
+def polys(draw, max_terms=3, max_deg=2):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        e = (draw(st.integers(0, max_deg)), draw(st.integers(0, max_deg)))
+        terms[e] = terms.get(e, Fraction(0)) + draw(coeffs)
+    return BivarPoly(terms)
+
+
+nonzero_polys = polys().filter(lambda p: not p.is_zero())
+
+
+def to_sympy(p: BivarPoly):
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms or {(0, 0): 0}, X, Y, domain=sympy.QQ)
+
+
+def monic(p):
+    return p.monic() if not p.is_zero else p
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_polys, polys(), polys())
+def test_gcd_agrees_with_sympy_up_to_a_unit(common, a, b):
+    p, q = a * common, b * common
+    expected = sympy.gcd(to_sympy(p), to_sympy(q))
+    assert monic(to_sympy(poly_gcd(p, q))) == monic(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nonzero_polys, nonzero_polys, st.integers(1, 3))
+def test_squarefree_part_agrees_with_sympy(a, b, power):
+    p = a * b**power
+    assert monic(to_sympy(squarefree_part(p))) == monic(to_sympy(p).sqf_part())
+
+
+def shifted(p: BivarPoly, cx: Fraction, cy: Fraction):
+    """p(cx + x, cy + y) as a sympy Poly in x, y."""
+    shift = {X: X + sympy.Rational(cx.numerator, cx.denominator),
+             Y: Y + sympy.Rational(cy.numerator, cy.denominator)}
+    return sympy.Poly(to_sympy(p).as_expr().subs(shift, simultaneous=True), X, Y, domain=sympy.QQ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), nonzero_polys, centers, centers, st.integers(0, 4))
+def test_taylor_agrees_with_sympy(num, den, cx, cy, order):
+    # the jet J of num/den at c is the one polynomial of total degree <= order
+    # with den(c + .) * J = num(c + .) up to terms of total degree > order
+    if den.evaluate(cx, cy) == 0:
+        return
+    jet = RatFunc(num, den).taylor((cx, cy), order)
+    assert all(i + j <= order for i, j in jet.coeffs)
+    residual = shifted(den, cx, cy) * to_sympy(BivarPoly(jet.coeffs)) - shifted(num, cx, cy)
+    assert all(i + j > order for (i, j), c in residual.terms() if c != 0)
