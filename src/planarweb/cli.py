@@ -96,7 +96,7 @@ def cmd_rank(args) -> int:
 
     web = load_web(args.webfile)
     if args.max_order is not None and args.max_order < web.size:
-        print(json.dumps({"error": f"--max-order must be at least the web size {web.size}"}))
+        _emit({"error": f"--max-order must be at least the web size {web.size}"})
         return 2
     base = pick_generic_point(
         web, seed=args.seed, preferred=args.point or (Fraction(1, 3), Fraction(1, 2))
@@ -127,7 +127,7 @@ def cmd_abel_ode(args) -> int:
 
     web = load_web(args.webfile)
     if not 1 <= args.target <= web.size:
-        print(json.dumps({"error": f"--target must be between 1 and {web.size}"}))
+        _emit({"error": f"--target must be between 1 and {web.size}"})
         return 2
     try:
         ode = derive_lde(web, args.target)
@@ -234,7 +234,7 @@ def cmd_prop7(args) -> int:
         config = load_configuration(args.config)
     if args.subset:
         if max(args.subset) > len(config):
-            print(json.dumps({"error": f"--subset indices must be at most {len(config)}"}))
+            _emit({"error": f"--subset indices must be at most {len(config)}"})
             return 2
         config = Configuration(
             [config.points[i - 1] for i in args.subset],
@@ -324,10 +324,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except PlanarWebError as exc:
-        print(json.dumps({"error": str(exc), "type": type(exc).__name__}))
+        _emit({"error": str(exc), "type": type(exc).__name__})
         return 1
     except FileNotFoundError as exc:
-        print(json.dumps({"error": str(exc)}))
+        _emit({"error": str(exc)})
         return 2
 
 

@@ -7,82 +7,42 @@ are the coefficients of (x - bx)^a (y - by)^b, 1 <= a+b <= K, in
 sum_i sum_k c_{i,k} (U_i - U_i(base))^k.  Starting the k-range at 1 quotients
 the constants out, so the stabilized kernel dimension is the rank.
 
-Truncation policy: K starts at N, grows by 1, stabilization is declared
-after three equal consecutive dimensions, with a hard cap N(N-1)/2 + 3.
-Kernel dimensions are certified exact (see linalg).
+What is certified.  Each truncated kernel dimension is exact: the kernel is
+computed modulo primes and verified over Q (see linalg), so it does not
+depend on which primes were lucky.  At an order K >= N - 2 it is also an
+upper bound on the rank.  A relation whose F_i have zero derivatives 1..K
+at the base images satisfies sum_i c_i l_i^(K+1) = 0 in degree K + 1, with
+l_i = dU_i(base); powers l_i^m of pairwise non-proportional linear forms
+(the base point is off the tangency locus) are independent when N <= m + 1,
+so c = 0 and, by induction, every F_i is constant.
 
-Jet powers are computed in integer-scaled form: a jet is a dict of integer
-coefficients plus one denominator, so the inner convolution loops never
-touch Fraction.
+What is heuristic.  Only the stop rule: K starts at N and grows by 1, and
+the rank is taken to be the dimension once `stabilize` (default three)
+consecutive orders give equal dimensions, with a hard cap N(N-1)/2 + 3.
+The ladder is `_stabilized_dims`, shared by the web rank and the pattern
+rank.
+
+The jet table.  Rows are built from one table per (web, point), held by
+its BasePoint: the powers v_i^k of v_i = U_i - U_i(base) as dicts of
+integer coefficients over den_i^k.  It grows lazily: an integral asked for
+a higher order is expanded again at that order, and a lower order reads the
+entries by truncation, because v^k has no terms below degree k.  A
+subweb's base point at the parent's point (BasePoint.restrict) shares the
+parent's entries, so the web, every subweb and every order read one table.
+Each row is scaled to the primitive integer row of the rational system:
+multiplied by the lcm of the den_i^k it touches and divided by its gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import NotStabilized
 from .linalg import ExactKernel, exact_nullspace, exact_rank_of_span, independent_rows
-from .ratfunc import RatFunc
 from .web import BasePoint, Web, pick_generic_point, singular_locus
-
-
-# ---------------------------------------------------------------------------
-# integer-scaled jets
-# ---------------------------------------------------------------------------
-
-
-class _IntJet:
-    """coeffs/den with integer coefficients indexed by (a, b), a+b <= order."""
-
-    __slots__ = ("coeffs", "den", "order")
-
-    def __init__(self, coeffs: Dict[Tuple[int, int], int], den: int, order: int):
-        self.coeffs = coeffs
-        self.den = den
-        self.order = order
-
-    @staticmethod
-    def from_series(jet) -> "_IntJet":
-        den = 1
-        for c in jet.coeffs.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        coeffs = {e: int(c * den) for e, c in jet.coeffs.items()}
-        return _IntJet(coeffs, den, jet.order)
-
-    def mul_trunc(self, other: "_IntJet", order: int) -> "_IntJet":
-        out: Dict[Tuple[int, int], int] = {}
-        items = sorted(other.coeffs.items())
-        for (a1, b1), c1 in self.coeffs.items():
-            rem = order - a1 - b1
-            if rem < 0:
-                continue
-            for (a2, b2), c2 in items:
-                if a2 + b2 > rem:
-                    continue
-                e = (a1 + a2, b1 + b2)
-                out[e] = out.get(e, 0) + c1 * c2
-        out = {e: c for e, c in out.items() if c}
-        return _IntJet(out, self.den * other.den, order)
-
-    def fraction(self, e) -> Fraction:
-        c = self.coeffs.get(e)
-        return Fraction(c, self.den) if c else Fraction(0)
-
-
-def _vanishing_jet_powers(u: RatFunc, value: Fraction, point, order: int) -> List[_IntJet]:
-    """[v^1, .., v^order] as jets, v = u - value (vanishing at the point)."""
-    base = u.taylor(point, order)
-    shifted = dict(base.coeffs)
-    c0 = shifted.pop((0, 0), Fraction(0))
-    assert c0 == value, "jet constant term must equal the recorded value"
-    v = _IntJet.from_series(type(base)(base.center, order, shifted))
-    powers = [v]
-    for _ in range(order - 1):
-        powers.append(powers[-1].mul_trunc(v, order))
-    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -95,37 +55,49 @@ def _jet_columns(n: int, order: int) -> Dict[Tuple[int, int], int]:
     return {(i, k): i * order + k - 1 for i in range(n) for k in range(1, order + 1)}
 
 
+def _jet_rows(base: BasePoint, terms, order: int, n_cols: int, first_power: int) -> List[List[int]]:
+    """Rows of sum over terms (i, m, col) of m * sum_k c_{col+k} v_i^k,
+    k = first_power..order, v_i^k read from the base point's jet table: one
+    row per monomial of total degree <= order with a nonzero coefficient.
+    Each row is multiplied by the lcm of the den^k it touches and divided by
+    its gcd: the primitive integer row proportional to the rational one,
+    whatever denominators the table holds."""
+    tables = [(base.jet_powers(i, order), m, col) for i, m, col in terms]
+    rows = []
+    for total in range(order + 1):
+        for a in range(total + 1):
+            e = (a, total - a)
+            hits = []
+            scale = 1
+            for (den_powers, powers), m, col in tables:
+                top = 0
+                for k in range(first_power, total + 1):  # v^k starts at degree k
+                    c = powers[k].get(e)
+                    if c:
+                        hits.append((col + k, m * c, den_powers[k]))
+                        top = k
+                if top:
+                    scale = lcm(scale, den_powers[top])
+            row = [0] * n_cols
+            for j, c, d in hits:
+                row[j] += c * (scale // d)
+            g = gcd(*row)
+            if g:
+                rows.append([x // g for x in row] if g > 1 else row)
+    return rows
+
+
 class JetSystem:
-    """Exact truncated linear system of a web at a base point."""
+    """Exact truncated linear system of a web at a base point, as primitive
+    integer rows built from the base point's jet table."""
 
     def __init__(self, web: Web, base: BasePoint, order: int):
         self.web = web
         self.base = base
         self.order = order
         self.unknown_index = _jet_columns(web.size, order)
-        self.rows: List[List[Fraction]] = []
-        self.row_index: List[Tuple[int, int]] = []
-        powers_by_i = [
-            _vanishing_jet_powers(
-                base.effective_integrals[i], base.images[i], base.point, order
-            )
-            for i in range(web.size)
-        ]
-        n_cols = len(self.unknown_index)
-        for total in range(1, order + 1):
-            for a in range(total + 1):
-                b = total - a
-                row = [Fraction(0)] * n_cols
-                nonzero = False
-                for i in range(web.size):
-                    for k in range(1, order + 1):
-                        c = powers_by_i[i][k - 1].fraction((a, b))
-                        if c:
-                            row[self.unknown_index[(i, k)]] = c
-                            nonzero = True
-                if nonzero:
-                    self.rows.append(row)
-                    self.row_index.append((a, b))
+        terms = [(i, 1, i * order - 1) for i in range(web.size)]
+        self.rows = _jet_rows(base, terms, order, len(self.unknown_index), 1)
 
     def nullspace(self) -> ExactKernel:
         return exact_nullspace(self.rows, n_cols=len(self.unknown_index))
@@ -148,6 +120,23 @@ def bol_bound(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
+def _stabilized_dims(n, dim_at, start_order, stabilize, max_order, failure) -> Dict[int, int]:
+    """dim_at(K) for K = start_order (default N), K + 1, .. until the last
+    `stabilize` dims are equal, capped at max_order (default N(N-1)/2 + 3).
+    Returns the dims by order; at the cap raises NotStabilized with the
+    message `failure`, formatted with the cap and the dims."""
+    k0 = start_order if start_order is not None else n
+    cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
+    dims: Dict[int, int] = {}
+    for order in range(k0, cap + 1):
+        dims[order] = dim_at(order)
+        last = list(dims.values())[-stabilize:]
+        if len(last) == stabilize and len(set(last)) == 1:
+            return dims
+    seq = list(dims.values())
+    raise NotStabilized(failure.format(cap=cap, dims=seq), dims=seq)
+
+
 def abelian_rank(
     web: Web,
     base: Optional[BasePoint] = None,
@@ -159,48 +148,35 @@ def abelian_rank(
     if base is None:
         base = pick_generic_point(web, seed=0, preferred=(Fraction(1, 3), Fraction(1, 2)))
     n = web.size
-    k0 = start_order if start_order is not None else n
-    cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
-    dims: List[int] = []
-    kernels: List[ExactKernel] = []
-    systems: List[JetSystem] = []
-    order = k0
-    while order <= cap:
-        system = JetSystem(web, base, order)
-        kern = system.nullspace()
-        if dims and kern.dimension > dims[-1]:
-            raise AssertionError(
-                "kernel dimension increased with the truncation order"
-            )
-        dims.append(kern.dimension)
-        kernels.append(kern)
-        systems.append(system)
-        if len(dims) >= stabilize and len(set(dims[-stabilize:])) == 1:
-            rank = dims[-1]
-            if rank > bol_bound(n):
-                raise AssertionError(
-                    f"computed rank {rank} exceeds the bound {bol_bound(n)}"
-                )
-            idx = len(dims) - stabilize
-            sys_f = systems[idx]
-            return rank, KernelBasis(
-                kernels[idx].basis, sys_f.order, sys_f.unknown_index
-            )
-        order += 1
-    raise NotStabilized(
-        f"kernel dimension not stabilized by order {cap}: {dims}", dims=dims
+    kernels: Dict[int, ExactKernel] = {}
+
+    def dim_at(order):
+        kern = JetSystem(web, base, order).nullspace()
+        if kernels and kern.dimension > kernels[order - 1].dimension:
+            raise AssertionError("kernel dimension increased with the truncation order")
+        kernels[order] = kern
+        return kern.dimension
+
+    dims = _stabilized_dims(
+        n, dim_at, start_order, stabilize, max_order,
+        "kernel dimension not stabilized by order {cap}: {dims}",
     )
+    order = list(dims)[-stabilize]
+    rank = dims[order]
+    if rank > bol_bound(n):
+        raise AssertionError(f"computed rank {rank} exceeds the bound {bol_bound(n)}")
+    return rank, KernelBasis(kernels[order].basis, order, _jet_columns(n, order))
 
 
 def rank_only(web: Web, base: Optional[BasePoint] = None, **kw) -> int:
     return abelian_rank(web, base, **kw)[0]
 
 
-def _subweb_jets(web: Web, subset: Sequence[int], base: BasePoint, order: int, col_of):
-    """The subweb's base point (the parent's point) and its order-`order`
-    kernel vectors, embedded in the parent's jet columns `col_of`.  A point
-    off the web's singular locus is off every subweb's locus."""
-    sub_base = BasePoint(web.subweb(subset), base.point)
+def _subweb_jets(base: BasePoint, subset: Sequence[int], order: int, col_of):
+    """The subweb's base point (the parent's point and jet table) and its
+    order-`order` kernel vectors, embedded in the parent's jet columns
+    `col_of`."""
+    sub_base = base.restrict(subset)
     system = JetSystem(sub_base.web, sub_base, order)
     jets = []
     for v in system.nullspace().basis:
@@ -228,7 +204,7 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
     vecs: List[List[Fraction]] = []  # a basis of F^(p-1), then the new jets
     for p in range(3, n + 1):
         for subset in combinations(range(1, n + 1), p):
-            sub_base, jets = _subweb_jets(web, subset, base, order, basis.unknown_index)
+            sub_base, jets = _subweb_jets(base, subset, order, basis.unknown_index)
             sub_rank = rank_only(sub_base.web, sub_base)
             if len(jets) != sub_rank:
                 raise NotStabilized(
@@ -266,8 +242,8 @@ def rank_report(web: Web, subweb_sizes: Sequence[int], base: Optional[BasePoint]
     entries = []
     for size in sorted(set(subweb_sizes)):
         for subset in combinations(range(1, web.size + 1), size):
-            sub = web.subweb(subset)
-            r = rank_only(sub, BasePoint(sub, base.point))
+            sub_base = base.restrict(subset)
+            r = rank_only(sub_base.web, sub_base)
             entry = {
                 "indices": list(subset),
                 "size": size,
@@ -357,69 +333,47 @@ def constrained_rank(
         aux_pts = _value_closed_points(web, pattern, base)
     else:
         aux_pts = [(Fraction(a), Fraction(b)) for a, b in aux_points]
-    bases = [base.point] + list(aux_pts)
     n = web.size
-    k0 = start_order if start_order is not None else n
-    cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
-
     integrals = web.integrals()
+    # one base point, with its own jet table, per point; the germ values are
+    # read from the integrals themselves, so a pole at a point is an error
+    bases = [base] + [BasePoint(web, pt) for pt in aux_pts]
     germ_keys: List[Tuple[int, Fraction]] = []
     for s in slots:
         ci = pattern.class_of(s)
-        for pt in bases:
-            u = integrals[s - 1]
-            val = u.evaluate(*pt)
+        for bp in bases:
+            val = integrals[s - 1].evaluate(*bp.point)
             if (ci, val) not in germ_keys:
                 germ_keys.append((ci, val))
     germ_keys.sort(key=lambda t: (t[0], t[1]))
+    kernels = {}
 
-    dims: List[int] = []
-    result = None
-    order = k0
-    while order <= cap:
-        col_of: Dict[Tuple[int, Fraction, int], int] = {}
-        for ci, val in germ_keys:
-            for k in range(0, order + 1):  # constants kept, quotiented below
-                col_of[(ci, val, k)] = len(col_of)
-        rows: List[List[Fraction]] = []
-        for pt in bases:
-            per_slot = []
-            for s in slots:
-                u = integrals[s - 1]
-                val = u.evaluate(*pt)
-                powers = _vanishing_jet_powers(u, val, pt, order)
-                per_slot.append((s, val, powers))
-            for total in range(0, order + 1):
-                for a in range(total + 1):
-                    b = total - a
-                    row = [Fraction(0)] * len(col_of)
-                    nonzero = False
-                    for s, val, powers in per_slot:
-                        ci = pattern.class_of(s)
-                        m = pattern.multipliers[s]
-                        if (a, b) == (0, 0):
-                            row[col_of[(ci, val, 0)]] += m
-                            nonzero = True
-                            continue
-                        for k in range(1, order + 1):
-                            c = powers[k - 1].fraction((a, b))
-                            if c:
-                                row[col_of[(ci, val, k)]] += m * c
-                                nonzero = True
-                    if nonzero and any(row):
-                        rows.append(row)
+    def dim_at(order):
+        # columns c_{class, value, k}, k = 0..order: constants are kept in
+        # the system and quotiented out of the kernel below
+        col_of = {
+            (ci, val, k): j * (order + 1) + k
+            for j, (ci, val) in enumerate(germ_keys)
+            for k in range(order + 1)
+        }
+        rows: List[List[int]] = []
+        for bp in bases:
+            terms = [
+                (s - 1, pattern.multipliers[s], col_of[(pattern.class_of(s), bp.images[s - 1], 0)])
+                for s in slots
+            ]
+            rows.extend(_jet_rows(bp, terms, order, len(col_of), 0))
         kern = exact_nullspace(rows, n_cols=len(col_of))
         const_cols = {col_of[(ci, val, 0)] for ci, val in germ_keys}
         noncst = [c for c in range(len(col_of)) if c not in const_cols]
-        dim_mod_const = exact_rank_of_span([[v[c] for c in noncst] for v in kern.basis])
-        dims.append(dim_mod_const)
-        if len(dims) >= stabilize and len(set(dims[-stabilize:])) == 1:
-            result = (kern, col_of, order)
-            break
-        order += 1
-    if result is None:
-        raise NotStabilized(f"constrained system not stabilized: {dims}", dims=dims)
-    kern, col_of, order = result
+        kernels[order] = (kern, col_of)
+        return exact_rank_of_span([[v[c] for c in noncst] for v in kern.basis])
+
+    dims = _stabilized_dims(
+        n, dim_at, start_order, stabilize, max_order, "constrained system not stabilized: {dims}"
+    )
+    order = list(dims)[-1]
+    kern, col_of = kernels[order]
 
     # project kernel vectors to slot-jet coordinates at the primary point and
     # quotient by the span of proper-sub-equation solution jets there
@@ -442,14 +396,14 @@ def constrained_rank(
     # span of the sub-solution jets and of the projected vectors before it
     sub_jets: List[List[Fraction]] = []
     for subset in combinations(range(1, n + 1), n - 1):
-        sub_jets.extend(_subweb_jets(web, subset, base, order, slot_cols)[1])
+        sub_jets.extend(_subweb_jets(base, subset, order, slot_cols)[1])
     n_sub = len(sub_jets)
     genuine = [
         projected[i - n_sub] for i in independent_rows(sub_jets + projected) if i >= n_sub
     ]
     return {
         "web": web.name,
-        "dim_mod_constants": dims[-1],
+        "dim_mod_constants": dims[order],
         "dim_jet_image": dim_image,
         "dim_mod_subsolutions": len(genuine),
         "order": order,

@@ -121,9 +121,13 @@ def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
 
 
 def _clear_rows(mat: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Scale each row to coprime integers (kernel unchanged)."""
+    """Scale each row to coprime integers (kernel unchanged).  A row of
+    Python ints is taken as it is."""
     out = []
     for row in mat:
+        if all(type(v) is int for v in row):
+            out.append(row)
+            continue
         den = 1
         for v in row:
             if v:
@@ -220,7 +224,7 @@ def _verify_kernel(int_rows: List[List[int]], basis: List[List[Fraction]]) -> bo
         for x in v:
             if x:
                 den = den * x.denominator // gcd(den, x.denominator)
-        iv = [int(x * den) for x in v]
+        iv = [x.numerator * (den // x.denominator) for x in v]
         nz = [(c, val) for c, val in enumerate(iv) if val]
         for row in int_rows:
             s = 0

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ConstantInput, DegenerateMap, ExprSyntaxError, SearchExhausted, TooFewFoliations
 from .parse import format_ratfunc, parse_ratfunc
@@ -213,9 +214,56 @@ def pick_generic_point(
     raise SearchExhausted(f"no generic point found in {trials} trials")
 
 
+class _JetPowers:
+    """Powers v^0..v^K of v = U - U(point), one integral minus its value, as
+    integer coefficient dicts over den^k: v^k = powers[k] / den_powers[k] to
+    total degree K.  Asked for a higher order, the entry is recomputed at
+    that order; a lower order K' reads it as it is, because v^k has no terms
+    below degree k, so its part of degree <= K' is v^k at order K'."""
+
+    __slots__ = ("u", "value", "point", "order", "den_powers", "powers")
+
+    def __init__(self, u: RatFunc, value: Fraction, point: Tuple[Fraction, Fraction]):
+        self.u, self.value, self.point = u, value, point
+        self.order = -1
+
+    def at(self, order: int):
+        """(den_powers, powers), valid to total degree `order`."""
+        if order > self.order:
+            jet = self.u.taylor(self.point, order).coeffs
+            assert jet.get((0, 0), 0) == self.value, "jet constant term must equal the value"
+            terms = {e: c for e, c in jet.items() if e != (0, 0) and c}
+            den = lcm(*(c.denominator for c in terms.values()))
+            # by total degree, so a product stops at the first term too high
+            v = sorted(
+                ((e, c.numerator * (den // c.denominator)) for e, c in terms.items()),
+                key=lambda t: t[0][0] + t[0][1],
+            )
+            powers = [{(0, 0): 1}]
+            for _ in range(order):
+                out: Dict[Tuple[int, int], int] = {}
+                for (a1, b1), c1 in powers[-1].items():
+                    rem = order - a1 - b1
+                    for (a2, b2), c2 in v:
+                        if a2 + b2 > rem:
+                            break
+                        e = (a1 + a2, b1 + b2)
+                        out[e] = out.get(e, 0) + c1 * c2
+                powers.append({e: c for e, c in out.items() if c})
+            self.order = order
+            self.powers = powers
+            self.den_powers = [den**k for k in range(order + 1)]
+        return self.den_powers, self.powers
+
+
 class BasePoint:
     """A generic point with the integral values; integrals infinite at the
-    point are flipped to their reciprocals (same foliation, finite value)."""
+    point are flipped to their reciprocals (same foliation, finite value).
+
+    It holds the point's jet table: the integer jet powers of each integral,
+    grown lazily by order (see `jet_powers`).  A subweb's base point from
+    `restrict` shares the parent's entries, so each integral is expanded
+    once per order, however many subwebs and orders read it."""
 
     def __init__(self, web: Web, point: Tuple[Fraction, Fraction]):
         self.point = (Fraction(point[0]), Fraction(point[1]))
@@ -230,6 +278,26 @@ class BasePoint:
             images.append(u.evaluate(*self.point))
         self.effective_integrals: List[RatFunc] = effective
         self.images: List[Fraction] = images
+        self._jets = [_JetPowers(u, v, self.point) for u, v in zip(effective, images)]
+
+    def jet_powers(self, i: int, order: int):
+        """(den_powers, powers) of integral i (0-based): v^k = powers[k] /
+        den_powers[k], v = U_i - U_i(point), for k = 0..K, K >= order, exact
+        to total degree `order` (higher terms are to be ignored)."""
+        return self._jets[i].at(order)
+
+    def restrict(self, indices: Sequence[int]) -> "BasePoint":
+        """The base point of the subweb of the given (1-based) foliations at
+        this point, sharing this point's jet table.  A point off the web's
+        singular locus is off every subweb's locus."""
+        idx = sorted(set(indices))
+        sub = BasePoint.__new__(BasePoint)
+        sub.point = self.point
+        sub.web = self.web.subweb(idx)
+        sub.effective_integrals = [self.effective_integrals[i - 1] for i in idx]
+        sub.images = [self.images[i - 1] for i in idx]
+        sub._jets = [self._jets[i - 1] for i in idx]
+        return sub
 
     def __repr__(self):
         return f"BasePoint({self.point}, images={self.images})"

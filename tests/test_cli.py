@@ -172,15 +172,39 @@ def test_bad_variables_line_is_a_syntax_error(tmp_path):
     assert doc["type"] == "ExprSyntaxError"
 
 
-def test_closed_stdout_gives_no_traceback():
+def run_with_closed_stdout(*args):
     # the reader goes away before the report is written, as with `| head`
     with subprocess.Popen(
-        [sys.executable, "-m", "planarweb.cli", "sigma", fixture_path("sk.web")],
+        [sys.executable, "-m", "planarweb.cli", *args],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
     ) as proc:
         proc.stdout.close()
         stderr = proc.stderr.read()
-        assert proc.wait(timeout=120) == 0
+        return proc.wait(timeout=120), stderr
+
+
+def test_closed_stdout_gives_no_traceback():
+    rc, stderr = run_with_closed_stdout("sigma", fixture_path("sk.web"))
+    assert rc == 0
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize(
+    "args,code",
+    [
+        (["rank", "bol.web", "--max-order", "4"], 2),
+        (["abel-ode", "bol.web", "--target", "0"], 2),
+        (["prop7", "sk.web", "--subset", "1,2,99"], 2),
+        (["rank", "missing.web"], 2),  # FileNotFoundError
+        (["rank", "three.web"], 1),  # PlanarWebError (bad variables line)
+    ],
+)
+def test_error_report_to_closed_stdout_gives_no_traceback(args, code, tmp_path):
+    bad = tmp_path / "three.web"
+    bad.write_text("variables: x y z\nx\ny\nx+y\n", encoding="utf-8")
+    argv = [str(bad) if a == bad.name else fixture_path(a) if a.endswith(".web") else a for a in args]
+    rc, stderr = run_with_closed_stdout(*argv)
+    assert rc == code
     assert "Traceback" not in stderr

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from planarweb.jets import (
     rank_report,
 )
 from planarweb.parse import parse_ratfunc as P
+from planarweb.ratfunc import RatFunc, SeriesJet
 from planarweb.web import BasePoint, Web, pick_generic_point
 
 
@@ -145,3 +147,78 @@ def test_bound_assertion():
             max_order=3,
             stabilize=4,
         )
+
+
+def _fraction_kernel(web, point, order):
+    """Canonical kernel basis of the order-`order` jet matrix, assembled in
+    Fractions from RatFunc.taylor powers and reduced by Gauss-Jordan
+    elimination: free column 1, pivot entries minus the reduced row's."""
+    powers = []
+    for u in web.integrals():
+        jet = u.taylor(point, order)
+        v = SeriesJet(jet.center, order, {e: c for e, c in jet.coeffs.items() if e != (0, 0)})
+        powers.append([v])
+        for _ in range(order - 1):
+            powers[-1].append(powers[-1][-1] * v)
+    n_cols = web.size * order
+    rows = [
+        [powers[i][k - 1].coefficient(a, t - a) for i in range(web.size) for k in range(1, order + 1)]
+        for t in range(1, order + 1)
+        for a in range(t + 1)
+    ]
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        v = [Fraction(0)] * n_cols
+        v[free] = Fraction(1)
+        for i, c in enumerate(pivots):
+            v[c] = -rows[i][free]
+        basis.append(v)
+    return basis
+
+
+@pytest.mark.parametrize("web_name", ["bol_web", "cauchy_web"])
+def test_integer_jet_rows_give_the_fraction_kernel(web_name, request):
+    # orders high to low, so the lower ones read the table by truncation
+    web = request.getfixturevalue(web_name)
+    base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    for order in (web.size + 2, web.size + 1, web.size):
+        got = JetSystem(web, base, order).nullspace().basis
+        assert got == _fraction_kernel(web, base.point, order), order
+
+
+def test_subweb_jet_rows_read_from_the_parent_table(bol_web):
+    base = pick_generic_point(bol_web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    JetSystem(bol_web, base, 7)  # the parent's table now holds order 7
+    for subset in combinations(range(1, bol_web.size + 1), 3):
+        sub = base.restrict(subset)
+        for order in (3, 4, 5):
+            got = JetSystem(sub.web, sub, order).nullspace().basis
+            assert got == _fraction_kernel(sub.web, base.point, order), (subset, order)
+
+
+def test_hexagonality_expands_each_integral_once_per_order(sk_web, monkeypatch):
+    # the triples share the web's jet table: an integral is expanded again
+    # only when a higher order is asked for, not once per triple
+    orders = []
+    taylor = RatFunc.taylor
+
+    def counted(self, center, order):
+        orders.append(order)
+        return taylor(self, center, order)
+
+    monkeypatch.setattr(RatFunc, "taylor", counted)
+    hexagonality(sk_web)
+    assert 0 < len(orders) <= sk_web.size * len(set(orders))
