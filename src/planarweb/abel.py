@@ -26,7 +26,7 @@ from .errors import (
 from .linalg import exact_nullspace
 from .parse import format_ratfunc
 from .poly import BivarPoly, poly_divmod_exact, poly_gcd
-from .ratfunc import RatFunc
+from .ratfunc import RatFunc, cleared_jacobian
 from .web import Web
 
 
@@ -72,7 +72,7 @@ def depends_only_on(f: RatFunc, u: RatFunc) -> bool:
     """True iff f is constant along the level curves of u."""
     if u.is_constant():
         raise ConstantInput("dependence test against a constant")
-    return level_field(u).apply(f).is_zero()
+    return cleared_jacobian(f, u).is_zero()
 
 
 class Adfe:

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from ..errors import EvaluationFailure, NotConstant, UnknownName
+from ..errors import EvaluationFailure, InvalidParameter, NotConstant, UnknownName
 from ..parse import parse_ratfunc
 from ..ratfunc import RatFunc
 from .constants import SymConst
@@ -300,20 +300,22 @@ def afe_from_text(text: str) -> AfeInstance:
         elif line.startswith("rhs:"):
             rhs = line[4:].strip() or None
         elif line.startswith("component:"):
-            body = line[10:].strip()
-            first, rest = body.split(None, 1)
-            mult = int(first)
-            if rest.startswith("{"):
-                close = rest.index("}")
-                comps.append(parse_word_expr(rest[: close + 1]))
-                inner.append(parse_ratfunc(rest[close + 1 :].strip()))
-            else:
-                cname, expr_text = rest.split(None, 1)
-                comps.append(cname)
-                inner.append(parse_ratfunc(expr_text))
+            try:
+                first, rest = line[10:].split(None, 1)
+                mult = int(first)
+                if rest.startswith("{"):
+                    close = rest.index("}")
+                    comp = parse_word_expr(rest[: close + 1])
+                    expr_text = rest[close + 1 :]
+                else:
+                    comp, expr_text = rest.split(None, 1)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InvalidParameter(f"bad component line {line!r}: {exc}") from None
+            comps.append(comp)
+            inner.append(parse_ratfunc(expr_text.strip()))
             mults.append(mult)
         else:
-            raise ValueError(f"unrecognized afe line: {line!r}")
+            raise InvalidParameter(f"unrecognized afe line: {line!r}")
     return AfeInstance(inner, comps, mults, rhs=rhs, domain=domain, name=name)
 
 

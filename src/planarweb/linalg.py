@@ -184,8 +184,8 @@ def exact_nullspace(
         piv_list = list(best[0])
         free_cols = sorted(set(range(n)).difference(piv_list))
         residues.append({(f, k): red[k][f] for f in free_cols for k in range(len(piv_list))})
-        # try to reconstruct once a few primes are in, then every couple more
-        if len(primes_used) >= 2 and (len(primes_used) % 2 == 0 or len(primes_used) == 2):
+        # try to reconstruct after every second prime
+        if len(primes_used) % 2 == 0:
             kernel = _crt_reconstruct(primes_used, residues, piv_list, free_cols, n)
             if kernel is not None and _verify_kernel(int_rows, kernel):
                 return ExactKernel(len(free_cols), kernel, piv_list)

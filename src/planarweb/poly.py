@@ -392,7 +392,7 @@ def _spec_gcd_is_trivial(fr, gr) -> bool:
             continue
         uf = [_z_eval(row, x0) for row in fr]
         ug = [_z_eval(row, x0) for row in gr]
-        g = _int_poly_gcd(uf, ug)
+        g = _z_gcd(uf, ug)
         return len(g) <= 1
     return False
 
@@ -402,18 +402,6 @@ def _z_eval(row, x0: int) -> int:
     for c in reversed(row):
         acc = acc * x0 + c
     return acc
-
-
-def _int_poly_gcd(f, g):
-    f = _z_primitive([c for c in f])
-    g = _z_primitive([c for c in g])
-    f, g = _z_trim(list(f)), _z_trim(list(g))
-    if len(f) < len(g):
-        f, g = g, f
-    while g:
-        r = _z_primitive(_z_pseudo_rem(f, g))
-        f, g = g, r
-    return f
 
 
 def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:

@@ -66,9 +66,10 @@ class Configuration:
     def __init__(self, points: Sequence[ProjPoint], name: Optional[str] = None):
         pts = list(points)
         if len(pts) < 3:
-            raise ValueError("a configuration needs at least 3 points")
-        if len(set(pts)) != len(pts):
-            raise ValueError("configuration points must be pairwise distinct")
+            raise InvalidParameter("a configuration needs at least 3 points")
+        repeated = next((p for i, p in enumerate(pts) if p in pts[:i]), None)
+        if repeated is not None:
+            raise InvalidParameter(f"configuration point {repeated} appears twice")
         self.points = pts
         self.name = name
 
@@ -140,9 +141,7 @@ def classify_stratum(config: Configuration) -> Stratum:
             pivots.append(j + 1)
     if len(pivots) == 1:
         return Stratum("S3", triples, pivot=pivots[0])
-    if len(triples) == 1:
-        return Stratum("S1", triples)
-    # several triples but no unique pivot: still reported as S1-like listing
+    # one triple, or several but no unique pivot: still reported as S1-like listing
     return Stratum("S1", triples)
 
 
@@ -283,8 +282,11 @@ def config_from_text(text: str) -> Configuration:
             continue
         parts = line.replace(":", " ").split()
         if len(parts) != 3:
-            raise ValueError(f"a point needs three coordinates: {line!r}")
-        pts.append(ProjPoint(*(Fraction(v) for v in parts)))
+            raise InvalidParameter(f"a point needs three coordinates: {line!r}")
+        try:
+            pts.append(ProjPoint(*(Fraction(v) for v in parts)))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidParameter(f"bad point line {line!r}: {exc}") from None
     return Configuration(pts, name=name)
 
 

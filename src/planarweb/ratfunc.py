@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-from .errors import ConstantInput, IdenticallySingular, PoleAtCenter, ZeroDenominator
+from .errors import IdenticallySingular, PoleAtCenter, ZeroDenominator
 from .poly import BivarPoly, poly_divmod_exact, poly_gcd
 
 
@@ -172,30 +172,13 @@ class RatFunc:
         return format_ratfunc(self)
 
 
-def jacobian_numerator(f: RatFunc, g: RatFunc) -> BivarPoly:
-    """Squarefree primitive numerator of f_x g_y - f_y g_x, sign-normalized.
-
-    Returns the unit polynomial 1 when the Jacobian is a nonzero constant and
-    0 exactly when f and g define the same foliation.
-    """
-    from .poly import squarefree_part
-
-    if f.is_constant() or g.is_constant():
-        raise ConstantInput("jacobian of a constant function")
-    j = f.derivative("x") * g.derivative("y") - f.derivative("y") * g.derivative("x")
-    if j.is_zero():
-        return BivarPoly.zero()
-    if j.num.is_constant():
-        return BivarPoly.const(1)
-    return squarefree_part(j.num)
-
-
 def cleared_jacobian(f: RatFunc, g: RatFunc) -> BivarPoly:
     """Denominator-cleared Jacobian polynomial den_f^2 den_g^2 (f_x g_y - f_y g_x).
 
-    Unlike jacobian_numerator this keeps components supported on the pole
-    curves (common leaves of the two pencils), which belong to the web's
-    tangency locus.
+    It vanishes identically exactly when f and g define the same foliation
+    (the denominators are nonzero).  Clearing rather than reducing keeps the
+    components supported on the pole curves (common leaves of the two
+    pencils), which belong to the web's tangency locus.
     """
     nf, df, ng, dg = f.num, f.den, g.num, g.den
     wf_x = nf.diff("x") * df - nf * df.diff("x")

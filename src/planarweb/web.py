@@ -1,23 +1,24 @@
 """Webs of plane foliations with rational first integrals.
 
-A Foliation is the level-curve foliation of a non-constant rational function;
-two integrals define the same foliation exactly when their Jacobian vanishes
-identically (post-composition with a Mobius map changes the integral, not the
-foliation).
+A Foliation is the level-curve foliation of a non-constant rational function
+(post-composition with a Mobius map changes the integral, not the foliation).
 
-The singular locus is assembled from two kinds of affine curve components:
+Foliation equality and the tangency part of the singular locus read one
+polynomial per pair of integrals, the cleared Jacobian
+den_i^2 den_j^2 (dU_i ^ dU_j) of `ratfunc.cleared_jacobian`:
 
-* tangency components: for each pair of integrals the denominator-cleared
-  Jacobian polynomial den_i^2 den_j^2 (dU_i ^ dU_j).  Clearing (rather than
+* two integrals define the same foliation exactly when it vanishes
+  identically (the denominators are nonzero);
+* its zero set is the pair's tangency divisor.  Clearing (rather than
   reducing) keeps components supported on pole curves, which are common
   leaves of the two pencils and genuinely singular for the web.  This is the
   affine restriction of the projective wedge of the pencils' defining forms.
-* pole components: the denominator curve of each integral, where the value
-  reaches infinity (the paper's printed loci include these).
 
-Components are stored squarefree and pairwise coprime; indeterminacy sets
-are kept as (numerator, denominator) ideal descriptors since downstream code
-only ever needs avoidance, which is decided by evaluation.
+The singular locus adds the pole components, the denominator curve of each
+integral, where the value reaches infinity (the paper's printed loci include
+these).  Components are stored squarefree and pairwise coprime; indeterminacy
+sets are kept as (numerator, denominator) ideal descriptors since downstream
+code only ever needs avoidance, which is decided by evaluation.
 """
 
 from __future__ import annotations
@@ -27,10 +28,17 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .errors import ConstantInput, DegenerateMap, ExprSyntaxError, SearchExhausted, TooFewFoliations
+from .errors import (
+    ConstantInput,
+    DegenerateMap,
+    ExprSyntaxError,
+    InvalidParameter,
+    SearchExhausted,
+    TooFewFoliations,
+)
 from .parse import format_ratfunc, parse_ratfunc
 from .poly import BivarPoly, coprime_split, poly_divides, poly_divmod_exact, squarefree_part
-from .ratfunc import RatFunc, cleared_jacobian, jacobian_numerator
+from .ratfunc import RatFunc, cleared_jacobian
 
 
 class Foliation:
@@ -48,7 +56,7 @@ class Foliation:
 
 
 def same_foliation(f: Foliation, g: Foliation) -> bool:
-    return jacobian_numerator(f.integral, g.integral).is_zero()
+    return cleared_jacobian(f.integral, g.integral).is_zero()
 
 
 class Web:
@@ -131,7 +139,11 @@ class SingularLocus:
 
 
 def singular_locus(web: Web) -> SingularLocus:
-    """Curve components and indeterminacy descriptors of the web's locus."""
+    """Curve components and indeterminacy descriptors of the web's locus.
+
+    The components are the gcd-free basis of the cleared Jacobians and the
+    denominators: irreducible factors grouped by which inputs they divide.
+    Splitting the Jacobians first groups them the same way."""
     us = web.integrals()
     tang: List[BivarPoly] = []
     for i in range(len(us)):
@@ -139,14 +151,9 @@ def singular_locus(web: Web) -> SingularLocus:
             w = cleared_jacobian(us[i], us[j])
             if w.is_zero():
                 raise DegenerateMap("coincident foliations in singular_locus")
-            if not w.is_constant():
-                tang.append(squarefree_part(w))
-    poles: List[BivarPoly] = []
-    for u in us:
-        if not u.den.is_constant():
-            poles.append(squarefree_part(u.den))
+            tang.append(w)
     tang_split = coprime_split(tang)
-    all_split = coprime_split(tang + poles)
+    all_split = coprime_split(tang_split + [u.den for u in us])
     indet = [(u.num, u.den) for u in us if not u.den.is_constant()]
     return SingularLocus(all_split, indet, tang_split)
 
@@ -163,9 +170,9 @@ def verify_sigma_factors(web: Web, candidates: Sequence[BivarPoly]) -> dict:
     per_candidate = []
     cand_product = BivarPoly.const(1)
     all_divide = True
-    for c in candidates:
+    for k, c in enumerate(candidates, 1):
         if c.is_zero():
-            raise ValueError("zero candidate factor")
+            raise InvalidParameter(f"candidate factor {k} is zero")
         divides = poly_divides(squarefree_part(c), product)
         all_divide = all_divide and divides
         per_candidate.append({"factor": str(c), "divides": divides})
@@ -333,31 +340,6 @@ def webs_equal_as_foliations(a: Web, b: Web) -> Optional[List[int]]:
         used[found] = True
         match.append(found + 1)
     return match
-
-
-def condition_c_local(web: Web) -> dict:
-    """Local surrogate of the coordinate-system condition: for each integral,
-    which partners have their full tangency divisor inside the locus product
-    (always true by construction; the report enumerates the witnesses).
-    Globality (injectivity of the pair map) is not decided here."""
-    us = web.integrals()
-    locus = singular_locus(web)
-    product = locus.product()
-    witnesses = []
-    holds_everywhere = True
-    for i in range(len(us)):
-        partners = []
-        for l in range(len(us)):
-            if l == i:
-                continue
-            w = cleared_jacobian(us[i], us[l])
-            wsf = squarefree_part(w) if not w.is_constant() else BivarPoly.const(1)
-            ok = wsf.is_constant() or poly_divides(wsf, product)
-            if ok:
-                partners.append(l + 1)
-        witnesses.append({"integral": i + 1, "partners": partners})
-        holds_everywhere = holds_everywhere and bool(partners)
-    return {"web": web.name, "holds": holds_everywhere, "witnesses": witnesses}
 
 
 # ---------------------------------------------------------------------------

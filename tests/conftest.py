@@ -5,13 +5,31 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from planarweb.web import Web
+from planarweb.abel import depends_only_on
+from planarweb.ratfunc import RatFunc, cleared_jacobian
+from planarweb.web import Foliation, Web, same_foliation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "planarweb", "fixtures")
 
 
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
+
+
+def quotient_rule_jacobian(f, g):
+    """Reference Jacobian f_x g_y - f_y g_x as a reduced rational function,
+    by the quotient rule on each derivative."""
+    return f.derivative("x") * g.derivative("y") - f.derivative("y") * g.derivative("x")
+
+
+def assert_jacobian_matches_reference(f, g):
+    """cleared_jacobian is den_f^2 den_g^2 times the reference Jacobian, and
+    every foliation test reads the same zero test (f, g non-constant)."""
+    ref = quotient_rule_jacobian(f, g)
+    w = cleared_jacobian(f, g)
+    assert RatFunc.from_poly(w) == ref * RatFunc.from_poly(f.den**2 * g.den**2)
+    assert same_foliation(Foliation(f), Foliation(g)) == ref.is_zero() == w.is_zero()
+    assert depends_only_on(f, g) == depends_only_on(g, f) == ref.is_zero()
 
 
 @pytest.fixture(scope="session")

@@ -331,36 +331,6 @@ class SkOracle:
                     total[e] = total.get(e, mp.mpc(0)) + ck * c
         return total
 
-    def _composite_defect(self, element):
-        """Jets of the projection of the 8 known slots onto the orthogonal
-        complement of the u5 subalgebra (what slot 5 cannot absorb)."""
-        mp = self.mp
-        K = self.order
-        rhs = {}
-        for pos, comp in enumerate(element):
-            slot9 = (0, 1, 2, 3, 5, 6, 7, 8)[pos]
-            if isinstance(comp, HyperlogExpr) and comp.is_zero():
-                continue
-            jet = self.component_jet(comp, self.values[slot9])
-            for e, c in self._composite_jet(jet, slot9).items():
-                rhs[e] = rhs.get(e, mp.mpc(0)) + c
-        # remove the best u5-subalgebra approximation (solve as in tuple_jets)
-        u5 = self.inner[4].taylor(BASE, K)
-        shifted5 = {e: c for e, c in u5.coeffs.items() if e != (0, 0)}
-        lead = Fraction(shifted5.get((1, 0), Fraction(0)))
-        residual = dict(rhs)
-        cur = {(0, 0): mp.mpc(1)}
-        for k in range(1, K + 1):
-            cur = _bimul(cur, shifted5, K, mp)
-            ck = residual.get((k, 0), mp.mpc(0)) / (
-                mp.mpf(lead.numerator) / lead.denominator
-            ) ** k
-            if ck:
-                for e, c in cur.items():
-                    residual[e] = residual.get(e, mp.mpc(0)) - ck * c
-        tol = self.mp.mpf(10) ** (-(self.dps - 14))
-        return {e: c for e, c in residual.items() if abs(c) > tol}
-
     def _tuple_jets_with_extras(self, corrected):
         mp = self.mp
         element = []

@@ -164,6 +164,31 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
     assert rc == 2 and "error" in doc
 
 
+@pytest.mark.parametrize(
+    "command,name,text,extra,culprit",
+    [
+        ("verify-num", "a.afe", "component: 1 atan x\nbogus\n", [], "'bogus'"),
+        ("verify-num", "a.afe", "component: 1/2 atan x\ncomponent: 1 atan y\n", [], "1/2 atan x"),
+        ("config-web", "a.cfg", "1 0 0\n0 1 0\n0 0 1\n1 1\n", [], "'1 1'"),
+        ("config-web", "a.cfg", "1 0 0\n0 1 0\n0 0 1\n2 0 0\n", [], "[1:0:0]"),
+        ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;0"], "factor 2"),
+    ],
+    ids=["afe-unknown-line", "afe-multiplier", "cfg-coordinates", "cfg-duplicate", "sigma-zero-factor"],
+)
+def test_bad_input_file_or_factor_reports_the_culprit(tmp_path, command, name, text, extra, culprit):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarweb.cli", command, str(path), *extra],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["type"] == "InvalidParameter" and culprit in doc["error"]
+
+
 def test_bad_variables_line_is_a_syntax_error(tmp_path):
     path = tmp_path / "three.web"
     path.write_text("variables: x y z\nx\ny\nx+y\n", encoding="utf-8")

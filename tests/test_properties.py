@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import assert_jacobian_matches_reference, fixture_path
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpf
 
+from planarweb.errors import DegenerateMap
 from planarweb.parse import format_ratfunc, parse_ratfunc
-from planarweb.poly import BivarPoly
-from planarweb.ratfunc import RatFunc, jacobian_numerator
+from planarweb.poly import BivarPoly, coprime_split, squarefree_part
+from planarweb.ratfunc import RatFunc, cleared_jacobian
+from planarweb.web import Web, load_web, singular_locus
 
 
 # --- random algebra objects -------------------------------------------------
@@ -65,10 +68,47 @@ def test_jet_product_truncation(f, g, order):
 def test_jacobian_symmetry_and_vanishing(f, g):
     if f.is_constant() or g.is_constant():
         return
-    jfg = jacobian_numerator(f, g)
-    jgf = jacobian_numerator(g, f)
-    assert jfg == jgf
-    assert jacobian_numerator(f, f).is_zero()
+    assert cleared_jacobian(g, f) == -cleared_jacobian(f, g)
+    assert cleared_jacobian(f, f).is_zero()
+    assert_jacobian_matches_reference(f, g)
+
+
+def reference_locus_lists(web):
+    """Tangency and full component lists by the squarefree-first formula:
+    squarefree part of each cleared Jacobian and each non-constant
+    denominator, then coprime_split(tang) and coprime_split(tang + poles)."""
+    us = web.integrals()
+    tang = []
+    for i in range(len(us)):
+        for j in range(i + 1, len(us)):
+            w = cleared_jacobian(us[i], us[j])
+            if not w.is_constant():
+                tang.append(squarefree_part(w))
+    poles = [squarefree_part(u.den) for u in us if not u.den.is_constant()]
+    return coprime_split(tang), coprime_split(tang + poles)
+
+
+def assert_locus_matches_reference(web):
+    locus = singular_locus(web)
+    tang, full = reference_locus_lists(web)
+    assert locus.tangency_components == tang
+    assert locus.curve_components == full
+
+
+@pytest.mark.parametrize("name", ["arctan", "bol", "cauchy", "configc", "sk"])
+def test_singular_locus_matches_reference_on_fixtures(name):
+    assert_locus_matches_reference(load_web(fixture_path(f"{name}.web")))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(ratfuncs(), min_size=3, max_size=4))
+def test_singular_locus_matches_reference(integrals):
+    assume(not any(u.is_constant() for u in integrals))
+    try:
+        web = Web.from_integrals(integrals)
+    except DegenerateMap:
+        assume(False)
+    assert_locus_matches_reference(web)
 
 
 # --- web invariants -----------------------------------------------------

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import assert_jacobian_matches_reference, quotient_rule_jacobian
 
+from planarweb.abel import depends_only_on
 from planarweb.errors import ConstantInput, PoleAtCenter
 from planarweb.parse import parse_ratfunc as P
-from planarweb.ratfunc import RatFunc, cleared_jacobian, jacobian_numerator
+from planarweb.poly import squarefree_part
+from planarweb.ratfunc import cleared_jacobian
+from planarweb.web import Foliation, same_foliation
 
 
 def test_derivative_examples():
@@ -26,27 +30,33 @@ def test_leibniz_on_examples():
 
 def test_jacobian_examples():
     x, y = P("x"), P("y")
-    assert jacobian_numerator(x, y) == P("1").num
-    assert jacobian_numerator(x, x / y) == P("x").num
-    assert jacobian_numerator(x, x).is_zero()
+    assert cleared_jacobian(x, y) == P("1").num
+    assert cleared_jacobian(x, x / y) == P("-x").num
+    assert cleared_jacobian(x, x).is_zero()
+    assert same_foliation(Foliation(P("x/y")), Foliation(P("(x-y)/(x+y)")))
+    for f, g in [(x, y), (x, x / y), (x, x), (P("x/y"), P("(x-y)/(x+y)"))]:
+        assert_jacobian_matches_reference(f, g)
     with pytest.raises(ConstantInput):
-        jacobian_numerator(P("3"), y)
+        Foliation(P("3"))
+    with pytest.raises(ConstantInput):
+        depends_only_on(y, P("3"))
 
 
 def test_jacobian_symmetry():
     pairs = [("x", "x/y"), ("x*y", "(x+y)/(1-x*y)"), ("(1-y)/(1-x)", "x/y")]
     for a, b in pairs:
-        assert jacobian_numerator(P(a), P(b)) == jacobian_numerator(P(b), P(a))
+        assert cleared_jacobian(P(a), P(b)) == -cleared_jacobian(P(b), P(a))
+        assert_jacobian_matches_reference(P(a), P(b))
+        assert_jacobian_matches_reference(P(b), P(a))
 
 
 def test_cleared_jacobian_keeps_pole_components():
     # the common leaf y = 0 of the pencils y and x/y is invisible in the
-    # reduced numerator but present in the cleared polynomial
-    assert jacobian_numerator(P("y"), P("x/y")).is_constant()
+    # reduced quotient-rule Jacobian but present in the cleared polynomial
+    assert quotient_rule_jacobian(P("y"), P("x/y")).num.is_constant()
     w = cleared_jacobian(P("y"), P("x/y"))
-    from planarweb.poly import squarefree_part
-
     assert squarefree_part(w) == P("y").num
+    assert_jacobian_matches_reference(P("y"), P("x/y"))
 
 
 def test_taylor_examples():

@@ -10,7 +10,6 @@ from planarweb.web import (
     BasePoint,
     Foliation,
     Web,
-    condition_c_local,
     pick_generic_point,
     pullback_web,
     same_foliation,
@@ -138,13 +137,6 @@ def test_subweb_trusts_the_parent_distinctness(sk_web, monkeypatch):
     sub = sk_web.subweb([2, 5, 9])
     assert sub.integrals() == [sk_web.integrals()[i] for i in (1, 4, 8)]
     assert sk_web.subweb_without([1]).size == 8
-
-
-def test_condition_c_local(cauchy_web, bol_web):
-    rep = condition_c_local(cauchy_web)
-    assert rep["holds"]
-    assert 2 in rep["witnesses"][0]["partners"]
-    assert condition_c_local(bol_web)["holds"]
 
 
 def test_web_file_roundtrip(bol_web):
