@@ -1,23 +1,31 @@
 """Abel's elimination method for abelian functional equations.
 
-An Adfe is a linear combination sum_ij A_ij G_i^(j)(V_i) = 0 with rational
-coefficient functions.  One elimination step normalizes by the pivot's top
-coefficient and applies the derivation that kills the pivot's inner function
-while moving the companion's at unit speed; the pivot's order drops and
-every other unknown's order rises by one.  Iterating removes all unknowns
-but the target and leaves a linear ODE whose coefficients, once the
-remaining cross-dependence is differentiated away, are univariate in the
-target's first integral.
+An Adfe is a linear combination sum_ij A_ij G_i^(j)(V_i) = 0 with polynomial
+coefficients, stored divided by their gcd: one representative up to a constant.
+
+An elimination step divides the equation by the pivot's top coefficient,
+applies the level field X = den^2 (V_y d/dx - V_x d/dy) of the pivot's inner
+function V = num/den and clears denominators: the top term dies, the pivot's
+order drops and every other unknown's order rises by one.  Using h X for a
+nonzero function h only multiplies the result by h, which the gcd removes,
+so X needs no normalization (such as unit speed along another unknown's
+integral) and no rational function is formed during elimination.
+
+The one-unknown equation left is then differentiated along the target's level
+field until every ratio A_j / A_top depends on the target's integral alone;
+only those ratios become rational functions, re-expressed univariately.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     ConstantInput,
-    DegeneratePair,
     NoRationalExpression,
     NotPurelyUnivariate,
     TrivialEquation,
@@ -25,47 +33,35 @@ from .errors import (
 )
 from .linalg import exact_nullspace
 from .parse import format_ratfunc
-from .poly import BivarPoly, poly_divmod_exact, poly_gcd
+from .poly import BivarPoly, poly_gcd, poly_quo
 from .ratfunc import RatFunc, cleared_jacobian
 from .web import Web
 
-
-class DerivationField:
-    """The vector field cx * d/dx + cy * d/dy with rational coefficients."""
-
-    __slots__ = ("cx", "cy")
-
-    def __init__(self, cx: RatFunc, cy: RatFunc):
-        if cx.is_zero() and cy.is_zero():
-            raise ValueError("zero derivation field")
-        self.cx = cx
-        self.cy = cy
-
-    def apply(self, f: RatFunc) -> RatFunc:
-        return self.cx * f.derivative("x") + self.cy * f.derivative("y")
-
-    def scale(self, g: RatFunc) -> "DerivationField":
-        return DerivationField(self.cx * g, self.cy * g)
-
-    def __repr__(self):
-        return f"DerivationField({self.cx}, {self.cy})"
+Field = Tuple[BivarPoly, BivarPoly]
 
 
-def level_field(u: RatFunc) -> DerivationField:
-    """(dU/dy) d/dx - (dU/dx) d/dy; annihilates U along its level curves."""
+def level_field(u: RatFunc) -> Field:
+    """The polynomial field den^2 (dU/dy d/dx - dU/dx d/dy) of U = num/den,
+    as its (d/dx, d/dy) components; it annihilates U along its level curves."""
     if u.is_constant():
         raise ConstantInput("level field of a constant")
-    return DerivationField(u.derivative("y"), -u.derivative("x"))
+    n, d = u.num, u.den
+    return n.diff("y") * d - n * d.diff("y"), n * d.diff("x") - n.diff("x") * d
 
 
-def normalized_derivation(v_pivot: RatFunc, v_companion: RatFunc) -> DerivationField:
-    """Derivation Y with Y(v_pivot) = 0 and Y(v_companion) = 1."""
-    x_field = level_field(v_pivot)
-    speed = x_field.apply(v_companion)
-    if speed.is_zero():
-        raise DegeneratePair("pivot and companion define the same foliation")
-    inv = speed.inverse()
-    return DerivationField(x_field.cx * inv, x_field.cy * inv)
+def _apply(field: Field, p: BivarPoly) -> BivarPoly:
+    return field[0] * p.diff("x") + field[1] * p.diff("y")
+
+
+def _coprime(p: BivarPoly, q: BivarPoly) -> Tuple[BivarPoly, BivarPoly]:
+    """p / h and q / h for h = gcd(p, q)."""
+    h = poly_gcd(p, q)
+    return poly_quo(p, h), poly_quo(q, h)
+
+
+def _speed(field: Field, v: RatFunc) -> Tuple[BivarPoly, BivarPoly]:
+    """X(v) as a reduced (numerator, denominator) pair."""
+    return _coprime(_apply(field, v.num) * v.den - v.num * _apply(field, v.den), v.den * v.den)
 
 
 def depends_only_on(f: RatFunc, u: RatFunc) -> bool:
@@ -76,20 +72,24 @@ def depends_only_on(f: RatFunc, u: RatFunc) -> bool:
 
 
 class Adfe:
-    """Abelian differential functional equation with rational coefficients.
+    """Abelian differential functional equation with polynomial coefficients.
 
-    coeffs maps (unknown index, derivative order) to nonzero RatFunc; the
-    unknown indices refer to the `inner` list (0-based).  The true type is
-    recomputed from the stored coefficients.
+    coeffs maps (unknown index, derivative order) to a nonzero BivarPoly; the
+    unknown indices refer to the `inner` list (0-based).  The coefficients
+    are stored divided by their gcd, with integer coefficients of content 1.
     """
 
-    def __init__(self, inner: Sequence[RatFunc], coeffs: Dict[Tuple[int, int], RatFunc]):
+    def __init__(self, inner: Sequence[RatFunc], coeffs: Dict[Tuple[int, int], BivarPoly]):
         self.inner = list(inner)
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero()}
+        coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
+        values = [v for c in coeffs.values() for v in c.terms.values()]
+        content = Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
+        divisor = reduce(poly_gcd, coeffs.values(), BivarPoly.zero()).scale(content)
+        self.coeffs = {k: poly_quo(c, divisor) for k, c in coeffs.items()}
 
     @staticmethod
     def from_web(web: Web) -> "Adfe":
-        return Adfe(web.integrals(), {(i, 0): RatFunc.const(1) for i in range(web.size)})
+        return Adfe(web.integrals(), {(i, 0): BivarPoly.const(1) for i in range(web.size)})
 
     def active_unknowns(self) -> List[int]:
         return sorted({i for (i, _) in self.coeffs})
@@ -101,81 +101,40 @@ class Adfe:
     def type_vector(self) -> Dict[int, int]:
         return {i: self.order_of(i) for i in self.active_unknowns()}
 
-    def normalized_by_common_denominator(self) -> "Adfe":
-        """Scale the equation so all coefficients are polynomial with trivial
-        common content (controls coefficient blow-up between steps)."""
-        if not self.coeffs:
-            return self
-        den = BivarPoly.const(1)
-        for c in self.coeffs.values():
-            g = poly_gcd(den, c.den)
-            ok, q = poly_divmod_exact(c.den, g)
-            assert ok
-            den = den * q
-        scaled = {k: RatFunc(c.num * _exact_quot(den, c.den), BivarPoly.const(1)) for k, c in self.coeffs.items()}
-        common = BivarPoly.zero()
-        for c in scaled.values():
-            common = poly_gcd(common, c.num)
-        if not common.is_constant():
-            scaled = {
-                k: RatFunc(_exact_quot(c.num, common), BivarPoly.const(1))
-                for k, c in scaled.items()
-            }
-        return Adfe(self.inner, scaled)
-
     def __repr__(self):
         tv = self.type_vector()
         return f"Adfe(type={{{', '.join(f'{i + 1}:{m}' for i, m in tv.items())}}})"
 
 
-def _exact_quot(a: BivarPoly, b: BivarPoly) -> BivarPoly:
-    ok, q = poly_divmod_exact(a, b)
-    if not ok:
-        raise ValueError("inexact division in Adfe normalization")
-    return q
-
-
-def reduce_step(eq: Adfe, pivot: int, companion: int) -> Adfe:
-    """One elimination step: normalize by the pivot's top coefficient, apply
-    the derivation fixing the pivot's levels, collect by the product rule.
+def reduce_step(eq: Adfe, pivot: int) -> Adfe:
+    """One elimination step along the level field X of the pivot's inner
+    function.  With top the pivot's top coefficient, h = gcd(top, X(top)),
+    t = top / h, s = X(top) / h and L the lcm of the denominators of the
+    speeds X(V_i), the new equation is t top L X(eq / top): a term a G_i^(j)
+    gives L (t X(a) - a s) at (i, j) and a t L X(V_i) at (i, j + 1), both
+    zero for the pivot's top term.  Dividing by h first drops the factors of
+    top that X keeps, which keeps the products small.
 
     The pivot's order strictly drops (the unknown disappears when it was at
     order zero, or when its lower coefficients all cancel); every other
     active unknown's order rises by exactly one."""
-    if pivot == companion:
-        raise DegeneratePair("pivot and companion must differ")
     m_p = eq.order_of(pivot)
     if m_p < 0:
         raise ZeroPivotCoefficient(f"unknown {pivot + 1} is absent from the equation")
-    top = eq.coeffs.get((pivot, m_p))
-    if top is None or top.is_zero():
-        raise ZeroPivotCoefficient("pivot top coefficient is zero")
-    y_der = normalized_derivation(eq.inner[pivot], eq.inner[companion])
-    # derivative of each inner function along Y (Y(V_pivot) = 0 exactly)
-    speeds = {}
-    for i in eq.active_unknowns():
-        speeds[i] = y_der.apply(eq.inner[i])
-    new_coeffs: Dict[Tuple[int, int], RatFunc] = {}
-
-    def add(key, val: RatFunc):
-        if val.is_zero():
-            return
-        if key in new_coeffs:
-            s = new_coeffs[key] + val
-            if s.is_zero():
-                del new_coeffs[key]
-            else:
-                new_coeffs[key] = s
-        else:
-            new_coeffs[key] = val
-
+    top = eq.coeffs[(pivot, m_p)]
+    field = level_field(eq.inner[pivot])
+    t, s = _coprime(top, _apply(field, top))
+    speeds = {i: _speed(field, eq.inner[i]) for i in eq.active_unknowns()}
+    lcm_den = BivarPoly.const(1)
+    for _, den in speeds.values():
+        lcm_den = lcm_den * poly_quo(den, poly_gcd(lcm_den, den))
+    # t L X(V_i), a polynomial; zero for the pivot
+    raised = {i: t * num * poly_quo(lcm_den, den) for i, (num, den) in speeds.items()}
+    new_coeffs: Dict[Tuple[int, int], BivarPoly] = defaultdict(BivarPoly)
     for (i, j), a in eq.coeffs.items():
-        b = a / top
-        if i == pivot and j == m_p:
-            continue  # becomes the constant 1; killed by the derivation
-        add((i, j), y_der.apply(b))
-        add((i, j + 1), b * speeds[i])
-    return Adfe(eq.inner, new_coeffs).normalized_by_common_denominator()
+        new_coeffs[(i, j)] += lcm_den * (t * _apply(field, a) - a * s)
+        new_coeffs[(i, j + 1)] += a * raised[i]
+    return Adfe(eq.inner, new_coeffs)
 
 
 class UnivarODE:
@@ -254,22 +213,20 @@ def _reexpress_attempt(f: RatFunc, u: RatFunc, d: int) -> Optional[RatFunc]:
     return None
 
 
-def derive_lde(web: Web, target: int, companion_policy: Optional[Sequence[int]] = None) -> UnivarODE:
+def derive_lde(web: Web, target: int) -> UnivarODE:
     """Eliminate all unknowns but `target` (1-based) and return the linear
     ODE satisfied by that component of every local solution.
 
-    Elimination order: ascending index, pivot = lowest active non-target,
-    companion = target (overridable per step via companion_policy).  After
-    elimination the one-unknown equation is repeatedly differentiated in the
-    transverse direction until every coefficient depends on the target's
-    integral alone, then re-expressed univariately.
+    Elimination order: ascending index, pivot = lowest active non-target.
+    After elimination the one-unknown equation is repeatedly differentiated
+    along the target's level field until every coefficient ratio depends on
+    the target's integral alone, then re-expressed univariately.
     """
     if not 1 <= target <= web.size:
         raise ValueError("target out of range")
     t = target - 1
     eq = Adfe.from_web(web)
     trace: List[dict] = []
-    step_no = 0
     while True:
         actives = eq.active_unknowns()
         others = [i for i in actives if i != t]
@@ -280,17 +237,12 @@ def derive_lde(web: Web, target: int, companion_policy: Optional[Sequence[int]] 
                 "the target unknown dropped out during elimination"
             )
         pivot = others[0]
-        companion = t
-        if companion_policy is not None and step_no < len(companion_policy):
-            companion = companion_policy[step_no] - 1
-        eq = reduce_step(eq, pivot, companion)
-        step_no += 1
+        eq = reduce_step(eq, pivot)
         trace.append(
             {
-                "step": step_no,
+                "step": len(trace) + 1,
                 "kind": "eliminate",
                 "pivot": pivot + 1,
-                "companion": companion + 1,
                 "type": {i + 1: m for i, m in eq.type_vector().items()},
             }
         )
@@ -299,10 +251,7 @@ def derive_lde(web: Web, target: int, companion_policy: Optional[Sequence[int]] 
 
 def _finish_one_unknown(eq: Adfe, t: int, web: Web, trace: List[dict]) -> UnivarODE:
     v_t = eq.inner[t]
-    # transverse coordinate: lowest-index other inner function
-    u_idx = next(i for i in range(len(eq.inner)) if i != t)
-    z_der = normalized_derivation(v_t, eq.inner[u_idx])
-
+    field = level_field(v_t)
     while True:
         if not eq.coeffs:
             raise TrivialEquation("the equation vanished identically")
@@ -314,32 +263,23 @@ def _finish_one_unknown(eq: Adfe, t: int, web: Web, trace: List[dict]) -> Univar
                 else "empty equation"
             )
         top = eq.coeffs[(t, order)]
-        normalized = {k: c / top for k, c in eq.coeffs.items()}
-        bad = [j for (i, j), c in normalized.items() if not depends_only_on(c, v_t)]
-        if not bad:
-            if order == 1 and all(
-                c.is_zero() for (i, j), c in normalized.items() if j == 0
-            ):
+        top_t, top_s = _coprime(top, _apply(field, top))
+        # a multiple of X(A_j / top); all zero iff each ratio depends on v_t
+        derived = {k: top_t * _apply(field, c) - c * top_s for k, c in eq.coeffs.items()}
+        if all(d.is_zero() for d in derived.values()):
+            if order == 1 and (t, 0) not in eq.coeffs:
                 raise TrivialEquation("only constant solutions (generic case)")
             coeffs = [RatFunc.const(0)] * (order + 1)
-            for (i, j), c in normalized.items():
-                coeffs[j] = _to_univar(c, v_t, web)
+            for (_, j), c in eq.coeffs.items():
+                coeffs[j] = _to_univar(RatFunc(c, top), v_t, web)
             return UnivarODE("v", coeffs, trace)
-        # Corollary-style transverse differentiation: the monic top dies and
+        # Corollary-style transverse differentiation: the top term dies and
         # the order strictly drops
-        new_coeffs: Dict[Tuple[int, int], RatFunc] = {}
-        for (i, j), c in normalized.items():
-            if j == order:
-                continue
-            dc = z_der.apply(c)
-            if not dc.is_zero():
-                new_coeffs[(i, j)] = dc
-        eq = Adfe(eq.inner, new_coeffs).normalized_by_common_denominator()
+        eq = Adfe(eq.inner, derived)
         trace.append(
             {
                 "step": len(trace) + 1,
                 "kind": "transverse-differentiate",
-                "coordinate": u_idx + 1,
                 "type": {i + 1: m for i, m in eq.type_vector().items()},
             }
         )

@@ -14,7 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import PlanarWebError
+from .errors import InvalidParameter, PlanarWebError
 from .parse import parse_ratfunc
 
 
@@ -325,7 +325,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except PlanarWebError as exc:
         _emit({"error": str(exc), "type": type(exc).__name__})
-        return 1
+        return 2 if isinstance(exc, InvalidParameter) else 1
     except FileNotFoundError as exc:
         _emit({"error": str(exc)})
         return 2

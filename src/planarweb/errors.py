@@ -45,10 +45,6 @@ class ZeroPivotCoefficient(PlanarWebError):
     pass
 
 
-class DegeneratePair(PlanarWebError):
-    pass
-
-
 class NotPurelyUnivariate(PlanarWebError):
     """The eliminated equation still has genuinely bivariate coefficients.
 

@@ -20,7 +20,7 @@ from ..errors import EvaluationFailure, InvalidParameter, NotConstant, UnknownNa
 from ..parse import parse_ratfunc
 from ..ratfunc import RatFunc
 from .constants import SymConst
-from .numeric import WordEvaluator
+from .numeric import WordEvaluator, eval_expr
 from .registry import SpecialFunction, rhs_function, special
 from .words import HyperlogExpr, STANDARD
 
@@ -78,11 +78,7 @@ def _component_value(comp, mp, z, evaluator: Optional[WordEvaluator]):
     if isinstance(comp, SpecialFunction) and comp.expr is None:
         return comp.native(mp, z)
     expr = comp.expr if isinstance(comp, SpecialFunction) else comp
-    vals = evaluator.value_vector(z)
-    total = mp.mpc(0)
-    for w, c in expr.terms.items():
-        total += c.numeric(mp) * vals[w]
-    return total
+    return eval_expr(expr, z, evaluator=evaluator)
 
 
 def _sample_values(instance: AfeInstance, samples: int, dps: int, seed: int, rhs=None):
@@ -316,6 +312,8 @@ def afe_from_text(text: str) -> AfeInstance:
             mults.append(mult)
         else:
             raise InvalidParameter(f"unrecognized afe line: {line!r}")
+    if not comps:
+        raise InvalidParameter("the .afe file has no component: line")
     return AfeInstance(inner, comps, mults, rhs=rhs, domain=domain, name=name)
 
 

@@ -174,7 +174,6 @@ class HyperlogExpr:
         parts = []
         for w in self.words():
             c = self.terms[w]
-            name = "L_" + "".join(a.replace("x", "") or a for a in w) if w else "1"
             name = "L[" + " ".join(w) + "]" if w else "1"
             parts.append(f"({c})*{name}" if not (c == ONE) else name)
         return " + ".join(parts)

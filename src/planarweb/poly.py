@@ -443,8 +443,6 @@ def poly_divides(d: BivarPoly, p: BivarPoly) -> bool:
     """True iff d divides p in Q[x, y]."""
     if d.is_zero():
         return p.is_zero()
-    if p.is_zero():
-        return True
     ok, _ = poly_divmod_exact(p, d)
     return ok
 
@@ -468,39 +466,28 @@ def poly_divmod_exact(p: BivarPoly, d: BivarPoly):
     return True, q
 
 
+def poly_quo(p: BivarPoly, d: BivarPoly) -> BivarPoly:
+    """The quotient p / d; raises ValueError unless d divides p exactly."""
+    if d.is_constant():
+        return p.scale(1 / d.constant_value())
+    ok, q = poly_divmod_exact(p, d)
+    if not ok:
+        raise ValueError("inexact polynomial division")
+    return q
+
+
 def squarefree_part(p: BivarPoly) -> BivarPoly:
     """Product of the distinct irreducible factors of p, primitive, positive
-    leading coefficient."""
+    leading coefficient: p / gcd(p, p_x, p_y), since in characteristic 0 a
+    factor of multiplicity e divides p_x and p_y at least e - 1 times and
+    one of them exactly e - 1 times."""
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
     _, p = p.primitive_z()
     if p.is_constant():
         return BivarPoly.const(1)
-    px = p.diff("x")
-    if px.is_zero():
-        u = BivarPoly.const(1)
-        v = p
-    else:
-        g = poly_gcd(p, px)
-        ok, u = poly_divmod_exact(p, g)
-        assert ok
-        # strip the x-dependent primes from p to isolate the x-free part
-        v = p
-        while True:
-            h = poly_gcd(v, u)
-            if h.is_constant():
-                break
-            ok, v = poly_divmod_exact(v, h)
-            assert ok
-    if v.is_constant():
-        sf = u
-    else:
-        vy = v.diff("y")
-        gv = poly_gcd(v, vy) if not vy.is_zero() else v
-        ok, sfv = poly_divmod_exact(v, gv)
-        assert ok
-        sf = u * sfv
-    return sf.primitive_z()[1]
+    g = poly_gcd(poly_gcd(p, p.diff("x")), p.diff("y"))
+    return poly_quo(p, g).primitive_z()[1]
 
 
 def coprime_split(polys: Iterable[BivarPoly]):
@@ -518,10 +505,7 @@ def coprime_split(polys: Iterable[BivarPoly]):
             if g.is_constant():
                 continue
             fresh = False
-            ok, q1 = poly_divmod_exact(q, g)
-            assert ok
-            ok, p1 = poly_divmod_exact(p, g)
-            assert ok
+            q1, p1 = poly_quo(q, g), poly_quo(p, g)
             out.pop(i)
             for h in (g, q1.primitive_z()[1]):
                 if not h.is_constant():

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .errors import IdenticallySingular, PoleAtCenter, ZeroDenominator
-from .poly import BivarPoly, poly_divmod_exact, poly_gcd
+from .poly import BivarPoly, poly_gcd, poly_quo
 
 
 class RatFunc:
@@ -34,10 +34,7 @@ class RatFunc:
             return
         g = poly_gcd(num, den)
         if not g.is_constant():
-            ok, num = poly_divmod_exact(num, g)
-            assert ok
-            ok, den = poly_divmod_exact(den, g)
-            assert ok
+            num, den = poly_quo(num, g), poly_quo(den, g)
         lc = den.leading_coeff()
         self.num = num.scale(1 / lc)
         self.den = den.scale(1 / lc)

@@ -8,12 +8,10 @@ from planarweb.abel import (
     depends_only_on,
     genericity_certificate,
     level_field,
-    normalized_derivation,
     reduce_step,
     reexpress,
 )
 from planarweb.errors import (
-    DegeneratePair,
     NoRationalExpression,
     TrivialEquation,
     ZeroPivotCoefficient,
@@ -23,32 +21,30 @@ from planarweb.ratfunc import RatFunc
 from planarweb.web import Web
 
 
+def _apply_field(field, f):
+    fx, fy = (RatFunc.from_poly(c) for c in field)
+    return fx * f.derivative("x") + fy * f.derivative("y")
+
+
 def test_level_field_examples():
-    lf = level_field(P("x"))
-    assert (lf.cx, lf.cy) == (P("0"), P("-1"))
-    lf = level_field(P("x/y"))
-    assert lf.apply(P("x/y")).is_zero()
-    u = P("x*(1-y)/(y*(1-x))")
-    assert level_field(u).apply(u).is_zero()
-
-
-def test_normalized_derivation_contract():
-    for vi, vc in [("x", "y"), ("x", "x/y"), ("x/y", "(1-y)/(1-x)")]:
-        y = normalized_derivation(P(vi), P(vc))
-        assert y.apply(P(vi)).is_zero()
-        assert y.apply(P(vc)) == P("1")
-    with pytest.raises(DegeneratePair):
-        normalized_derivation(P("x"), P("x"))
+    assert level_field(P("x")) == (P("0").num, P("-1").num)
+    # den^2 (dU/dy, -dU/dx) is polynomial and kills U
+    assert level_field(P("x/y")) == (P("-x").num, P("-y").num)
+    for text in ["x/y", "x*(1-y)/(y*(1-x))", "(x^2+y)/(x-y^3)"]:
+        u = P(text)
+        field = level_field(u)
+        assert _apply_field(field, u).is_zero()
+        assert not _apply_field(field, P("x+2*y")).is_zero()
 
 
 def test_reduce_step_cauchy(cauchy_web):
     eq = Adfe.from_web(cauchy_web)
     assert eq.type_vector() == {0: 0, 1: 0, 2: 0}
-    eq1 = reduce_step(eq, pivot=0, companion=2)
+    eq1 = reduce_step(eq, pivot=0)
     # unknown 1 disappears, the survivors move to first order
     assert eq1.type_vector() == {1: 1, 2: 1}
     with pytest.raises(ZeroPivotCoefficient):
-        reduce_step(eq1, pivot=0, companion=2)
+        reduce_step(eq1, pivot=0)
 
 
 def test_derive_lde_cauchy(cauchy_web):
@@ -84,7 +80,7 @@ def test_lde_solution_preservation(bol_web):
     eq = Adfe.from_web(bol_web)
     stages = [eq]
     for pivot in (1, 2, 3, 4):
-        eq = reduce_step(eq, pivot=pivot, companion=0)
+        eq = reduce_step(eq, pivot=pivot)
         stages.append(eq)
     order = basis.order
     for vec in basis.vectors[:3]:
@@ -104,7 +100,8 @@ def _adfe_annihilates(eq, comp_jets, base, order):
     total = {}
     max_j = max(j for (_, j) in eq.coeffs)
     usable = order - max_j
-    for (i, j), a in eq.coeffs.items():
+    for (i, j), coeff in eq.coeffs.items():
+        a = RatFunc.from_poly(coeff)
         u = eq.inner[i]
         val = u.evaluate(*base.point)
         ujet = u.taylor(base.point, usable)

@@ -41,8 +41,8 @@ def test_abel_ode_command():
     rc, doc, _ = run_cli("abel-ode", fixture_path("bol.web"), "--target", "1", "--trace")
     assert rc == 0 and doc["order"] == 4
     steps = doc["trace"]
-    assert [s["pivot"] for s in steps if s["kind"] == "eliminate"][:2] == [2, 3]
-    assert all("companion" in s for s in steps if s["kind"] == "eliminate")
+    assert [s["pivot"] for s in steps if s["kind"] == "eliminate"] == [2, 3, 4, 5]
+    assert steps[-1]["type"] == {"1": 4}
 
 
 def test_hexagonal_command():
@@ -148,7 +148,7 @@ def test_abel_ode_target_out_of_range_is_usage_error(target):
     assert "error" in json.loads(proc.stdout)
 
 
-@pytest.mark.parametrize("subset", ["abc", "0", ","])
+@pytest.mark.parametrize("subset", ["abc", "0", ",", "1,1,2", "1,2"])
 def test_bad_prop7_subset_is_usage_error(subset):
     proc = subprocess.run(
         [sys.executable, "-m", "planarweb.cli", "prop7", fixture_path("sk.web"), "--subset", subset],
@@ -172,8 +172,13 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
         ("config-web", "a.cfg", "1 0 0\n0 1 0\n0 0 1\n1 1\n", [], "'1 1'"),
         ("config-web", "a.cfg", "1 0 0\n0 1 0\n0 0 1\n2 0 0\n", [], "[1:0:0]"),
         ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;0"], "factor 2"),
+        ("verify-num", "a.afe", "name: empty\n", [], "no component"),
+        ("constant", "a.afe", "name: empty\n", [], "no component"),
     ],
-    ids=["afe-unknown-line", "afe-multiplier", "cfg-coordinates", "cfg-duplicate", "sigma-zero-factor"],
+    ids=[
+        "afe-unknown-line", "afe-multiplier", "cfg-coordinates", "cfg-duplicate", "sigma-zero-factor",
+        "afe-no-component-verify-num", "afe-no-component-constant",
+    ],
 )
 def test_bad_input_file_or_factor_reports_the_culprit(tmp_path, command, name, text, extra, culprit):
     path = tmp_path / name
@@ -183,7 +188,7 @@ def test_bad_input_file_or_factor_reports_the_culprit(tmp_path, command, name, t
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 1
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["type"] == "InvalidParameter" and culprit in doc["error"]
