@@ -98,6 +98,9 @@ def cmd_rank(args) -> int:
     if args.max_order is not None and args.max_order < web.size:
         _emit({"error": f"--max-order must be at least the web size {web.size}"})
         return 2
+    if args.subwebs and max(args.subwebs) > web.size:
+        _emit({"error": f"--subwebs sizes must be at most the web size {web.size}"})
+        return 2
     base = pick_generic_point(
         web, seed=args.seed, preferred=args.point or (Fraction(1, 3), Fraction(1, 2))
     )

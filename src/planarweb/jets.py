@@ -120,15 +120,14 @@ def bol_bound(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _stabilized_dims(n, dim_at, start_order, stabilize, max_order, failure) -> Dict[int, int]:
-    """dim_at(K) for K = start_order (default N), K + 1, .. until the last
-    `stabilize` dims are equal, capped at max_order (default N(N-1)/2 + 3).
-    Returns the dims by order; at the cap raises NotStabilized with the
-    message `failure`, formatted with the cap and the dims."""
-    k0 = start_order if start_order is not None else n
+def _stabilized_dims(n, dim_at, failure, stabilize=3, max_order=None) -> Dict[int, int]:
+    """dim_at(K) for K = N, N + 1, .. until the last `stabilize` dims are
+    equal, capped at max_order (default N(N-1)/2 + 3).  Returns the dims by
+    order; at the cap raises NotStabilized with the message `failure`,
+    formatted with the cap and the dims."""
     cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
     dims: Dict[int, int] = {}
-    for order in range(k0, cap + 1):
+    for order in range(n, cap + 1):
         dims[order] = dim_at(order)
         last = list(dims.values())[-stabilize:]
         if len(last) == stabilize and len(set(last)) == 1:
@@ -140,7 +139,6 @@ def _stabilized_dims(n, dim_at, start_order, stabilize, max_order, failure) -> D
 def abelian_rank(
     web: Web,
     base: Optional[BasePoint] = None,
-    start_order: Optional[int] = None,
     stabilize: int = 3,
     max_order: Optional[int] = None,
 ) -> Tuple[int, KernelBasis]:
@@ -158,8 +156,7 @@ def abelian_rank(
         return kern.dimension
 
     dims = _stabilized_dims(
-        n, dim_at, start_order, stabilize, max_order,
-        "kernel dimension not stabilized by order {cap}: {dims}",
+        n, dim_at, "kernel dimension not stabilized by order {cap}: {dims}", stabilize, max_order
     )
     order = list(dims)[-stabilize]
     rank = dims[order]
@@ -168,8 +165,8 @@ def abelian_rank(
     return rank, KernelBasis(kernels[order].basis, order, _jet_columns(n, order))
 
 
-def rank_only(web: Web, base: Optional[BasePoint] = None, **kw) -> int:
-    return abelian_rank(web, base, **kw)[0]
+def rank_only(web: Web, base: Optional[BasePoint] = None) -> int:
+    return abelian_rank(web, base)[0]
 
 
 def _subweb_jets(base: BasePoint, subset: Sequence[int], order: int, col_of):
@@ -288,10 +285,14 @@ class Pattern:
         return sorted(s for g in self.groups for s in g)
 
 
-def _value_closed_points(web: Web, pattern: Pattern, base: BasePoint, budget: int = 40):
-    """Auxiliary rational base points whose pattern-slot values stay inside
-    the value set of the primary base point (value-sharing makes the jet
-    system see that class germs belong to one function)."""
+AUX_POINT_BUDGET = 40
+
+
+def _value_closed_points(web: Web, pattern: Pattern, base: BasePoint):
+    """Up to AUX_POINT_BUDGET auxiliary rational base points whose
+    pattern-slot values stay inside the value set of the primary base point
+    (value-sharing makes the jet system see that class germs belong to one
+    function)."""
     slots = pattern.slots()
     values = sorted({base.images[s - 1] for s in slots})
     candidates = values + list(base.point)
@@ -309,7 +310,7 @@ def _value_closed_points(web: Web, pattern: Pattern, base: BasePoint, budget: in
             ):
                 pts.append((px, py))
                 seen.add((px, py))
-            if len(pts) >= budget:
+            if len(pts) >= AUX_POINT_BUDGET:
                 return pts
     return pts
 
@@ -318,10 +319,6 @@ def constrained_rank(
     web: Web,
     pattern: Pattern,
     base: Optional[BasePoint] = None,
-    start_order: Optional[int] = None,
-    stabilize: int = 3,
-    max_order: Optional[int] = None,
-    aux_points: Optional[Sequence[Tuple[Fraction, Fraction]]] = None,
 ) -> dict:
     """Kernel of the pattern system, mod constants, with the dimension also
     reported modulo jets of sub-equation solutions (the genuine new content
@@ -329,10 +326,7 @@ def constrained_rank(
     if base is None:
         base = pick_generic_point(web, seed=0, preferred=(Fraction(1, 3), Fraction(1, 2)))
     slots = pattern.slots()
-    if aux_points is None:
-        aux_pts = _value_closed_points(web, pattern, base)
-    else:
-        aux_pts = [(Fraction(a), Fraction(b)) for a, b in aux_points]
+    aux_pts = _value_closed_points(web, pattern, base)
     n = web.size
     integrals = web.integrals()
     # one base point, with its own jet table, per point; the germ values are
@@ -369,9 +363,7 @@ def constrained_rank(
         kernels[order] = (kern, col_of)
         return exact_rank_of_span([[v[c] for c in noncst] for v in kern.basis])
 
-    dims = _stabilized_dims(
-        n, dim_at, start_order, stabilize, max_order, "constrained system not stabilized: {dims}"
-    )
+    dims = _stabilized_dims(n, dim_at, "constrained system not stabilized: {dims}")
     order = list(dims)[-1]
     kern, col_of = kernels[order]
 

@@ -16,8 +16,9 @@ of earlier pivot columns only, so the pivot columns are exactly the vectors
 that a greedy pass over Q keeps.  Ranks of spans and independent subsets are
 read off those pivots; there is no second elimination engine.
 
-Primes are 27-bit so the elimination fits int64 numpy arithmetic
-((p-1)^2 * n_cols < 2^63).
+Primes are 27-bit so the elimination fits int64 numpy arithmetic:
+modp_rref reduces mod p after every row operation, so no intermediate
+exceeds (p-1)^2 < 2^63.
 """
 
 from __future__ import annotations

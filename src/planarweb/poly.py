@@ -8,17 +8,23 @@ representation is canonical by construction.
 The monomial order used everywhere (leading term, canonical sign, printing)
 is graded lexicographic: first total degree, then ex, then ey.
 
-gcd works by the classical content / primitive-part recursion with y as the
-main variable: coefficients in y are univariate polynomials in x, taken to
-Z[x] by clearing denominators, and reduced with a primitive pseudo-remainder
-sequence.  This covers the degrees produced by planar-web computations
-without any factorization machinery.
+gcd is the classical content / primitive-part recursion with y as the main
+variable, on one dense routine set for both levels: a polynomial is cleared
+of denominators once and read as a list, ascending in y, of Z[x]
+coefficients (`_ZX`, ascending int lists).  The same pseudo-remainder,
+primitive pseudo-remainder sequence and content routines run on int
+coefficients (gcds in Z[x]) and on `_ZX` coefficients (gcds in Z[x][y]); a
+content stops as soon as the running gcd is a unit.  The result is made
+primitive, with a positive leading coefficient, once, on integers.  This
+covers the degrees produced by planar-web computations without any
+factorization machinery.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from heapq import heapify, heappop, heappush
+from math import gcd as int_gcd, lcm
 from typing import Dict, Iterable, Tuple
 
 Exponent = Tuple[int, int]
@@ -38,6 +44,13 @@ class BivarPoly:
                     self.terms[e] = Fraction(c)
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def _of(terms: Terms) -> "BivarPoly":
+        """Wrap a dict of nonzero Fraction coefficients without copying it."""
+        r = BivarPoly()
+        r.terms = terms
+        return r
 
     @staticmethod
     def zero() -> "BivarPoly":
@@ -112,9 +125,7 @@ class BivarPoly:
                 out[e] = s
             else:
                 out.pop(e, None)
-        r = BivarPoly()
-        r.terms = out
-        return r
+        return BivarPoly._of(out)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (-other)
@@ -129,9 +140,7 @@ class BivarPoly:
                     out[e] = s
                 else:
                     out.pop(e, None)
-        r = BivarPoly()
-        r.terms = out
-        return r
+        return BivarPoly._of(out)
 
     def scale(self, c) -> "BivarPoly":
         c = Fraction(c)
@@ -171,30 +180,14 @@ class BivarPoly:
 
     # -- normalization ------------------------------------------------
 
-    def monic(self) -> "BivarPoly":
-        """Divide by the graded-lex leading coefficient."""
-        if self.is_zero():
-            return self
-        lc = self.leading_coeff()
-        return BivarPoly({e: c / lc for e, c in self.terms.items()})
-
     def primitive_z(self) -> Tuple[Fraction, "BivarPoly"]:
         """Write self = content * primitive with integer coprime coefficients
         and positive leading (graded-lex) coefficient."""
         if self.is_zero():
             return Fraction(0), self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        num_gcd = 0
-        for c in self.terms.values():
-            num_gcd = int_gcd(num_gcd, c.numerator * (den // c.denominator))
-        content = Fraction(num_gcd, den)
-        prim = BivarPoly({e: c / content for e, c in self.terms.items()})
-        if prim.leading_coeff() < 0:
-            prim = -prim
-            content = -content
-        return content, prim
+        den = _den_lcm(self)
+        c, prim = _normalized({e: v.numerator * (den // v.denominator) for e, v in self.terms.items()})
+        return Fraction(c, den), prim
 
     # -- printing -----------------------------------------------------
 
@@ -227,181 +220,133 @@ class BivarPoly:
 
 
 # ---------------------------------------------------------------------------
-# univariate integer polynomials (dense lists, ascending), helpers for gcd
+# gcd: one dense routine set for Z[x] and for Z[x][y]
 # ---------------------------------------------------------------------------
 
-
-def _z_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+# a content that reaches one of these (an int, or a _ZX) is a unit
+_UNITS = (1, -1, [1], [-1])
 
 
-def _z_content(p) -> int:
-    g = 0
-    for c in p:
-        g = int_gcd(g, c)
-    return g
-
-
-def _z_primitive(p):
-    g = _z_content(p)
-    if g == 0:
-        return p
-    if p[-1] < 0:
-        g = -g
-    return [c // g for c in p]
-
-
-def _z_mul(p, q):
-    if not p or not q:
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _z_trim(out)
-
-
-def _z_scale(p, c):
-    return [a * c for a in p] if c else []
-
-
-def _z_sub(p, q):
-    out = list(p) + [0] * (len(q) - len(p))
-    for i, b in enumerate(q):
-        out[i] -= b
-    return _z_trim(out)
-
-
-def _z_pseudo_rem(f, g):
-    """Pseudo-remainder of f by g in Z[x]."""
-    f = list(f)
-    df, dg = len(f) - 1, len(g) - 1
-    lc = g[-1]
-    while len(f) - 1 >= dg and f:
-        shift = len(f) - 1 - dg
-        coef = f[-1]
-        f = _z_sub(_z_scale(f, lc), [0] * shift + _z_scale(g, coef))
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
     return f
 
 
-def _z_gcd(p, q):
-    """gcd in Z[x] via a primitive pseudo-remainder sequence."""
-    p, q = _z_primitive(list(p)), _z_primitive(list(q))
-    if not p:
-        return q
-    if not q:
-        return p
-    if len(p) < len(q):
-        p, q = q, p
-    while q:
-        r = _z_primitive(_z_pseudo_rem(p, q))
-        p, q = q, r
-    return _z_primitive(p)
+class _ZX(list):
+    """Dense polynomial in Z[x], ascending, without trailing zeros: the
+    coefficient type of Z[x][y].  `//` is exact division."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        if not self or not other:
+            return _ZX()
+        out = [0] * (len(self) + len(other) - 1)
+        for i, a in enumerate(self):
+            if a:
+                for j, b in enumerate(other):
+                    out[i + j] += a * b
+        return _ZX(out)
+
+    def __sub__(self, other):
+        out = _ZX(self)
+        out.extend([0] * (len(other) - len(out)))
+        for i, b in enumerate(other):
+            out[i] -= b
+        return _trim(out)
+
+    def __floordiv__(self, d):
+        """The quotient self / d; raises ValueError unless it is exact."""
+        r, n = list(self), len(d) - 1
+        q = [0] * max(len(r) - n, 0)
+        for i in range(len(q) - 1, -1, -1):
+            c, m = divmod(r[i + n], d[-1])
+            if m:
+                raise ValueError("inexact division")
+            q[i] = c
+            for j in range(n):
+                r[i + j] -= c * d[j]
+        if any(r[:n]):
+            raise ValueError("inexact division")
+        return _ZX(q)
 
 
-def _to_y_coeffs(p: BivarPoly):
-    """Represent p as a list (ascending in y) of integer x-coefficient lists,
-    together with the cleared rational factor."""
-    content, prim = p.primitive_z()
-    dy = prim.degree_in("y")
-    rows = [[] for _ in range(dy + 1)]
-    for (ex, ey), c in prim.terms.items():
+def _gcd(a, b):
+    """gcd of two coefficients, ints or _ZX, up to a unit."""
+    return int_gcd(a, b) if type(a) is int else _ZX(_prs_gcd(a, b))
+
+
+def _content(f):
+    """gcd of the coefficients of a dense f != 0; stops at a unit."""
+    g = f[-1]
+    for a in f[:-1]:
+        if g in _UNITS:
+            break
+        g = _gcd(g, a)
+    return g
+
+
+def _primitive(f):
+    """(content, primitive part) of a dense f != 0."""
+    c = _content(f)
+    return c, (f if c in _UNITS else [a // c for a in f])
+
+
+def _prem(f, g):
+    """Pseudo-remainder of dense f by dense g != 0."""
+    f, n, lc = list(f), len(g) - 1, g[-1]
+    while len(f) > n:
+        c = f.pop()
+        shift = len(f) - n
+        f = [a * lc for a in f]
+        for j in range(n):
+            f[shift + j] -= c * g[j]
+        _trim(f)
+    return f
+
+
+def _prs_gcd(f, g):
+    """gcd, up to a unit, of dense f and g over ints (in Z[x]) or over _ZX
+    (in Z[x][y]): gcd of the contents times the last primitive
+    pseudo-remainder."""
+    if not f or not g:
+        return f or g
+    (cf, a), (cg, b) = _primitive(f), _primitive(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = _prem(a, b)
+        a, b = b, (_primitive(r)[1] if r else r)
+    c = _gcd(cf, cg)
+    # a primitive b of degree 0 is a unit
+    return [c] if b else [c * x for x in a]
+
+
+def _den_lcm(p: BivarPoly) -> int:
+    return lcm(*(c.denominator for c in p.terms.values()))
+
+
+def _y_rows(p: BivarPoly):
+    """p times the lcm of its denominators, as a dense list ascending in y
+    of _ZX coefficients."""
+    den = _den_lcm(p)
+    rows = [_ZX() for _ in range(p.degree_in("y") + 1)]
+    for (ex, ey), c in p.terms.items():
         row = rows[ey]
         if len(row) <= ex:
             row.extend([0] * (ex + 1 - len(row)))
-        row[ex] = int(c)
-    return content, [_z_trim(r) for r in rows]
-
-
-def _from_y_coeffs(rows) -> BivarPoly:
-    terms: Terms = {}
-    for ey, row in enumerate(rows):
-        for ex, c in enumerate(row):
-            if c:
-                terms[(ex, ey)] = Fraction(c)
-    return BivarPoly(terms)
-
-
-def _rows_trim(rows):
-    while rows and not rows[-1]:
-        rows.pop()
+        row[ex] = c.numerator * (den // c.denominator)
     return rows
 
 
-def _rows_content(rows):
-    g = []
-    for r in rows:
-        g = _z_gcd(g, r)
-    return g
-
-
-def _z_div_exact(p, d):
-    """Exact division in Z[x]; raises if not exact."""
-    if not d:
-        raise ZeroDivisionError("division by zero polynomial")
-    out = [0] * (len(p) - len(d) + 1) if len(p) >= len(d) else []
-    rem = list(p)
-    while rem and len(rem) >= len(d):
-        shift = len(rem) - len(d)
-        q, r = divmod(rem[-1], d[-1])
-        if r:
-            raise ValueError("inexact division")
-        out[shift] = q
-        rem = _z_sub(rem, [0] * shift + _z_scale(d, q))
-    if rem:
-        raise ValueError("inexact division")
-    return _z_trim(out)
-
-
-def _rows_div(rows, d):
-    return [_z_div_exact(r, d) for r in rows]
-
-
-def _rows_pseudo_rem(f, g):
-    """Pseudo-remainder in (Z[x])[y]."""
-    f = [list(r) for r in f]
-    dg = len(g) - 1
-    lc = g[-1]
-    while f and len(f) - 1 >= dg:
-        shift = len(f) - 1 - dg
-        coef = f[-1]
-        scaled = [_z_mul(r, lc) for r in f]
-        sub = [[] for _ in range(shift)] + [_z_mul(r, coef) for r in g]
-        new = []
-        for i in range(max(len(scaled), len(sub))):
-            a = scaled[i] if i < len(scaled) else []
-            b = sub[i] if i < len(sub) else []
-            new.append(_z_sub(a, b))
-        f = _rows_trim(new)
-    return f
-
-
-def _spec_gcd_is_trivial(fr, gr) -> bool:
-    """Specialize x to a point keeping both leading y-coefficients nonzero;
-    a constant univariate gcd there certifies deg_y(gcd) = 0."""
-    if len(fr) == 1 or len(gr) == 1:
-        return False
-    for x0 in (2, 3, 5, 7, 11):
-        lf = _z_eval(fr[-1], x0)
-        lg = _z_eval(gr[-1], x0)
-        if lf == 0 or lg == 0:
-            continue
-        uf = [_z_eval(row, x0) for row in fr]
-        ug = [_z_eval(row, x0) for row in gr]
-        g = _z_gcd(uf, ug)
-        return len(g) <= 1
-    return False
-
-
-def _z_eval(row, x0: int) -> int:
-    acc = 0
-    for c in reversed(row):
-        acc = acc * x0 + c
-    return acc
+def _normalized(ints: Dict[Exponent, int]) -> Tuple[int, BivarPoly]:
+    """(c, P) with ints = c * P for nonzero integer terms, P primitive with a
+    positive graded-lex leading coefficient."""
+    c = int_gcd(*ints.values())
+    if ints[max(ints, key=BivarPoly._key)] < 0:
+        c = -c
+    return c, BivarPoly._of({e: Fraction(v // c) for e, v in ints.items()})
 
 
 def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
@@ -409,34 +354,10 @@ def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
 
     Constant (nonzero) results are returned as 1.
     """
-    if p.is_zero():
-        return q.primitive_z()[1] if not q.is_zero() else BivarPoly.zero()
-    if q.is_zero():
-        return p.primitive_z()[1]
-    _, fr = _to_y_coeffs(p)
-    _, gr = _to_y_coeffs(q)
-    if _spec_gcd_is_trivial(fr, gr):
-        cont = _z_gcd(_rows_content(fr), _rows_content(gr))
-        g = _from_y_coeffs([cont])
-        return g.primitive_z()[1] if not g.is_zero() else BivarPoly.zero()
-    cf = _rows_content(fr)
-    cg = _rows_content(gr)
-    ff = _rows_div(fr, cf)
-    gg = _rows_div(gr, cg)
-    cont = _z_gcd(cf, cg)
-    a, b = (ff, gg) if len(ff) >= len(gg) else (gg, ff)
-    while b:
-        r = _rows_pseudo_rem(a, b)
-        if r:
-            r = _rows_div(r, _rows_content(r))
-        a, b = b, r
-    if len(a) == 1:
-        # y-primitive parts are coprime; only the x-content gcd survives
-        rows = [cont]
-    else:
-        rows = [_z_mul(r2, cont) for r2 in _rows_div(a, _rows_content(a))]
-    g = _from_y_coeffs(rows)
-    return g.primitive_z()[1] if not g.is_zero() else BivarPoly.zero()
+    rows = _prs_gcd(_y_rows(p), _y_rows(q))
+    if not rows:
+        return BivarPoly.zero()
+    return _normalized({(ex, ey): c for ey, row in enumerate(rows) for ex, c in enumerate(row) if c})[1]
 
 
 def poly_divides(d: BivarPoly, p: BivarPoly) -> bool:
@@ -448,22 +369,38 @@ def poly_divides(d: BivarPoly, p: BivarPoly) -> bool:
 
 
 def poly_divmod_exact(p: BivarPoly, d: BivarPoly):
-    """Try to divide p by d exactly.  Returns (True, quotient) or (False, None)."""
+    """Try to divide p by d exactly.  Returns (True, quotient) or (False, None).
+
+    One remainder and one quotient dict are updated in place; a heap yields
+    the remainder's graded-lex leading exponents in turn."""
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    q = BivarPoly.zero()
-    r = p
-    dle = d.leading_exponent()
-    dlc = d.leading_coeff()
-    while not r.is_zero():
-        rle = r.leading_exponent()
-        ex, ey = rle[0] - dle[0], rle[1] - dle[1]
+    (dx, dy), dlc = d.leading_exponent(), d.leading_coeff()
+    rest = [(e, c) for e, c in d.terms.items() if e != (dx, dy)]
+    r = dict(p.terms)
+    heap = [(-ex - ey, -ex, (ex, ey)) for ex, ey in r]
+    heapify(heap)
+    q: Terms = {}
+    while heap:
+        e = heappop(heap)[2]
+        c = r.pop(e, None)
+        if c is None:  # cancelled since it was pushed
+            continue
+        ex, ey = e[0] - dx, e[1] - dy
         if ex < 0 or ey < 0:
             return False, None
-        t = BivarPoly({(ex, ey): r.leading_coeff() / dlc})
-        q = q + t
-        r = r - t * d
-    return True, q
+        t = c / dlc
+        q[(ex, ey)] = t
+        for (a, b), dc in rest:
+            f = (a + ex, b + ey)
+            s = r.get(f, 0) - t * dc
+            if not s:
+                r.pop(f, None)
+                continue
+            if f not in r:
+                heappush(heap, (-f[0] - f[1], -f[0], f))
+            r[f] = s
+    return True, BivarPoly._of(q)
 
 
 def poly_quo(p: BivarPoly, d: BivarPoly) -> BivarPoly:

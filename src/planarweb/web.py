@@ -193,11 +193,13 @@ def verify_sigma_factors(web: Web, candidates: Sequence[BivarPoly]) -> dict:
     }
 
 
+MAX_TRIALS = 20000
+
+
 def pick_generic_point(
     web: Web,
     seed: int = 0,
     preferred: Optional[Tuple[Fraction, Fraction]] = None,
-    max_trials: int = 20000,
 ):
     """Deterministic search for a rational base point off the singular locus;
     the locus holds every integral's pole curve, so every integral is finite
@@ -212,7 +214,7 @@ def pick_generic_point(
     rng = random.Random(seed)
     trials = 0
     for den in (2, 3, 5, 7, 11, 13, 17, 23, 31, 43):
-        for _ in range(max_trials // 10):
+        for _ in range(MAX_TRIALS // 10):
             trials += 1
             px = Fraction(rng.randrange(1, 4 * den), den)
             py = Fraction(rng.randrange(1, 4 * den), den + rng.randrange(1, 3))

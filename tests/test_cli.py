@@ -110,6 +110,7 @@ def test_verify_num_keeps_the_given_tolerance():
         ("--subwebs", "abc"),
         ("--subwebs", "2"),
         ("--subwebs", "3,x"),
+        ("--subwebs", "6"),
         ("--max-order", "0"),
         ("--max-order", "4"),
     ],

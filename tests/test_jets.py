@@ -143,7 +143,6 @@ def test_bound_assertion():
         # impossible stabilization demand surfaces the dimension sequence
         abelian_rank(
             Web.from_expressions(["x", "y", "x/y"]),
-            start_order=3,
             max_order=3,
             stabilize=4,
         )

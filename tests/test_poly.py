@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from planarweb.parse import parse_ratfunc as P
 from planarweb.poly import (
     BivarPoly,
@@ -17,22 +19,26 @@ def poly(text):
     return f.num
 
 
-def test_gcd_basic():
-    a = poly("(x+y)^2*(x-y)")
-    b = poly("(x+y)*(x+2*y)")
-    g = poly_gcd(a, b)
-    assert g == poly("x+y")
+@pytest.mark.parametrize(
+    "a, b, expected",
+    [
+        pytest.param("(x+y)^2*(x-y)", "(x+y)*(x+2*y)", "x+y", id="basic"),
+        # 6y(x-y)(x+y) and 4y(x+y)
+        pytest.param("6*x^2*y - 6*y^3", "4*x*y + 4*y^2", "x*y + y^2", id="content"),
+        pytest.param("(x-1)*(y^2+x)", "3*(x-1)*(y+1)", "x-1", id="factor-in-x"),
+        pytest.param("(2*y+1)*(x^2+y)", "(2*y+1)*(x+1)", "2*y+1", id="factor-in-y"),
+        pytest.param("(x-1)*(x+y)", "(x-1)*(x+y)*(y+3)", "(x-1)*(x+y)", id="factor-in-x-and-y"),
+        pytest.param("6*(x+y)", "4*(x-y)", "1", id="integer-content"),
+        pytest.param("0", "-2*x-4*y", "x+2*y", id="zero"),
+    ],
+)
+def test_gcd(a, b, expected):
+    assert poly_gcd(poly(a), poly(b)) == poly(expected)
+    assert poly_gcd(poly(b), poly(a)) == poly(expected)
 
 
 def test_gcd_coprime_is_constant():
     assert poly_gcd(poly("x+1"), poly("y+1")).is_constant()
-
-
-def test_gcd_with_content():
-    a = poly("6*x^2*y - 6*y^3")  # 6y(x-y)(x+y)
-    b = poly("4*x*y + 4*y^2")    # 4y(x+y)
-    g = poly_gcd(a, b)
-    assert g == poly("x*y + y^2")
 
 
 def test_exact_division():

@@ -1,5 +1,6 @@
-"""Differential tests against sympy: gcd, squarefree part and Taylor jets of
-the exact bivariate arithmetic on random small inputs."""
+"""Differential tests against sympy: gcd, squarefree part, canonical
+rational functions and Taylor jets of the exact bivariate arithmetic on
+random small inputs."""
 
 from fractions import Fraction
 
@@ -50,6 +51,37 @@ def test_gcd_agrees_with_sympy_up_to_a_unit(common, a, b):
 def test_squarefree_part_agrees_with_sympy(a, b, power):
     p = a * b**power
     assert monic(to_sympy(squarefree_part(p))) == monic(to_sympy(p).sqf_part())
+
+
+ratfuncs = st.builds(
+    RatFunc, polys(max_deg=3), polys(max_deg=3).filter(lambda p: not p.is_zero())
+)
+
+
+def canonical_from_sympy(expr):
+    """sympy's cancel of expr as a (num, den) pair of Polys, scaled so that
+    the graded-lex leading coefficient of den is 1, as a RatFunc is."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    num, den = sympy.Poly(num, X, Y, domain=sympy.QQ), sympy.Poly(den, X, Y, domain=sympy.QQ)
+    lc = den.LC(order="grlex")
+    return num.quo_ground(lc), den.quo_ground(lc)
+
+
+def as_expr(f: RatFunc):
+    return to_sympy(f.num).as_expr() / to_sympy(f.den).as_expr()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ratfuncs, ratfuncs, st.sampled_from(["add", "mul", "dx", "dy"]))
+def test_canonical_ratfunc_agrees_with_sympy_cancel(f, g, op):
+    if op == "add":
+        got, expr = f + g, as_expr(f) + as_expr(g)
+    elif op == "mul":
+        got, expr = f * g, as_expr(f) * as_expr(g)
+    else:
+        var = op[1]
+        got, expr = f.derivative(var), sympy.diff(as_expr(f), {"x": X, "y": Y}[var])
+    assert (to_sympy(got.num), to_sympy(got.den)) == canonical_from_sympy(expr)
 
 
 def shifted(p: BivarPoly, cx: Fraction, cy: Fraction):
