@@ -92,18 +92,13 @@ def cmd_sigma(args) -> int:
 
 def cmd_rank(args) -> int:
     from .jets import abelian_rank, filtration_dims, rank_report
-    from .web import load_web, pick_generic_point
+    from .web import DEFAULT_POINT, load_web, pick_generic_point
 
     web = load_web(args.webfile)
-    if args.max_order is not None and args.max_order < web.size:
-        _emit({"error": f"--max-order must be at least the web size {web.size}"})
-        return 2
     if args.subwebs and max(args.subwebs) > web.size:
         _emit({"error": f"--subwebs sizes must be at most the web size {web.size}"})
         return 2
-    base = pick_generic_point(
-        web, seed=args.seed, preferred=args.point or (Fraction(1, 3), Fraction(1, 2))
-    )
+    base = pick_generic_point(web, seed=args.seed, preferred=args.point or DEFAULT_POINT)
     rank, basis = abelian_rank(
         web, base, max_order=args.max_order, stabilize=args.stabilize
     )

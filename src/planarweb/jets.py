@@ -40,9 +40,9 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import NotStabilized
+from .errors import InvalidParameter, NotStabilized
 from .linalg import ExactKernel, exact_nullspace, exact_rank_of_span, independent_rows
-from .web import BasePoint, Web, pick_generic_point, singular_locus
+from .web import DEFAULT_POINT, BasePoint, Web, pick_generic_point, singular_locus
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +124,11 @@ def _stabilized_dims(n, dim_at, failure, stabilize=3, max_order=None) -> Dict[in
     """dim_at(K) for K = N, N + 1, .. until the last `stabilize` dims are
     equal, capped at max_order (default N(N-1)/2 + 3).  Returns the dims by
     order; at the cap raises NotStabilized with the message `failure`,
-    formatted with the cap and the dims."""
+    formatted with the cap and the dims.  A ladder with fewer than
+    `stabilize` orders can never stop, so it is an InvalidParameter."""
     cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
+    if stabilize > cap - n + 1:
+        raise InvalidParameter(f"orders {n}..{cap} are too few to stabilize over {stabilize}")
     dims: Dict[int, int] = {}
     for order in range(n, cap + 1):
         dims[order] = dim_at(order)
@@ -144,7 +147,7 @@ def abelian_rank(
 ) -> Tuple[int, KernelBasis]:
     """Stabilized kernel dimension (the web rank) with its exact basis."""
     if base is None:
-        base = pick_generic_point(web, seed=0, preferred=(Fraction(1, 3), Fraction(1, 2)))
+        base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
     n = web.size
     kernels: Dict[int, ExactKernel] = {}
 
@@ -193,7 +196,7 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
     """dim F^p for p = 3..N: the span of all p-subweb solution jets inside
     the web's jet coordinate space at its stabilized order."""
     if base is None:
-        base = pick_generic_point(web, seed=0, preferred=(Fraction(1, 3), Fraction(1, 2)))
+        base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
     rank, basis = abelian_rank(web, base)
     order = basis.order
     n = web.size
@@ -235,7 +238,7 @@ def rank_report(web: Web, subweb_sizes: Sequence[int], base: Optional[BasePoint]
     subweb of each requested size, in deterministic index order, all at the
     web's base point."""
     if base is None:
-        base = pick_generic_point(web, seed=0, preferred=(Fraction(1, 3), Fraction(1, 2)))
+        base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
     entries = []
     for size in sorted(set(subweb_sizes)):
         for subset in combinations(range(1, web.size + 1), size):
@@ -324,19 +327,16 @@ def constrained_rank(
     reported modulo jets of sub-equation solutions (the genuine new content
     of a single-function characterization lives in that quotient)."""
     if base is None:
-        base = pick_generic_point(web, seed=0, preferred=(Fraction(1, 3), Fraction(1, 2)))
+        base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
     slots = pattern.slots()
     aux_pts = _value_closed_points(web, pattern, base)
     n = web.size
-    integrals = web.integrals()
-    # one base point, with its own jet table, per point; the germ values are
-    # read from the integrals themselves, so a pole at a point is an error
     bases = [base] + [BasePoint(web, pt) for pt in aux_pts]
     germ_keys: List[Tuple[int, Fraction]] = []
     for s in slots:
         ci = pattern.class_of(s)
         for bp in bases:
-            val = integrals[s - 1].evaluate(*bp.point)
+            val = bp.images[s - 1]
             if (ci, val) not in germ_keys:
                 germ_keys.append((ci, val))
     germ_keys.sort(key=lambda t: (t[0], t[1]))

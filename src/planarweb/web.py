@@ -3,9 +3,10 @@
 A Foliation is the level-curve foliation of a non-constant rational function
 (post-composition with a Mobius map changes the integral, not the foliation).
 
-Foliation equality and the tangency part of the singular locus read one
-polynomial per pair of integrals, the cleared Jacobian
-den_i^2 den_j^2 (dU_i ^ dU_j) of `ratfunc.cleared_jacobian`:
+Foliation equality and the singular locus read one polynomial per pair of
+integrals, the cleared Jacobian den_i^2 den_j^2 (dU_i ^ dU_j) of
+`ratfunc.cleared_jacobian`.  A web computes them once, when it is built, and
+its subwebs slice them:
 
 * two integrals define the same foliation exactly when it vanishes
   identically (the denominators are nonzero);
@@ -16,15 +17,19 @@ den_i^2 den_j^2 (dU_i ^ dU_j) of `ratfunc.cleared_jacobian`:
 
 The singular locus adds the pole components, the denominator curve of each
 integral, where the value reaches infinity (the paper's printed loci include
-these).  Components are stored squarefree and pairwise coprime; indeterminacy
-sets are kept as (numerator, denominator) ideal descriptors since downstream
-code only ever needs avoidance, which is decided by evaluation.
+these).  A point is tested against the locus by evaluating the Jacobians and
+denominators unfactored; the squarefree, pairwise coprime components are
+factored only when read, for `sigma`.  Indeterminacy sets are kept as
+(numerator, denominator) ideal descriptors since downstream code only ever
+needs avoidance, which is decided by evaluation.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, combinations
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -60,18 +65,19 @@ def same_foliation(f: Foliation, g: Foliation) -> bool:
 
 
 class Web:
-    """Unordered set of N >= 3 pairwise distinct foliations."""
+    """Unordered set of N >= 3 pairwise distinct foliations; `jacobians` maps
+    each 0-based pair i < j, in `combinations` order, to its cleared Jacobian."""
 
     def __init__(self, foliations: Sequence[Foliation], name: Optional[str] = None):
         fols = list(foliations)
         if len(fols) < 3:
             raise TooFewFoliations(f"a web needs at least 3 foliations, got {len(fols)}")
-        for i in range(len(fols)):
-            for j in range(i + 1, len(fols)):
-                if same_foliation(fols[i], fols[j]):
-                    raise DegenerateMap(
-                        f"foliations {i + 1} and {j + 1} coincide as foliations"
-                    )
+        self.jacobians: Dict[Tuple[int, int], BivarPoly] = {}
+        for i, j in combinations(range(len(fols)), 2):
+            w = cleared_jacobian(fols[i].integral, fols[j].integral)
+            if w.is_zero():
+                raise DegenerateMap(f"foliations {i + 1} and {j + 1} coincide as foliations")
+            self.jacobians[(i, j)] = w
         self.foliations = fols
         self.name = name
 
@@ -91,9 +97,9 @@ class Web:
         return Web.from_integrals([parse_ratfunc(e) for e in exprs], name=name)
 
     def subweb(self, indices: Sequence[int], name: Optional[str] = None) -> "Web":
-        """Web of the selected foliations (1-based indices).  Any subset of
-        pairwise distinct foliations is pairwise distinct, so the check of
-        the constructor is not repeated."""
+        """Web of the selected foliations (1-based indices), slicing the
+        parent's Jacobians.  Any subset of pairwise distinct foliations is
+        pairwise distinct, so the check of the constructor is not repeated."""
         idx = sorted(set(indices))
         if len(idx) < 3:
             raise TooFewFoliations("a subweb needs at least 3 foliations")
@@ -101,6 +107,10 @@ class Web:
             raise ValueError("subweb index out of range")
         sub = Web.__new__(Web)
         sub.foliations = [self.foliations[i - 1] for i in idx]
+        sub.jacobians = {
+            (a, b): self.jacobians[(idx[a] - 1, idx[b] - 1)]
+            for a, b in combinations(range(len(idx)), 2)
+        }
         sub.name = name
         return sub
 
@@ -115,15 +125,25 @@ class Web:
 
 
 class SingularLocus:
-    """Curve components (squarefree, pairwise coprime) plus indeterminacy
-    ideal descriptors of a web."""
+    """The web's cleared Jacobians and pole curves (its non-constant
+    denominators), with indeterminacy ideal descriptors.  The curve
+    components, squarefree and pairwise coprime, are factored when read."""
 
-    def __init__(self, curve_components, indeterminacy_points, tangency_components):
-        self.curve_components: List[BivarPoly] = curve_components
+    def __init__(self, jacobians, indeterminacy_points):
+        self.jacobians: List[BivarPoly] = jacobians
         self.indeterminacy_points: List[Tuple[BivarPoly, BivarPoly]] = indeterminacy_points
-        # subset of curve_components arising from pairwise tangency alone;
-        # this part is invariant under Mobius reparametrization of integrals
-        self.tangency_components: List[BivarPoly] = tangency_components
+        self.poles = [den for _, den in indeterminacy_points]
+
+    @cached_property
+    def tangency_components(self) -> List[BivarPoly]:
+        # invariant under Mobius reparametrization of the integrals
+        return coprime_split(self.jacobians)
+
+    @cached_property
+    def curve_components(self) -> List[BivarPoly]:
+        # the gcd-free basis of the Jacobians and the poles: irreducible
+        # factors grouped by which inputs they divide
+        return coprime_split(self.tangency_components + self.poles)
 
     def product(self) -> BivarPoly:
         out = BivarPoly.const(1)
@@ -132,30 +152,17 @@ class SingularLocus:
         return out
 
     def vanishes_at(self, x, y) -> bool:
-        return any(c.evaluate(x, y) == 0 for c in self.curve_components)
+        # a zero of a gcd-free basis is a zero of one of its inputs
+        return any(p.evaluate(x, y) == 0 for p in chain(self.jacobians, self.poles))
 
     def __repr__(self):
         return f"SingularLocus({[str(c) for c in self.curve_components]})"
 
 
 def singular_locus(web: Web) -> SingularLocus:
-    """Curve components and indeterminacy descriptors of the web's locus.
-
-    The components are the gcd-free basis of the cleared Jacobians and the
-    denominators: irreducible factors grouped by which inputs they divide.
-    Splitting the Jacobians first groups them the same way."""
-    us = web.integrals()
-    tang: List[BivarPoly] = []
-    for i in range(len(us)):
-        for j in range(i + 1, len(us)):
-            w = cleared_jacobian(us[i], us[j])
-            if w.is_zero():
-                raise DegenerateMap("coincident foliations in singular_locus")
-            tang.append(w)
-    tang_split = coprime_split(tang)
-    all_split = coprime_split(tang_split + [u.den for u in us])
-    indet = [(u.num, u.den) for u in us if not u.den.is_constant()]
-    return SingularLocus(all_split, indet, tang_split)
+    """The web's locus, read from the Jacobians the web keeps."""
+    indet = [(u.num, u.den) for u in web.integrals() if not u.den.is_constant()]
+    return SingularLocus(list(web.jacobians.values()), indet)
 
 
 def verify_sigma_factors(web: Web, candidates: Sequence[BivarPoly]) -> dict:
@@ -194,6 +201,8 @@ def verify_sigma_factors(web: Web, candidates: Sequence[BivarPoly]) -> dict:
 
 
 MAX_TRIALS = 20000
+# the base point tried first wherever no point is given
+DEFAULT_POINT = (Fraction(1, 3), Fraction(1, 2))
 
 
 def pick_generic_point(
@@ -266,8 +275,8 @@ class _JetPowers:
 
 
 class BasePoint:
-    """A generic point with the integral values; integrals infinite at the
-    point are flipped to their reciprocals (same foliation, finite value).
+    """A point off the web's singular locus, where every integral is finite,
+    with the integral values.
 
     It holds the point's jet table: the integer jet powers of each integral,
     grown lazily by order (see `jet_powers`).  A subweb's base point from
@@ -277,17 +286,8 @@ class BasePoint:
     def __init__(self, web: Web, point: Tuple[Fraction, Fraction]):
         self.point = (Fraction(point[0]), Fraction(point[1]))
         self.web = web
-        images = []
-        effective = []
-        for u in web.integrals():
-            dv = u.den.evaluate(*self.point)
-            if dv == 0:
-                u = u.inverse()
-            effective.append(u)
-            images.append(u.evaluate(*self.point))
-        self.effective_integrals: List[RatFunc] = effective
-        self.images: List[Fraction] = images
-        self._jets = [_JetPowers(u, v, self.point) for u, v in zip(effective, images)]
+        self.images: List[Fraction] = [u.evaluate(*self.point) for u in web.integrals()]
+        self._jets = [_JetPowers(u, v, self.point) for u, v in zip(web.integrals(), self.images)]
 
     def jet_powers(self, i: int, order: int):
         """(den_powers, powers) of integral i (0-based): v^k = powers[k] /
@@ -303,7 +303,6 @@ class BasePoint:
         sub = BasePoint.__new__(BasePoint)
         sub.point = self.point
         sub.web = self.web.subweb(idx)
-        sub.effective_integrals = [self.effective_integrals[i - 1] for i in idx]
         sub.images = [self.images[i - 1] for i in idx]
         sub._jets = [self._jets[i - 1] for i in idx]
         return sub

@@ -113,6 +113,8 @@ def test_verify_num_keeps_the_given_tolerance():
         ("--subwebs", "6"),
         ("--max-order", "0"),
         ("--max-order", "4"),
+        ("--stabilize", "50"),
+        ("--max-order", "6", "--stabilize", "3"),
     ],
 )
 def test_bad_rank_argument_is_usage_error(option):

@@ -4,10 +4,11 @@ from math import comb
 
 import pytest
 
-from planarweb.errors import NotStabilized
+from planarweb.errors import InvalidParameter, NotStabilized
 from planarweb.jets import (
     JetSystem,
     Pattern,
+    _stabilized_dims,
     abelian_rank,
     bol_bound,
     filtration_dims,
@@ -139,13 +140,17 @@ def test_rank_moebius_and_projective_invariance(cauchy_web, bol_web):
 
 
 def test_bound_assertion():
-    with pytest.raises(NotStabilized):
-        # impossible stabilization demand surfaces the dimension sequence
+    with pytest.raises(InvalidParameter):
+        # a ladder of one order cannot show four equal dimensions
         abelian_rank(
             Web.from_expressions(["x", "y", "x/y"]),
             max_order=3,
             stabilize=4,
         )
+    # a ladder that reaches its cap surfaces the dimension sequence
+    with pytest.raises(NotStabilized) as info:
+        _stabilized_dims(3, lambda order: order, "not stabilized by {cap}: {dims}", 3, 6)
+    assert info.value.dims == [3, 4, 5, 6]
 
 
 def _fraction_kernel(web, point, order):

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from planarweb.errors import DegenerateMap, TooFewFoliations
+from conftest import fixture_path
+from planarweb.errors import DegenerateMap, PoleAtCenter, TooFewFoliations
 from planarweb.parse import parse_ratfunc as P
 from planarweb.poly import poly_divides, poly_divmod_exact, squarefree_part
 from planarweb.web import (
     BasePoint,
     Foliation,
     Web,
+    load_web,
     pick_generic_point,
     pullback_web,
     same_foliation,
@@ -87,13 +89,46 @@ def test_pick_generic_point(bol_web, cauchy_web, sk_web):
     assert not singular_locus(cauchy_web).vanishes_at(*bp.point)
 
 
-def test_base_point_flips_infinite_integrals(cauchy_web):
-    # at (1/2, 0) the integral x/y is infinite; the base point flips it
-    bp = BasePoint(
-        Web.from_expressions(["x", "x+y", "x/y"]), (Fraction(1, 2), Fraction(0))
-    )
-    assert bp.images[2] == 0  # y/x value
-    assert bp.effective_integrals[2] == P("y/x")
+def test_base_point_on_a_pole_curve_is_an_error():
+    # (1/2, 0) lies on the pole curve y = 0 of x/y, which is part of the
+    # singular locus, so it is no base point
+    with pytest.raises(PoleAtCenter):
+        BasePoint(Web.from_expressions(["x", "x+y", "x/y"]), (Fraction(1, 2), Fraction(0)))
+
+
+@pytest.mark.parametrize("name", ["arctan", "bol", "cauchy", "configc", "sk", "bol-indomain"])
+def test_point_test_agrees_with_the_components(name, bol_web_indomain):
+    # evaluating the unfactored Jacobians and denominators decides membership
+    # in the factored locus; the grid meets x = 0, y = 0, x = y and x = 1
+    web = bol_web_indomain if name == "bol-indomain" else load_web(fixture_path(f"{name}.web"))
+    locus = singular_locus(web)
+    coords = [Fraction(v) for v in (-1, 0, Fraction(1, 3), Fraction(1, 2), 1, 2)]
+    seen = set()
+    for x in coords:
+        for y in coords:
+            on = any(c.evaluate(x, y) == 0 for c in locus.curve_components)
+            assert locus.vanishes_at(x, y) == on, (x, y)
+            seen.add(on)
+    assert seen == {True, False}
+
+
+def test_subweb_slices_the_jacobians(sk_web):
+    for idx in ([2, 5, 9], [1, 3, 4, 6, 8], list(range(2, 10))):
+        sub = sk_web.subweb(idx)
+        assert sub.jacobians == Web(sub.foliations).jacobians
+
+
+def test_point_tests_do_not_factor_the_locus(bol_web, bol_web_indomain, monkeypatch):
+    import planarweb.web
+    from planarweb.jets import Pattern, constrained_rank, rank_report
+
+    def refuse(polys):
+        raise AssertionError("a point test factored the singular locus")
+
+    monkeypatch.setattr(planarweb.web, "coprime_split", refuse)
+    assert len(rank_report(bol_web, [3, 4])["subwebs"]) == 15
+    pattern = Pattern([[1, 2, 3, 4], [5]], {1: 1, 2: -1, 3: -1, 4: -1, 5: 1})
+    assert constrained_rank(bol_web_indomain, pattern)["dim_mod_subsolutions"] == 1
 
 
 def test_pullback_examples(bol_web, sk_web):
@@ -134,6 +169,7 @@ def test_subweb_trusts_the_parent_distinctness(sk_web, monkeypatch):
         raise AssertionError("subweb re-checked distinctness")
 
     monkeypatch.setattr(planarweb.web, "same_foliation", refuse)
+    monkeypatch.setattr(planarweb.web, "cleared_jacobian", refuse)
     sub = sk_web.subweb([2, 5, 9])
     assert sub.integrals() == [sk_web.integrals()[i] for i in (1, 4, 8)]
     assert sk_web.subweb_without([1]).size == 8
