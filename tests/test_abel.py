@@ -176,3 +176,45 @@ def test_generic_web_has_rank_zero():
 
     generic = Web.from_expressions(["x", "y", "x+y^3+x^2*y"])
     assert rank_only(generic) == 0
+
+
+ODE_TARGETS = [(name, t) for name, size in (("bol", 5), ("cauchy", 3), ("arctan", 3)) for t in range(1, size + 1)]
+
+
+@pytest.mark.parametrize("name, target", ODE_TARGETS, ids=[f"{n}-{t}" for n, t in ODE_TARGETS])
+def test_abel_ode_annihilates_the_rank_kernel(name, target):
+    """Each vector of the exact jet kernel at K = stabilized order + 6 gives,
+    in the target's columns, the Taylor coefficients of F_t at u0 = U_t(base);
+    the ODE of `derive_lde`, its coefficients expanded at u0, applied to that
+    series vanishes up to degree K - order - 1.  The constant term is left
+    zero: constants solve the ODE, which has no g term."""
+    from conftest import fixture_path
+
+    from planarweb.jets import JetSystem, abelian_rank
+    from planarweb.web import DEFAULT_POINT, load_web, pick_generic_point
+
+    web = load_web(fixture_path(f"{name}.web"))
+    base = pick_generic_point(web, preferred=DEFAULT_POINT)
+    rank, basis = abelian_rank(web, base)
+    K = basis.order + 6
+    system = JetSystem(web, base, K)
+    kernel = system.nullspace().basis
+    assert len(kernel) == rank > 0
+    ode = derive_lde(web, target)
+    assert ode.coeffs[0].is_zero()
+    u0 = base.images[target - 1]
+    depth = K - ode.order - 1
+    assert depth >= 5
+    expanded = [[c.taylor((u0, 0), depth).coefficient(n, 0) for n in range(depth + 1)] for c in ode.coeffs]
+    columns = [system.unknown_index[(target - 1, k)] for k in range(1, K + 1)]
+    assert any(vec[c] for vec in kernel for c in columns)
+    for vec in kernel:
+        series = [0] + [vec[c] for c in columns]
+        for n in range(depth + 1):
+            # degree n of sum_j c_j F^(j); F^(j) has a_(m+j) (m+j)!/m! at degree m
+            total = sum(
+                cs[n - m] * series[m + j] * _falling(m + j, j)
+                for j, cs in enumerate(expanded)
+                for m in range(n + 1)
+            )
+            assert total == 0, (name, target, n)

@@ -30,6 +30,24 @@ def test_sigma_factor_check_negative_exit():
     assert rc == 1 and not doc["all_divide"]
 
 
+def test_sigma_fractional_factors_print_as_typed():
+    # a factor's numerator is printed divided by its denominator's leading
+    # coefficient, so non-integral factors keep their rational coefficients
+    rc, doc, out = run_cli("sigma", fixture_path("bol.web"), "--factors", "x/2;2*y/3;(1-x)/5;1-y;x-y")
+    expected = {
+        "all_divide": True,
+        "candidates": [
+            {"divides": True, "factor": f}
+            for f in ["1/2*x", "2/3*y", "-1/5*x + 1/5", "-y + 1", "x - y"]
+        ],
+        "computed_components": ["y - 1", "x - 1", "x - y", "y", "x"],
+        "product_equal_up_to_constant": True,
+        "web": "bol",
+    }
+    assert rc == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_rank_command():
     rc, doc, _ = run_cli("rank", fixture_path("bol.web"))
     assert rc == 0
