@@ -19,7 +19,6 @@ only those ratios become rational functions, re-expressed univariately.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -76,14 +75,14 @@ class Adfe:
 
     coeffs maps (unknown index, derivative order) to a nonzero BivarPoly; the
     unknown indices refer to the `inner` list (0-based).  The coefficients
-    are stored divided by their gcd, with integer coefficients of content 1.
+    are stored divided by their gcd, which is primitive, and by the integer
+    content of all of them (Gauss's lemma: the two divisions commute).
     """
 
     def __init__(self, inner: Sequence[RatFunc], coeffs: Dict[Tuple[int, int], BivarPoly]):
         self.inner = list(inner)
         coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        values = [v for c in coeffs.values() for v in c.terms.values()]
-        content = Fraction(gcd(*(v.numerator for v in values)), lcm(*(v.denominator for v in values)))
+        content = gcd(*(v for c in coeffs.values() for v in c.terms.values()))
         divisor = reduce(poly_gcd, coeffs.values(), BivarPoly.zero()).scale(content)
         self.coeffs = {k: poly_quo(c, divisor) for k, c in coeffs.items()}
 
@@ -199,11 +198,12 @@ def _reexpress_attempt(f: RatFunc, u: RatFunc, d: int) -> Optional[RatFunc]:
     # unknowns p_0..p_d, q_0..q_d:  sum p_k L_k * den_f - sum q_k L_k * num_f = 0
     cols: List[BivarPoly] = [lk * f.den for lk in lifted] + [-(lk * f.num) for lk in lifted]
     monomials = sorted({e for col in cols for e in col.terms})
-    matrix = [[col.terms.get(e, Fraction(0)) for col in cols] for e in monomials]
+    matrix = [[col.terms.get(e, 0) for col in cols] for e in monomials]
     kern = exact_nullspace(matrix, n_cols=len(cols))
     for vec in kern.basis:
-        p = BivarPoly({(k, 0): vec[k] for k in range(d + 1) if vec[k]})
-        q = BivarPoly({(k, 0): vec[d + 1 + k] for k in range(d + 1) if vec[d + 1 + k]})
+        scale = lcm(*(c.denominator for c in vec))
+        p = BivarPoly({(k, 0): vec[k] * scale for k in range(d + 1)})
+        q = BivarPoly({(k, 0): vec[d + 1 + k] * scale for k in range(d + 1)})
         if q.is_zero():
             continue
         g = RatFunc(p, q)

@@ -71,7 +71,7 @@ def cmd_sigma(args) -> int:
 
     web = load_web(args.webfile)
     if args.factors:
-        cands = [parse_ratfunc(t).num for t in args.factors.split(";")]
+        cands = [parse_ratfunc(t) for t in args.factors.split(";")]
         report = verify_sigma_factors(web, cands)
         _emit(report, args.output)
         return 0 if report["all_divide"] else 1
@@ -82,7 +82,8 @@ def cmd_sigma(args) -> int:
             "curve_components": [str(c) for c in locus.curve_components],
             "tangency_components": [str(c) for c in locus.tangency_components],
             "indeterminacy": [
-                {"num": str(n), "den": str(d)} for n, d in locus.indeterminacy_points
+                {"num": n.str_over(d.leading_coeff()), "den": d.str_over(d.leading_coeff())}
+                for n, d in locus.indeterminacy_points
             ],
         },
         args.output,
@@ -324,7 +325,8 @@ def main(argv=None) -> int:
     except PlanarWebError as exc:
         _emit({"error": str(exc), "type": type(exc).__name__})
         return 2 if isinstance(exc, InvalidParameter) else 1
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        # a missing or unreadable input file, a directory, a file not in UTF-8
         _emit({"error": str(exc)})
         return 2
 

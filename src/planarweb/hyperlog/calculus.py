@@ -24,8 +24,8 @@ def kernel_ratfunc(alphabet: Alphabet, letter: str) -> RatFunc:
     """k_a(z) = sign / (z - point) as a univariate RatFunc in x."""
     a = alphabet.points[letter]
     s = alphabet.signs[letter]
-    den = BivarPoly({(1, 0): Fraction(1), (0, 0): -a})
-    return RatFunc(BivarPoly.const(s), den)
+    # sign / (x - p/q) = sign q / (q x - p)
+    return RatFunc(BivarPoly.const(s * a.denominator), BivarPoly({(1, 0): a.denominator, (0, 0): -a.numerator}))
 
 
 class PrefactoredExpr:

@@ -133,13 +133,14 @@ def parse_ratfunc(text: str, variables=("x", "y")) -> RatFunc:
     return _Parser(text, variables).parse()
 
 
-def _format_poly(p: BivarPoly, variables) -> str:
+def _format_poly(p: BivarPoly, lc: int, variables) -> str:
+    """p / lc, with rational coefficients."""
     if p.is_zero():
         return "0"
     vx, vy = variables
     parts = []
     for e in sorted(p.terms, key=BivarPoly._key, reverse=True):
-        c = p.terms[e]
+        c = Fraction(p.terms[e], lc)
         atoms = []
         if abs(c) != 1 or e == (0, 0):
             if c.denominator == 1:
@@ -159,9 +160,12 @@ def _format_poly(p: BivarPoly, variables) -> str:
 
 
 def format_ratfunc(f: RatFunc, variables=("x", "y")) -> str:
-    """Canonical printed form; valid parser input (round-trips exactly)."""
-    num = _format_poly(f.num, variables)
-    if f.den.is_constant() and f.den.constant_value() == 1:
+    """Canonical printed form; valid parser input (round-trips exactly).
+    Both parts are divided by the denominator's leading coefficient, so a
+    constant denominator is not printed."""
+    lc = f.den.leading_coeff()
+    num = _format_poly(f.num, lc, variables)
+    if f.den.is_constant():
         return f"({num})" if " " in num or num.startswith("-") else num
-    den = _format_poly(f.den, variables)
+    den = _format_poly(f.den, lc, variables)
     return f"({num})/({den})"

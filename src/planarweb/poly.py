@@ -1,17 +1,19 @@
-"""Exact sparse bivariate polynomials over the rationals.
+"""Exact sparse bivariate polynomials over the integers.
 
 A polynomial in the two plane variables is a dict mapping exponent pairs
-(ex, ey) to nonzero Fraction coefficients.  The zero polynomial is the empty
+(ex, ey) to nonzero int coefficients.  The zero polynomial is the empty
 dict.  Two polynomials are equal iff their term dicts are equal, so the
-representation is canonical by construction.
+representation is canonical by construction.  Rational data enters through
+`RatFunc`, which keeps a denominator of its own; only `evaluate` leaves the
+integers.
 
 The monomial order used everywhere (leading term, canonical sign, printing)
 is graded lexicographic: first total degree, then ex, then ey.
 
 gcd is the classical content / primitive-part recursion with y as the main
-variable, on one dense routine set for both levels: a polynomial is cleared
-of denominators once and read as a list, ascending in y, of Z[x]
-coefficients (`_ZX`, ascending int lists).  The same pseudo-remainder,
+variable, on one dense routine set for both levels: a polynomial is read
+as a list, ascending in y, of Z[x] coefficients (`_ZX`, ascending int
+lists).  The same pseudo-remainder,
 primitive pseudo-remainder sequence and content routines run on int
 coefficients (gcds in Z[x]) and on `_ZX` coefficients (gcds in Z[x][y]); a
 content stops as soon as the running gcd is a unit.  The result is made
@@ -24,15 +26,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd
 from typing import Dict, Iterable, Tuple
 
 Exponent = Tuple[int, int]
-Terms = Dict[Exponent, Fraction]
+Terms = Dict[Exponent, int]
+
+
+def _integer(c) -> int:
+    """c as an int; ValueError unless c is integral."""
+    if c != int(c):
+        raise ValueError(f"non-integral coefficient {c}")
+    return int(c)
 
 
 class BivarPoly:
-    """Sparse bivariate polynomial with exact rational coefficients."""
+    """Sparse bivariate polynomial with integer coefficients."""
 
     __slots__ = ("terms",)
 
@@ -41,13 +50,13 @@ class BivarPoly:
         if terms:
             for e, c in terms.items():
                 if c:
-                    self.terms[e] = Fraction(c)
+                    self.terms[e] = _integer(c)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def _of(terms: Terms) -> "BivarPoly":
-        """Wrap a dict of nonzero Fraction coefficients without copying it."""
+        """Wrap a dict of nonzero int coefficients without copying it."""
         r = BivarPoly()
         r.terms = terms
         return r
@@ -58,15 +67,14 @@ class BivarPoly:
 
     @staticmethod
     def const(c) -> "BivarPoly":
-        c = Fraction(c)
-        return BivarPoly({(0, 0): c}) if c else BivarPoly()
+        return BivarPoly({(0, 0): c})
 
     @staticmethod
     def var(name: str) -> "BivarPoly":
         if name == "x":
-            return BivarPoly({(1, 0): Fraction(1)})
+            return BivarPoly({(1, 0): 1})
         if name == "y":
-            return BivarPoly({(0, 1): Fraction(1)})
+            return BivarPoly({(0, 1): 1})
         raise ValueError(f"unknown variable {name!r}")
 
     # -- basic queries ------------------------------------------------
@@ -77,12 +85,10 @@ class BivarPoly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and (0, 0) in self.terms)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
+    def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms[(0, 0)]
+        return self.terms.get((0, 0), 0)
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -103,7 +109,7 @@ class BivarPoly:
         # graded-lex maximal monomial
         return max(self.terms, key=BivarPoly._key)
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> int:
         return self.terms[self.leading_exponent()]
 
     # -- arithmetic ---------------------------------------------------
@@ -142,11 +148,10 @@ class BivarPoly:
                     out.pop(e, None)
         return BivarPoly._of(out)
 
-    def scale(self, c) -> "BivarPoly":
-        c = Fraction(c)
+    def scale(self, c: int) -> "BivarPoly":
         if not c:
             return BivarPoly()
-        return BivarPoly({e: cc * c for e, cc in self.terms.items()})
+        return BivarPoly._of({e: cc * c for e, cc in self.terms.items()})
 
     def __pow__(self, n: int) -> "BivarPoly":
         if n < 0:
@@ -167,8 +172,8 @@ class BivarPoly:
             if e[i] == 0:
                 continue
             ne = (e[0] - 1, e[1]) if i == 0 else (e[0], e[1] - 1)
-            out[ne] = out.get(ne, Fraction(0)) + c * e[i]
-        return BivarPoly({e: c for e, c in out.items() if c})
+            out[ne] = c * e[i]
+        return BivarPoly._of(out)
 
     def evaluate(self, x, y) -> Fraction:
         x = Fraction(x)
@@ -180,14 +185,15 @@ class BivarPoly:
 
     # -- normalization ------------------------------------------------
 
-    def primitive_z(self) -> Tuple[Fraction, "BivarPoly"]:
-        """Write self = content * primitive with integer coprime coefficients
-        and positive leading (graded-lex) coefficient."""
+    def primitive_z(self) -> Tuple[int, "BivarPoly"]:
+        """Write self = content * primitive with coprime coefficients and a
+        positive leading (graded-lex) coefficient."""
         if self.is_zero():
-            return Fraction(0), self
-        den = _den_lcm(self)
-        c, prim = _normalized({e: v.numerator * (den // v.denominator) for e, v in self.terms.items()})
-        return Fraction(c, den), prim
+            return 0, self
+        c = int_gcd(*self.terms.values())
+        if self.leading_coeff() < 0:
+            c = -c
+        return c, (self if c == 1 else BivarPoly._of({e: v // c for e, v in self.terms.items()}))
 
     # -- printing -----------------------------------------------------
 
@@ -195,26 +201,28 @@ class BivarPoly:
         return f"BivarPoly({self!s})"
 
     def __str__(self):
+        return self.str_over(1)
+
+    def str_over(self, d: int) -> str:
+        """The printed form of self / d, for an int d > 0: each coefficient
+        as a reduced fraction, an integer where it is one."""
         if self.is_zero():
             return "0"
         parts = []
         for e in sorted(self.terms, key=BivarPoly._key, reverse=True):
-            c = self.terms[e]
+            g = int_gcd(self.terms[e], d)
+            n, m = self.terms[e] // g, d // g
+            c = str(n) if m == 1 else f"{n}/{m}"
             mon = []
             if e[0]:
                 mon.append("x" if e[0] == 1 else f"x^{e[0]}")
             if e[1]:
                 mon.append("y" if e[1] == 1 else f"y^{e[1]}")
             if not mon:
-                parts.append(str(c))
+                parts.append(c)
                 continue
-            m = "*".join(mon)
-            if c == 1:
-                parts.append(m)
-            elif c == -1:
-                parts.append(f"-{m}")
-            else:
-                parts.append(f"{c}*{m}")
+            mon = "*".join(mon)
+            parts.append(mon if c == "1" else f"-{mon}" if c == "-1" else f"{c}*{mon}")
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
 
@@ -323,45 +331,30 @@ def _prs_gcd(f, g):
     return [c] if b else [c * x for x in a]
 
 
-def _den_lcm(p: BivarPoly) -> int:
-    return lcm(*(c.denominator for c in p.terms.values()))
-
-
 def _y_rows(p: BivarPoly):
-    """p times the lcm of its denominators, as a dense list ascending in y
-    of _ZX coefficients."""
-    den = _den_lcm(p)
+    """p as a dense list ascending in y of _ZX coefficients."""
     rows = [_ZX() for _ in range(p.degree_in("y") + 1)]
     for (ex, ey), c in p.terms.items():
         row = rows[ey]
         if len(row) <= ex:
             row.extend([0] * (ex + 1 - len(row)))
-        row[ex] = c.numerator * (den // c.denominator)
+        row[ex] = c
     return rows
 
 
-def _normalized(ints: Dict[Exponent, int]) -> Tuple[int, BivarPoly]:
-    """(c, P) with ints = c * P for nonzero integer terms, P primitive with a
-    positive graded-lex leading coefficient."""
-    c = int_gcd(*ints.values())
-    if ints[max(ints, key=BivarPoly._key)] < 0:
-        c = -c
-    return c, BivarPoly._of({e: Fraction(v // c) for e, v in ints.items()})
-
-
 def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """gcd over Q[x, y], normalized primitive with positive leading coeff.
+    """gcd over Z[x, y] (and so over Q[x, y] up to a constant), normalized
+    primitive with positive leading coeff.
 
     Constant (nonzero) results are returned as 1.
     """
     rows = _prs_gcd(_y_rows(p), _y_rows(q))
-    if not rows:
-        return BivarPoly.zero()
-    return _normalized({(ex, ey): c for ey, row in enumerate(rows) for ex, c in enumerate(row) if c})[1]
+    return BivarPoly._of({(ex, ey): c for ey, row in enumerate(rows) for ex, c in enumerate(row) if c}).primitive_z()[1]
 
 
 def poly_divides(d: BivarPoly, p: BivarPoly) -> bool:
-    """True iff d divides p in Q[x, y]."""
+    """True iff d divides p in Z[x, y]; for a primitive d, as in Q[x, y]
+    (Gauss's lemma)."""
     if d.is_zero():
         return p.is_zero()
     ok, _ = poly_divmod_exact(p, d)
@@ -369,7 +362,8 @@ def poly_divides(d: BivarPoly, p: BivarPoly) -> bool:
 
 
 def poly_divmod_exact(p: BivarPoly, d: BivarPoly):
-    """Try to divide p by d exactly.  Returns (True, quotient) or (False, None).
+    """Try to divide p by d exactly in Z[x, y].  Returns (True, quotient) or
+    (False, None).
 
     One remainder and one quotient dict are updated in place; a heap yields
     the remainder's graded-lex leading exponents in turn."""
@@ -389,7 +383,9 @@ def poly_divmod_exact(p: BivarPoly, d: BivarPoly):
         ex, ey = e[0] - dx, e[1] - dy
         if ex < 0 or ey < 0:
             return False, None
-        t = c / dlc
+        t, m = divmod(c, dlc)
+        if m:
+            return False, None
         q[(ex, ey)] = t
         for (a, b), dc in rest:
             f = (a + ex, b + ey)
@@ -404,9 +400,8 @@ def poly_divmod_exact(p: BivarPoly, d: BivarPoly):
 
 
 def poly_quo(p: BivarPoly, d: BivarPoly) -> BivarPoly:
-    """The quotient p / d; raises ValueError unless d divides p exactly."""
-    if d.is_constant():
-        return p.scale(1 / d.constant_value())
+    """The quotient p / d; raises ValueError unless d divides p exactly in
+    Z[x, y]."""
     ok, q = poly_divmod_exact(p, d)
     if not ok:
         raise ValueError("inexact polynomial division")

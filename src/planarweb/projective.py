@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DegenerateQuadruple, InvalidParameter
@@ -153,10 +154,7 @@ def line_pencil(p: ProjPoint) -> Foliation:
         den = parse_ratfunc("y") - RatFunc.const(y0 / z0)
         return Foliation(num / den)
     # direction point at infinity: parallel lines y0*x - x0*y = const
-    form = RatFunc.from_poly(
-        BivarPoly({(1, 0): y0}) - BivarPoly({(0, 1): x0})
-    )
-    return Foliation(form)
+    return Foliation(RatFunc.const(y0) * parse_ratfunc("x") - RatFunc.const(x0) * parse_ratfunc("y"))
 
 
 def conic_pencil(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint, q4: ProjPoint) -> Foliation:
@@ -167,13 +165,16 @@ def conic_pencil(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint, q4: ProjPoint) -> 
         if collinear(quad[a], quad[b], quad[c]):
             raise DegenerateQuadruple("three of the four points are collinear")
 
-    def affine_line(coeffs) -> BivarPoly:
-        a, b, c = coeffs
-        return BivarPoly({(1, 0): a, (0, 1): b, (0, 0): c})
+    def affine_line(p: ProjPoint, q: ProjPoint) -> Tuple[BivarPoly, int]:
+        """(m L, m): the line L = a x + b y + c through p and q, cleared by m."""
+        coeffs = _join(p, q)
+        m = lcm(*(v.denominator for v in coeffs))
+        a, b, c = (v * m for v in coeffs)
+        return BivarPoly({(1, 0): a, (0, 1): b, (0, 0): c}), m
 
-    l12, l34 = affine_line(_join(q1, q2)), affine_line(_join(q3, q4))
-    l13, l24 = affine_line(_join(q1, q3)), affine_line(_join(q2, q4))
-    return Foliation(RatFunc(l12 * l34, l13 * l24))
+    (l12, m12), (l34, m34) = affine_line(q1, q2), affine_line(q3, q4)
+    (l13, m13), (l24, m24) = affine_line(q1, q3), affine_line(q2, q4)
+    return Foliation(RatFunc((l12 * l34).scale(m13 * m24), (l13 * l24).scale(m12 * m34)))
 
 
 def web_from_configuration(config: Configuration, name: Optional[str] = None) -> Web:

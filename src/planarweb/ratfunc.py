@@ -1,9 +1,10 @@
 """Reduced rational functions of two variables, and their jets.
 
-A RatFunc stores a numerator/denominator pair of BivarPoly in canonical form:
-the pair is coprime (polynomial gcd and rational content removed) and the
-denominator is normalized to leading (graded-lex) coefficient 1, so equality
-of rational functions is plain equality of the pairs.
+A RatFunc stores a numerator/denominator pair of integer BivarPoly in
+canonical form: the pair is coprime, jointly primitive (no integer > 1
+divides every coefficient of both) and the denominator has a positive
+leading (graded-lex) coefficient, so equality of rational functions is plain
+equality of the pairs.  A rational constant p/q is the pair (p, q).
 
 SeriesJet is the truncated Taylor expansion of a RatFunc at a rational
 center, exact in Q, used by the jet-rank linear algebra.
@@ -12,6 +13,7 @@ center, exact in Q, used by the jet-rank linear algebra.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, Tuple
 
 from .errors import IdenticallySingular, PoleAtCenter, ZeroDenominator
@@ -19,7 +21,8 @@ from .poly import BivarPoly, poly_gcd, poly_quo
 
 
 class RatFunc:
-    """Canonical ratio of coprime bivariate polynomials, monic denominator."""
+    """Canonical ratio of coprime, jointly primitive integer polynomials,
+    the denominator's leading coefficient positive."""
 
     __slots__ = ("num", "den")
 
@@ -32,26 +35,25 @@ class RatFunc:
         if num.is_zero():
             self.num, self.den = BivarPoly.zero(), BivarPoly.const(1)
             return
-        g = poly_gcd(num, den)
-        if not g.is_constant():
-            num, den = poly_quo(num, g), poly_quo(den, g)
-        lc = den.leading_coeff()
-        self.num = num.scale(1 / lc)
-        self.den = den.scale(1 / lc)
+        # the gcd is primitive, so the joint content is the inputs' one
+        c = gcd(*num.terms.values(), *den.terms.values())
+        g = poly_gcd(num, den).scale(c if den.leading_coeff() > 0 else -c)
+        self.num, self.den = poly_quo(num, g), poly_quo(den, g)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(BivarPoly.const(c), BivarPoly.const(1))
+        c = Fraction(c)
+        return RatFunc(BivarPoly.const(c.numerator), BivarPoly.const(c.denominator), _canonical=True)
 
     @staticmethod
     def var(name: str) -> "RatFunc":
-        return RatFunc(BivarPoly.var(name), BivarPoly.const(1))
+        return RatFunc.from_poly(BivarPoly.var(name))
 
     @staticmethod
     def from_poly(p: BivarPoly) -> "RatFunc":
-        return RatFunc(p, BivarPoly.const(1))
+        return RatFunc(p, BivarPoly.const(1), _canonical=True)
 
     # -- queries --------------------------------------------------------
 
@@ -64,9 +66,7 @@ class RatFunc:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not constant")
-        if self.num.is_zero():
-            return Fraction(0)
-        return self.num.constant_value() / self.den.constant_value()
+        return Fraction(self.num.constant_value(), self.den.constant_value())
 
     def __eq__(self, other) -> bool:
         return (
@@ -102,10 +102,7 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def scale(self, c) -> "RatFunc":
-        c = Fraction(c)
-        if not c:
-            return RatFunc.const(0)
-        return RatFunc(self.num.scale(c), self.den, _canonical=True)
+        return self * RatFunc.const(c)
 
     def inverse(self) -> "RatFunc":
         if self.is_zero():
@@ -221,26 +218,10 @@ class SeriesJet:
             {e: c for e, c in self.coeffs.items() if e[0] + e[1] <= order},
         )
 
-    def __add__(self, other: "SeriesJet") -> "SeriesJet":
-        assert self.center == other.center
-        order = min(self.order, other.order)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return SeriesJet(self.center, order, out)
-
     def __mul__(self, other: "SeriesJet") -> "SeriesJet":
         assert self.center == other.center
         order = min(self.order, other.order)
         return SeriesJet(self.center, order, _jet_mul(self.coeffs, other.coeffs, order))
-
-    def scale(self, c) -> "SeriesJet":
-        c = Fraction(c)
-        return SeriesJet(self.center, self.order, {e: cc * c for e, cc in self.coeffs.items()})
 
     def __repr__(self):
         return f"SeriesJet(center={self.center}, order={self.order}, {len(self.coeffs)} terms)"

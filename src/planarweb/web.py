@@ -38,6 +38,7 @@ from .errors import (
     DegenerateMap,
     ExprSyntaxError,
     InvalidParameter,
+    PlanarWebError,
     SearchExhausted,
     TooFewFoliations,
 )
@@ -165,24 +166,27 @@ def singular_locus(web: Web) -> SingularLocus:
     return SingularLocus(list(web.jacobians.values()), indet)
 
 
-def verify_sigma_factors(web: Web, candidates: Sequence[BivarPoly]) -> dict:
-    """Compare candidate factors against the computed singular locus.
+def verify_sigma_factors(web: Web, candidates: Sequence[RatFunc]) -> dict:
+    """Compare candidate factors, the numerators of the given expressions,
+    against the computed singular locus.
 
     Reports, per candidate, whether it divides the locus product, and whether
     the product of the candidates matches the computed squarefree product up
-    to a rational constant.
+    to a rational constant.  A candidate is printed divided by its
+    denominator's leading coefficient, with rational coefficients.
     """
     locus = singular_locus(web)
     product = locus.product()
     per_candidate = []
     cand_product = BivarPoly.const(1)
     all_divide = True
-    for k, c in enumerate(candidates, 1):
-        if c.is_zero():
+    for k, f in enumerate(candidates, 1):
+        if f.is_zero():
             raise InvalidParameter(f"candidate factor {k} is zero")
+        c = f.num
         divides = poly_divides(squarefree_part(c), product)
         all_divide = all_divide and divides
-        per_candidate.append({"factor": str(c), "divides": divides})
+        per_candidate.append({"factor": c.str_over(f.den.leading_coeff()), "divides": divides})
         cand_product = cand_product * c
     cand_sf = squarefree_part(cand_product) if not cand_product.is_constant() else cand_product
     prod_match = False
@@ -359,23 +363,29 @@ def web_to_text(web: Web, variables=("x", "y")) -> str:
 
 
 def web_from_text(text: str) -> Web:
+    """The web of a .web file's text.  A malformed file, whatever the error,
+    is an InvalidParameter that names the culprit line where there is one."""
     name = None
     variables = ("x", "y")
-    exprs = []
+    fols = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("name:"):
-            name = line[5:].strip()
-        elif line.startswith("variables:"):
-            parts = line[10:].split()
-            if len(parts) != 2:
-                raise ExprSyntaxError("variables line must list exactly two names", 10)
-            variables = (parts[0], parts[1])
-        else:
-            exprs.append(parse_ratfunc(line, variables))
-    return Web.from_integrals(exprs, name=name)
+        try:
+            if line.startswith("name:"):
+                name = line[5:].strip()
+            elif line.startswith("variables:"):
+                parts = line[10:].split()
+                if len(parts) != 2:
+                    raise ExprSyntaxError("variables line must list exactly two names", 10)
+                variables = (parts[0], parts[1])
+            elif line:
+                fols.append(Foliation(parse_ratfunc(line, variables)))
+        except PlanarWebError as exc:
+            raise InvalidParameter(f"bad web line {line!r}: {type(exc).__name__}: {exc}") from None
+    try:
+        return Web(fols, name=name)
+    except PlanarWebError as exc:
+        raise InvalidParameter(f"bad web file: {type(exc).__name__}: {exc}") from None
 
 
 def load_web(path) -> Web:

@@ -218,3 +218,21 @@ def test_abel_ode_annihilates_the_rank_kernel(name, target):
                 for m in range(n + 1)
             )
             assert total == 0, (name, target, n)
+
+
+@pytest.mark.parametrize("name", ["bol", "sk", "configc"])
+def test_coefficients_are_ints(name):
+    """Z is the one coefficient ring: a parsed web's numerators and
+    denominators, and every Adfe coefficient along an elimination, hold
+    Python ints."""
+    from conftest import fixture_path
+
+    from planarweb.web import load_web
+
+    web = load_web(fixture_path(f"{name}.web"))
+    for u in web.integrals():
+        assert all(type(c) is int for p in (u.num, u.den) for c in p.terms.values())
+    eq = Adfe.from_web(web)
+    for _ in range(min(web.size - 1, 4)):
+        eq = reduce_step(eq, eq.active_unknowns()[0])
+        assert all(type(v) is int for c in eq.coeffs.values() for v in c.terms.values())

@@ -32,16 +32,16 @@ def test_criterion_1_singular_loci(cauchy_web, arctan_web, bol_web, sk_web):
         "bol": (bol_web, ["x", "y", "1-x", "1-y", "x-y"]),
     }
     for name, (web, cands) in printed.items():
-        rep = verify_sigma_factors(web, [P(c).num for c in cands])
+        rep = verify_sigma_factors(web, [P(c) for c in cands])
         assert rep["all_divide"] and rep["product_equal_up_to_constant"], name
     sk_printed = ["x", "y", "1-x", "1-y", "x-y", "1+x", "1+y", "1-x*y",
                   "2-x-y", "x*y-2*y+1", "2*x*y-y-x"]
-    rep = verify_sigma_factors(sk_web, [P(c).num for c in sk_printed])
+    rep = verify_sigma_factors(sk_web, [P(c) for c in sk_printed])
     assert rep["all_divide"]
     # the printed nine-term locus omits the mirror conic xy - 2x + 1, which
     # is an exact tangency of the pair (x/y, U8); with it the product matches
     rep_full = verify_sigma_factors(
-        sk_web, [P(c).num for c in sk_printed + ["x*y-2*x+1"]]
+        sk_web, [P(c) for c in sk_printed + ["x*y-2*x+1"]]
     )
     assert rep_full["all_divide"] and rep_full["product_equal_up_to_constant"]
     _announce("1 (singular loci match printed factorizations)", t0)

@@ -219,8 +219,44 @@ def test_bad_variables_line_is_a_syntax_error(tmp_path):
     path = tmp_path / "three.web"
     path.write_text("variables: x y z\nx\ny\nx+y\n", encoding="utf-8")
     rc, doc, _ = run_cli("rank", str(path))
-    assert rc == 1
-    assert doc["type"] == "ExprSyntaxError"
+    assert rc == 2
+    assert doc["type"] == "InvalidParameter"
+    assert "'variables: x y z': ExprSyntaxError" in doc["error"]
+
+
+@pytest.mark.parametrize(
+    "text,culprit",
+    [
+        ("x\ny\nx+\n", "'x+': ExprSyntaxError"),
+        ("x\ny\nz\n", "'z': ExprSyntaxError"),
+        ("x\ny\nx/(x-x)\n", "'x/(x-x)': ZeroDenominator"),
+        ("x\ny\n3\n", "'3': ConstantInput"),
+        ("x\ny\n", "TooFewFoliations"),
+        ("", "TooFewFoliations"),
+        ("x\nx+y\n2*x+2*y\n", "DegenerateMap"),
+    ],
+    ids=["syntax", "unknown-variable", "zero-denominator", "constant", "two-lines", "empty", "same-foliation"],
+)
+def test_malformed_web_file_is_usage_error(tmp_path, capsys, text, culprit):
+    from planarweb.cli import main
+
+    path = tmp_path / "bad.web"
+    path.write_text(text, encoding="utf-8")
+    assert main(["sigma", str(path)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["type"] == "InvalidParameter" and culprit in doc["error"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_web_file_is_usage_error(tmp_path, capsys, kind):
+    from planarweb.cli import main
+
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "latin1.web"
+        path.write_bytes("x\ny\nx/y # caf\u00e9\n".encode("latin-1"))
+    assert main(["rank", str(path)]) == 2
+    assert "error" in json.loads(capsys.readouterr().out)
 
 
 def run_with_closed_stdout(*args):
@@ -249,7 +285,7 @@ def test_closed_stdout_gives_no_traceback():
         (["abel-ode", "bol.web", "--target", "0"], 2),
         (["prop7", "sk.web", "--subset", "1,2,99"], 2),
         (["rank", "missing.web"], 2),  # FileNotFoundError
-        (["rank", "three.web"], 1),  # PlanarWebError (bad variables line)
+        (["rank", "three.web"], 2),  # InvalidParameter (bad variables line)
     ],
 )
 def test_error_report_to_closed_stdout_gives_no_traceback(args, code, tmp_path):

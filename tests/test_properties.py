@@ -17,7 +17,8 @@ from planarweb.web import Web, load_web, singular_locus
 
 # --- random algebra objects -------------------------------------------------
 
-coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# polynomials are over Z; a ratio of them is any rational function over Q
+coeffs = st.integers(min_value=-12, max_value=12)
 
 
 @st.composite
@@ -26,9 +27,7 @@ def polys(draw, max_terms=3, max_deg=2):
     terms = {}
     for _ in range(n):
         e = (draw(st.integers(0, max_deg)), draw(st.integers(0, max_deg)))
-        c = draw(coeffs)
-        if c:
-            terms[e] = terms.get(e, Fraction(0)) + c
+        terms[e] = terms.get(e, 0) + draw(coeffs)
     return BivarPoly(terms)
 
 

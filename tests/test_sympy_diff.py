@@ -3,6 +3,7 @@ rational functions and Taylor jets of the exact bivariate arithmetic on
 random small inputs."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,9 @@ from planarweb.ratfunc import RatFunc
 sympy = pytest.importorskip("sympy")
 
 X, Y = sympy.symbols("x y")
-coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+# integer coefficients: a gcd over Q is defined up to a constant anyway, and
+# a ratio of integer polynomials is any rational function over Q
+coeffs = st.integers(min_value=-12, max_value=12)
 centers = st.fractions(min_value=-2, max_value=2, max_denominator=3)
 
 
@@ -22,15 +25,16 @@ def polys(draw, max_terms=3, max_deg=2):
     terms = {}
     for _ in range(draw(st.integers(1, max_terms))):
         e = (draw(st.integers(0, max_deg)), draw(st.integers(0, max_deg)))
-        terms[e] = terms.get(e, Fraction(0)) + draw(coeffs)
+        terms[e] = terms.get(e, 0) + draw(coeffs)
     return BivarPoly(terms)
 
 
 nonzero_polys = polys().filter(lambda p: not p.is_zero())
 
 
-def to_sympy(p: BivarPoly):
-    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in p.terms.items()}
+def to_sympy(p):
+    """A BivarPoly, or a dict of rational coefficients, as a sympy Poly."""
+    terms = {e: sympy.Rational(c.numerator, c.denominator) for e, c in getattr(p, "terms", p).items()}
     return sympy.Poly.from_dict(terms or {(0, 0): 0}, X, Y, domain=sympy.QQ)
 
 
@@ -59,12 +63,17 @@ ratfuncs = st.builds(
 
 
 def canonical_from_sympy(expr):
-    """sympy's cancel of expr as a (num, den) pair of Polys, scaled so that
-    the graded-lex leading coefficient of den is 1, as a RatFunc is."""
+    """sympy's cancel of expr as a (num, den) pair of Polys, scaled as a
+    RatFunc is: integer coefficients with no common factor over both, and a
+    positive graded-lex leading coefficient on den."""
     num, den = sympy.fraction(sympy.cancel(expr))
     num, den = sympy.Poly(num, X, Y, domain=sympy.QQ), sympy.Poly(den, X, Y, domain=sympy.QQ)
-    lc = den.LC(order="grlex")
-    return num.quo_ground(lc), den.quo_ground(lc)
+    cs = [sympy.Rational(c) for c in num.coeffs() + den.coeffs() if c]
+    # the rational content of the pair is gcd(numerators) / lcm(denominators)
+    scale = sympy.Rational(lcm(*(int(c.q) for c in cs)), gcd(*(int(c.p) for c in cs)))
+    if den.LC(order="grlex") < 0:
+        scale = -scale
+    return num.mul_ground(scale), den.mul_ground(scale)
 
 
 def as_expr(f: RatFunc):
@@ -100,5 +109,5 @@ def test_taylor_agrees_with_sympy(num, den, cx, cy, order):
         return
     jet = RatFunc(num, den).taylor((cx, cy), order)
     assert all(i + j <= order for i, j in jet.coeffs)
-    residual = shifted(den, cx, cy) * to_sympy(BivarPoly(jet.coeffs)) - shifted(num, cx, cy)
+    residual = shifted(den, cx, cy) * to_sympy(jet.coeffs) - shifted(num, cx, cy)
     assert all(i + j > order for (i, j), c in residual.terms() if c != 0)

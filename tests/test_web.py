@@ -42,16 +42,16 @@ def test_sigma_bol(bol_web):
 def test_sigma_sk_all_printed_factors_divide(sk_web):
     printed = ["x", "y", "1-x", "1-y", "x-y", "1+x", "1+y", "1-x*y",
                "2-x-y", "x*y-2*y+1", "2*x*y-y-x"]
-    report = verify_sigma_factors(sk_web, [P(t).num for t in printed])
+    report = verify_sigma_factors(sk_web, [P(t) for t in printed])
     assert report["all_divide"]
     # the printed list misses the mirror conic x*y - 2*x + 1 (an exact
     # tangency of the pair (x/y, U8)); with it the product matches exactly
-    report2 = verify_sigma_factors(sk_web, [P(t).num for t in printed + ["x*y-2*x+1"]])
+    report2 = verify_sigma_factors(sk_web, [P(t) for t in printed + ["x*y-2*x+1"]])
     assert report2["all_divide"] and report2["product_equal_up_to_constant"]
 
 
 def test_sigma_negative_control(cauchy_web):
-    report = verify_sigma_factors(cauchy_web, [P("x+y").num])
+    report = verify_sigma_factors(cauchy_web, [P("x+y")])
     assert not report["all_divide"]
 
 
@@ -61,7 +61,7 @@ def test_sigma_product_equality_small(cauchy_web, arctan_web, bol_web):
         (arctan_web, ["1-x*y", "1+x^2", "1+y^2"]),
         (bol_web, ["x", "y", "1-x", "1-y", "x-y"]),
     ]:
-        report = verify_sigma_factors(web, [P(t).num for t in printed])
+        report = verify_sigma_factors(web, [P(t) for t in printed])
         assert report["all_divide"] and report["product_equal_up_to_constant"]
 
 
