@@ -12,6 +12,11 @@ the 28 coefficients; the characterization dimension additionally quotients
 by the span of combinations supported on proper sub-equations.  Everything
 is numeric-rank arithmetic at two precisions with a wide threshold window,
 so the integer outputs are robust.
+
+The powers (U_i - U_i(base))^k, k = 0..K, depend only on the slot and the
+order: they are expanded once per oracle, exactly, from RatFunc.taylor, and
+each coefficient is converted to mpc once.  A component's bivariate jet is
+then one linear combination of its slot's powers.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from planarweb.hyperlog.constants import SymConst
 from planarweb.hyperlog.numeric import WordEvaluator
 from planarweb.hyperlog.words import HyperlogExpr, STANDARD
 from planarweb.parse import parse_ratfunc
+from planarweb.ratfunc import SeriesJet
 
 
 def _w(*letters):
@@ -122,10 +128,23 @@ class SkOracle:
         self.mp = self.ev.mp
         self.inner = [parse_ratfunc(s) for s in SK_INNER_D]
         self.values = [u.evaluate(*BASE) for u in self.inner]
+        self.powers = [self._slot_powers(u) for u in self.inner]
         self._vecs = None
         self._value_cache = {}
         self._chain_cache = {}
         self._jet_cache = {}
+        self._repair = None
+
+    def _slot_powers(self, u):
+        """[v^0, .., v^K] for v = u - u(base), as dicts of mpc coefficients
+        keyed by the monomial exponents at the base point."""
+        K, mp = self.order, self.mp
+        jet = u.taylor(BASE, K)
+        v = SeriesJet(BASE, K, {e: c for e, c in jet.coeffs.items() if e != (0, 0)})
+        exact = [SeriesJet(BASE, K, {(0, 0): Fraction(1)})]
+        for _ in range(K):
+            exact.append(exact[-1] * v)
+        return [{e: mp.mpc(mp.mpf(c.numerator) / c.denominator) for e, c in p.coeffs.items()} for p in exact]
 
     # -- jets of components ------------------------------------------------
 
@@ -213,46 +232,31 @@ class SkOracle:
                 jets[idx9] = [mp.mpc(0)] * (K + 1)
             else:
                 jets[idx9] = self.component_jet(comp, self.values[idx9])
-        # bivariate jets of the inner functions at the base point
+        return self._with_fifth_slot(jets, "slot-5 reconstruction leftover {}; bad basis element?")
+
+    def _with_fifth_slot(self, jets, failure):
+        """jets with the fifth slot's jet added: it solves F5(u5) = -(the
+        composite of the other eight), with u5 = U5 - U5(base); AssertionError
+        with the message `failure` when the solve leaves a defect."""
+        mp = self.mp
+        K = self.order
         rhs = {}
         for idx9 in (0, 1, 2, 3, 5, 6, 7, 8):
-            u = self.inner[idx9].taylor(BASE, K)
-            shifted = {e: c for e, c in u.coeffs.items() if e != (0, 0)}
-            comp_jet = jets[idx9]
-            # accumulate comp(u) = sum_k comp_jet[k] * (u - u0)^k
-            powers = {(0, 0): mp.mpc(1)}
-            total = {}
-            cur = {(0, 0): mp.mpc(1)}
-            for k in range(1, K + 1):
-                cur = _bimul(cur, shifted, K, mp)
-                ck = comp_jet[k]
-                if ck:
-                    for e, c in cur.items():
-                        total[e] = total.get(e, mp.mpc(0)) + ck * c
-            for e, c in total.items():
+            for e, c in self._composite_jet(jets[idx9], idx9).items():
                 rhs[e] = rhs.get(e, mp.mpc(0)) - c
-        # solve F5(u5) = rhs with u5 = U5' - 1/2
-        u5 = self.inner[4].taylor(BASE, K)
-        shifted5 = {e: c for e, c in u5.coeffs.items() if e != (0, 0)}
-        lead = Fraction(shifted5.get((1, 0), Fraction(0)))
+        lead = self.powers[4][1].get((1, 0), 0)
         assert lead != 0
         f5 = [mp.mpc(0)]
-        residual = dict(rhs)
-        cur = {(0, 0): mp.mpc(1)}
+        residual = rhs
         for k in range(1, K + 1):
-            cur = _bimul(cur, shifted5, K, mp)
-            ck = residual.get((k, 0), mp.mpc(0)) / (
-                mp.mpf(lead.numerator) / lead.denominator
-            ) ** k
+            ck = residual.get((k, 0), mp.mpc(0)) / lead**k
             f5.append(ck)
             if ck:
-                for e, c in cur.items():
+                for e, c in self.powers[4][k].items():
                     residual[e] = residual.get(e, mp.mpc(0)) - ck * c
         leftover = max((abs(c) for c in residual.values()), default=mp.mpf(0))
         if leftover > mp.mpf(10) ** (-(self.dps - 14)):
-            raise AssertionError(
-                f"slot-5 reconstruction leftover {leftover}; bad basis element?"
-            )
+            raise AssertionError(failure.format(leftover))
         jets[4] = f5
         return jets
 
@@ -266,7 +270,6 @@ class SkOracle:
         other choice by a genuine solution, so the spanned space (all the
         oracle uses) is independent of the choice made here."""
         mp = self.mp
-        K = self.order
         try:
             return self.tuple_jets(element)
         except AssertionError:
@@ -281,54 +284,55 @@ class SkOracle:
             jet = self.component_jet(comp, self.values[slot9])
             for e, c in self._composite_jet(jet, slot9).items():
                 raw[e] = raw.get(e, mp.mpc(0)) + c
-        gens = [("x0",), ("x1",), ("x-1",), ("x0", "x0"), ("x0", "x1"), ("x1", "x0"), ("x1", "x1")]
-        cols = []
-        labels = []
-        for slot9 in (0, 1, 2, 3, 5, 6, 7, 8):
-            for g in gens:
-                expr = HyperlogExpr.word(g)
-                jet = self.expr_jet(expr, self.values[slot9])
-                cols.append(self._composite_jet(jet, slot9))
-                labels.append((slot9, g))
-        # columns for the reconstructed fifth slot: powers of u5
-        K = self.order
-        u5 = self.inner[4].taylor(BASE, K)
-        shifted5 = {e: c for e, c in u5.coeffs.items() if e != (0, 0)}
-        cur = {(0, 0): mp.mpc(1)}
-        for k in range(1, K + 1):
-            cur = _bimul(cur, shifted5, K, mp)
-            cols.append(dict(cur))
-            labels.append((4, ("u5", k)))
-        keys = sorted({e for col in cols for e in col} | set(raw))
-        matrix = [[col.get(e, mp.mpc(0)) for col in cols] for e in keys]
+        labels, keys, solver = self._repair_system()
         rhs = [-raw.get(e, mp.mpc(0)) for e in keys]
-        sol = _numeric_solve(matrix, rhs, mp, self.dps - 16)
+        sol = solver.solve(rhs)
         if sol is None:
             raise AssertionError("branch repair failed: defect outside log span")
         corrected = []
         for pos, comp in enumerate(element):
             slot9 = (0, 1, 2, 3, 5, 6, 7, 8)[pos]
             extra = [
-                (labels[k][1], sol[k]) for k in range(len(cols))
+                (labels[k][1], sol[k]) for k in range(len(labels))
                 if labels[k][0] == slot9 and abs(sol[k]) > mp.mpf(10) ** (-(self.dps - 20))
             ]
             corrected.append((comp, extra))
         return self._tuple_jets_with_extras(corrected)
 
+    def _repair_system(self):
+        """(labels, keys, solver) of the repair: one column per slot and
+        log-level word, the composite of its jet, then one per power of u5;
+        one row per monomial of degree 1..order.  It does not depend on the
+        element, so it is eliminated once."""
+        if self._repair is None:
+            gens = [("x0",), ("x1",), ("x-1",), ("x0", "x0"), ("x0", "x1"), ("x1", "x0"), ("x1", "x1")]
+            cols = []
+            labels = []
+            for slot9 in (0, 1, 2, 3, 5, 6, 7, 8):
+                for g in gens:
+                    jet = self.expr_jet(HyperlogExpr.word(g), self.values[slot9])
+                    cols.append(self._composite_jet(jet, slot9))
+                    labels.append((slot9, g))
+            # columns for the reconstructed fifth slot: powers of u5
+            for k in range(1, self.order + 1):
+                cols.append(self.powers[4][k])
+                labels.append((4, ("u5", k)))
+            keys = [(a, t - a) for t in range(1, self.order + 1) for a in range(t + 1)]
+            zero = self.mp.mpc(0)
+            matrix = [[col.get(e, zero) for col in cols] for e in keys]
+            self._repair = labels, keys, _NumericSolver(matrix, self.mp, self.dps - 16)
+        return self._repair
+
     def _composite_jet(self, comp_jet, slot9):
-        """Bivariate jet of component(U_slot) at the base point."""
-        mp = self.mp
-        K = self.order
-        u = self.inner[slot9].taylor(BASE, K)
-        shifted = {e: c for e, c in u.coeffs.items() if e != (0, 0)}
+        """Bivariate jet of component(U_slot) at the base point: the sum of
+        comp_jet[k] (U_slot - U_slot(base))^k over k >= 1."""
+        zero = self.mp.mpc(0)
         total = {}
-        cur = {(0, 0): mp.mpc(1)}
-        for k in range(1, K + 1):
-            cur = _bimul(cur, shifted, K, mp)
+        for k in range(1, self.order + 1):
             ck = comp_jet[k]
             if ck:
-                for e, c in cur.items():
-                    total[e] = total.get(e, mp.mpc(0)) + ck * c
+                for e, c in self.powers[slot9][k].items():
+                    total[e] = total.get(e, zero) + ck * c
         return total
 
     def _tuple_jets_with_extras(self, corrected):
@@ -351,30 +355,7 @@ class SkOracle:
                 gjet = self.expr_jet(HyperlogExpr.word(g), self.values[idx9])
                 jet = [a + coef * b for a, b in zip(jet, gjet)]
             jets[idx9] = jet
-        rhs = {}
-        for idx9 in (0, 1, 2, 3, 5, 6, 7, 8):
-            for e, c in self._composite_jet(jets[idx9], idx9).items():
-                rhs[e] = rhs.get(e, mp.mpc(0)) - c
-        u5 = self.inner[4].taylor(BASE, K)
-        shifted5 = {e: c for e, c in u5.coeffs.items() if e != (0, 0)}
-        lead = Fraction(shifted5[(1, 0)])
-        f5 = [mp.mpc(0)]
-        residual = dict(rhs)
-        cur = {(0, 0): mp.mpc(1)}
-        for k in range(1, K + 1):
-            cur = _bimul(cur, shifted5, K, mp)
-            ck = residual.get((k, 0), mp.mpc(0)) / (
-                mp.mpf(lead.numerator) / lead.denominator
-            ) ** k
-            f5.append(ck)
-            if ck:
-                for e, c in cur.items():
-                    residual[e] = residual.get(e, mp.mpc(0)) - ck * c
-        leftover = max((abs(c) for c in residual.values()), default=mp.mpf(0))
-        if leftover > mp.mpf(10) ** (-(self.dps - 14)):
-            raise AssertionError(f"repair left a defect of size {leftover}")
-        jets[4] = f5
-        return jets
+        return self._with_fifth_slot(jets, "repair left a defect of size {}")
 
     # -- the pattern computation ---------------------------------------------
 
@@ -420,18 +401,6 @@ def _ratval(r, value: Fraction, mp):
     return mp.mpf(q.numerator) / q.denominator
 
 
-def _bimul(a, b, order, mp):
-    out = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            if i1 + i2 + j1 + j2 > order:
-                continue
-            e = (i1 + i2, j1 + j2)
-            cc = c1 * (mp.mpf(c2.numerator) / c2.denominator if isinstance(c2, Fraction) else c2)
-            out[e] = out.get(e, mp.mpc(0)) + cc
-    return out
-
-
 def _numeric_rref(rows, mp, digits):
     """(pivot columns, fully reduced echelon rows) with a relative threshold."""
     tol = mp.mpf(10) ** (-digits)
@@ -464,42 +433,59 @@ def _numeric_rref(rows, mp, digits):
     return piv, ech
 
 
-def _numeric_solve(matrix, rhs, mp, digits):
-    """One solution of an overdetermined consistent system, or None."""
-    tol = mp.mpf(10) ** (-digits)
-    if not matrix:
-        return []
-    n = len(matrix[0])
-    aug = [[mp.mpc(c) for c in row] + [mp.mpc(r)] for row, r in zip(matrix, rhs)]
-    piv, ech = [], []
-    for row in aug:
-        r = list(row)
-        scale = max(abs(c) for c in r)
-        if scale <= tol:
-            continue
-        r = [c / scale for c in r]
-        for pc, er in zip(piv, ech):
-            f = r[pc]
-            if abs(f) > 0:
-                r = [a - f * b for a, b in zip(r, er)]
-        head = max(abs(r[c]) for c in range(n))
-        if head <= tol:
-            if abs(r[n]) > tol * 10**6:
-                return None  # inconsistent
-            continue
-        pc = max(range(n), key=lambda c: abs(r[c]))
-        r = [a / r[pc] for a in r]
-        for i, er in enumerate(ech):
-            f = er[pc]
-            if abs(f) > 0:
-                ech[i] = [a - f * b for a, b in zip(er, r)]
-        ech.append(r)
-        piv.append(pc)
-    sol = [mp.mpc(0)] * n
-    for pc, er in zip(piv, ech):
-        # free variables are zero, so the pivot value is just the rhs entry
-        sol[pc] = er[n]
-    return sol
+class _NumericSolver:
+    """Gaussian elimination of an overdetermined matrix, kept to solve it
+    against several right-hand sides.  Each row is scaled to max-norm 1 and
+    reduced by the echelon rows before it; a row whose remainder is below
+    10^-digits is a dependency, which a consistent right-hand side must
+    satisfy to 10^-(digits - 6)."""
+
+    def __init__(self, matrix, mp, digits):
+        self.mp = mp
+        self.tol = mp.mpf(10) ** (-digits)
+        self.n = len(matrix[0])
+        self.piv, self.ech = [], []  # pivot columns, echelon rows (pivot 1)
+        self.steps = []  # per row: (scale, [(echelon row, factor)], pivot value)
+        for row in matrix:
+            r = [mp.mpc(c) for c in row]
+            scale = max(abs(c) for c in r)
+            if scale <= self.tol:
+                self.steps.append((mp.mpf(1), [], None))
+                continue
+            r = [c / scale for c in r]
+            factors = []
+            for j, (pc, er) in enumerate(zip(self.piv, self.ech)):
+                f = r[pc]
+                if abs(f) > 0:
+                    r = [a - f * b for a, b in zip(r, er)]
+                    factors.append((j, f))
+            if max(abs(c) for c in r) <= self.tol:
+                self.steps.append((scale, factors, None))
+                continue
+            pc = max(range(self.n), key=lambda c: abs(r[c]))
+            lead = r[pc]
+            self.steps.append((scale, factors, lead))
+            self.piv.append(pc)
+            self.ech.append([a / lead for a in r])
+
+    def solve(self, rhs):
+        """One solution, the free variables zero, or None if inconsistent."""
+        mp = self.mp
+        reduced = []  # the right-hand side of each echelon row
+        for (scale, factors, lead), b in zip(self.steps, rhs):
+            b = mp.mpc(b) / scale
+            for j, f in factors:
+                b -= f * reduced[j]
+            if lead is not None:
+                reduced.append(b / lead)
+            elif abs(b) > self.tol * 10**6:
+                return None
+        sol = [mp.mpc(0)] * self.n
+        # each echelon row is zero at the pivots before it: back substitution
+        for j in range(len(self.piv) - 1, -1, -1):
+            er = self.ech[j]
+            sol[self.piv[j]] = reduced[j] - sum(er[pc] * sol[pc] for pc in self.piv[j + 1:])
+        return sol
 
 
 def _numeric_rank(vectors, mp, digits):

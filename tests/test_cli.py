@@ -33,7 +33,7 @@ def test_sigma_factor_check_negative_exit():
 def test_sigma_fractional_factors_print_as_typed():
     # a factor's numerator is printed divided by its denominator's leading
     # coefficient, so non-integral factors keep their rational coefficients
-    rc, doc, out = run_cli("sigma", fixture_path("bol.web"), "--factors", "x/2;2*y/3;(1-x)/5;1-y;x-y")
+    rc, _, out = run_cli("sigma", fixture_path("bol.web"), "--factors", "x/2;2*y/3;(1-x)/5;1-y;x-y")
     expected = {
         "all_divide": True,
         "candidates": [
@@ -286,6 +286,7 @@ def test_closed_stdout_gives_no_traceback():
         (["prop7", "sk.web", "--subset", "1,2,99"], 2),
         (["rank", "missing.web"], 2),  # FileNotFoundError
         (["rank", "three.web"], 2),  # InvalidParameter (bad variables line)
+        (["sigma", "cauchy.web", "--factors", "x+y"], 1),  # a mathematical FAIL
     ],
 )
 def test_error_report_to_closed_stdout_gives_no_traceback(args, code, tmp_path):
