@@ -13,13 +13,12 @@ is graded lexicographic: first total degree, then ex, then ey.
 gcd is the classical content / primitive-part recursion with y as the main
 variable, on one dense routine set for both levels: a polynomial is read
 as a list, ascending in y, of Z[x] coefficients (`_ZX`, ascending int
-lists).  The same pseudo-remainder,
-primitive pseudo-remainder sequence and content routines run on int
-coefficients (gcds in Z[x]) and on `_ZX` coefficients (gcds in Z[x][y]); a
-content stops as soon as the running gcd is a unit.  The result is made
-primitive, with a positive leading coefficient, once, on integers.  This
-covers the degrees produced by planar-web computations without any
-factorization machinery.
+lists).  The same pseudo-remainder, primitive pseudo-remainder sequence and
+content routines run on int coefficients (gcds in Z[x]) and on `_ZX`
+coefficients (gcds in Z[x][y]); a content stops as soon as the running gcd
+is a unit.  The result is made primitive, with a positive leading
+coefficient, once.  This covers the degrees produced by planar-web
+computations without any factorization machinery.
 """
 
 from __future__ import annotations
@@ -33,24 +32,19 @@ Exponent = Tuple[int, int]
 Terms = Dict[Exponent, int]
 
 
-def _integer(c) -> int:
-    """c as an int; ValueError unless c is integral."""
-    if c != int(c):
-        raise ValueError(f"non-integral coefficient {c}")
-    return int(c)
-
-
 class BivarPoly:
     """Sparse bivariate polynomial with integer coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Terms | None = None):
+        """Integral values become ints; a non-integral one is a ValueError."""
         self.terms: Terms = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    self.terms[e] = _integer(c)
+        for e, c in (terms or {}).items():
+            if c != int(c):
+                raise ValueError(f"non-integral coefficient {c}")
+            if c:
+                self.terms[e] = int(c)
 
     # -- constructors -------------------------------------------------
 
@@ -121,7 +115,7 @@ class BivarPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "BivarPoly":
-        return BivarPoly({e: -c for e, c in self.terms.items()})
+        return BivarPoly._of({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         out = dict(self.terms)
@@ -210,9 +204,8 @@ class BivarPoly:
             return "0"
         parts = []
         for e in sorted(self.terms, key=BivarPoly._key, reverse=True):
-            g = int_gcd(self.terms[e], d)
-            n, m = self.terms[e] // g, d // g
-            c = str(n) if m == 1 else f"{n}/{m}"
+            c, g = self.terms[e], int_gcd(self.terms[e], d)
+            c = str(c // g) if g == d else f"{c // g}/{d // g}"
             mon = []
             if e[0]:
                 mon.append("x" if e[0] == 1 else f"x^{e[0]}")
@@ -221,8 +214,8 @@ class BivarPoly:
             if not mon:
                 parts.append(c)
                 continue
-            mon = "*".join(mon)
-            parts.append(mon if c == "1" else f"-{mon}" if c == "-1" else f"{c}*{mon}")
+            m = "*".join(mon)
+            parts.append(m if c == "1" else f"-{m}" if c == "-1" else f"{c}*{m}")
         s = " + ".join(parts)
         return s.replace("+ -", "- ")
 

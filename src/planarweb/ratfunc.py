@@ -35,7 +35,8 @@ class RatFunc:
         if num.is_zero():
             self.num, self.den = BivarPoly.zero(), BivarPoly.const(1)
             return
-        # the gcd is primitive, so the joint content is the inputs' one
+        # the gcd is primitive (Gauss's lemma), so the reduced pair's joint
+        # content is the gcd c of all input coefficients
         c = gcd(*num.terms.values(), *den.terms.values())
         g = poly_gcd(num, den).scale(c if den.leading_coeff() > 0 else -c)
         self.num, self.den = poly_quo(num, g), poly_quo(den, g)
