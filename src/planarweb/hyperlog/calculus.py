@@ -25,7 +25,8 @@ def kernel_ratfunc(alphabet: Alphabet, letter: str) -> RatFunc:
     a = alphabet.points[letter]
     s = alphabet.signs[letter]
     # sign / (x - p/q) = sign q / (q x - p)
-    return RatFunc(BivarPoly.const(s * a.denominator), BivarPoly({(1, 0): a.denominator, (0, 0): -a.numerator}))
+    den = BivarPoly({(1, 0): a.denominator, (0, 0): -a.numerator})
+    return RatFunc(BivarPoly.const(s * a.denominator), den)
 
 
 class PrefactoredExpr:

@@ -342,7 +342,8 @@ def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
     Constant (nonzero) results are returned as 1.
     """
     rows = _prs_gcd(_y_rows(p), _y_rows(q))
-    return BivarPoly._of({(ex, ey): c for ey, row in enumerate(rows) for ex, c in enumerate(row) if c}).primitive_z()[1]
+    g = BivarPoly._of({(ex, ey): c for ey, row in enumerate(rows) for ex, c in enumerate(row) if c})
+    return g.primitive_z()[1]
 
 
 def poly_divides(d: BivarPoly, p: BivarPoly) -> bool:

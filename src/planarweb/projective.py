@@ -149,12 +149,11 @@ def classify_stratum(config: Configuration) -> Stratum:
 def line_pencil(p: ProjPoint) -> Foliation:
     """Pencil of lines through p, as a foliation of the affine chart z = 1."""
     x0, y0, z0 = p.coords
+    x, y = parse_ratfunc("x"), parse_ratfunc("y")
     if z0 != 0:
-        num = parse_ratfunc("x") - RatFunc.const(x0 / z0)
-        den = parse_ratfunc("y") - RatFunc.const(y0 / z0)
-        return Foliation(num / den)
+        return Foliation((x - RatFunc.const(x0 / z0)) / (y - RatFunc.const(y0 / z0)))
     # direction point at infinity: parallel lines y0*x - x0*y = const
-    return Foliation(RatFunc.const(y0) * parse_ratfunc("x") - RatFunc.const(x0) * parse_ratfunc("y"))
+    return Foliation(RatFunc.const(y0) * x - RatFunc.const(x0) * y)
 
 
 def conic_pencil(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint, q4: ProjPoint) -> Foliation:
