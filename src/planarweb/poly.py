@@ -396,6 +396,11 @@ def poly_divmod_exact(p: BivarPoly, d: BivarPoly):
 def poly_quo(p: BivarPoly, d: BivarPoly) -> BivarPoly:
     """The quotient p / d; raises ValueError unless d divides p exactly in
     Z[x, y]."""
+    if d.is_constant() and not d.is_zero():
+        c = d.constant_value()
+        if any(v % c for v in p.terms.values()):
+            raise ValueError("inexact polynomial division")
+        return p if c == 1 else BivarPoly._of({e: v // c for e, v in p.terms.items()})
     ok, q = poly_divmod_exact(p, d)
     if not ok:
         raise ValueError("inexact polynomial division")
