@@ -75,8 +75,9 @@ class Adfe:
 
     coeffs maps (unknown index, derivative order) to a nonzero BivarPoly; the
     unknown indices refer to the `inner` list (0-based).  The coefficients
-    are stored divided by their gcd, which is primitive, and by the integer
-    content of all of them (Gauss's lemma: the two divisions commute).
+    are stored divided by their gcd and by the integer content of all of
+    them; the gcd is primitive, so dividing by it leaves the contents as they
+    were (Gauss's lemma).
     """
 
     def __init__(self, inner: Sequence[RatFunc], coeffs: Dict[Tuple[int, int], BivarPoly]):
