@@ -1,6 +1,6 @@
 """Certified exact linear algebra over Q for the jet systems.
 
-Nullspaces are computed by reduced row echelon form modulo several word-sized
+Nullspaces are computed by reduced row echelon form modulo word-sized
 primes, Chinese-remainder combination of the (canonical) echelon kernel
 basis, rational reconstruction, and a final exact integer verification
 M v = 0 of every basis vector.
@@ -8,7 +8,19 @@ M v = 0 of every basis vector.
 This is a certificate, not a heuristic: rank mod p never exceeds the rank
 over Q, so the mod-p nullity bounds the rational nullity from above, while
 exactly verified independent kernel vectors bound it from below.  Once
-verification succeeds the two bounds meet and the kernel is exact.
+verification succeeds the two bounds meet and the kernel is exact.  The
+same bound certifies a zero kernel from a single prime whose rank equals
+the number of columns.
+
+The primes are walked in one order, taken from a prime table that grows on
+demand.  Each prime's pivot profile is compared as (rank, pivots): a higher
+rank, or the same rank with lexicographically smaller pivots, is better and
+restarts the lift, and a worse profile is skipped.  The pivots over Q are
+the lex-first profile of their rank, since no prefix of columns has a larger
+rank mod p than over Q.  The lift carries every kernel entry's residue from
+prime to prime by one Garner step, checks an entry's reconstructed n/d
+against each new prime, and reconstructs only the entries that have none;
+a candidate basis is verified after every prime once all entries have one.
 
 The same certificate answers span questions.  Put vectors in the columns of
 a matrix: each verified kernel vector writes one free column as a combination
@@ -25,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -65,6 +77,19 @@ def prime_stream():
         if _is_prime(n):
             yield n
         n -= 2
+
+
+# the primes of prime_stream() found so far, extended on demand (not at import)
+_PRIMES: List[int] = []
+_PRIME_SOURCE = prime_stream()
+_MAX_PRIMES = 600  # primes tried per nullspace, lucky or not
+
+
+def _prime(i: int) -> int:
+    """The i-th prime of prime_stream()."""
+    while len(_PRIMES) <= i:
+        _PRIMES.append(next(_PRIME_SOURCE))
+    return _PRIMES[i]
 
 
 # ---------------------------------------------------------------------------
@@ -166,56 +191,77 @@ def exact_nullspace(
     n = len(rows[0])
     int_rows = [r for r in _clear_rows(rows) if any(r)]
 
-    primes_used: List[int] = []
-    residues: List[dict] = []  # per prime: (free_col, piv_idx) -> residue
-    best: Optional[Tuple[Tuple[int, ...], int]] = None  # (pivots, rank)
-    stream = prime_stream()
-    max_primes = 600
-
-    while len(primes_used) < max_primes:
-        p = next(stream)
+    best = None  # (-rank, pivots): the smallest profile seen so far is the best
+    for i in range(_MAX_PRIMES):
+        p = _prime(i)
         piv, red = modp_rref(int_rows, p)
-        key = tuple(piv)
-        if best is None or len(piv) > best[1]:
-            best = (key, len(piv))
-            primes_used, residues = [], []
-        if key != best[0]:
-            continue  # unlucky prime (lower or different rank profile)
-        primes_used.append(p)
-        piv_list = list(best[0])
-        free_cols = sorted(set(range(n)).difference(piv_list))
-        residues.append({(f, k): red[k][f] for f in free_cols for k in range(len(piv_list))})
-        # try to reconstruct after every second prime
-        if len(primes_used) % 2 == 0:
-            kernel = _crt_reconstruct(primes_used, residues, piv_list, free_cols, n)
-            if kernel is not None and _verify_kernel(int_rows, kernel):
-                return ExactKernel(len(free_cols), kernel, piv_list)
+        if len(piv) == n:
+            return ExactKernel(0, [], piv)  # rank mod p <= rank over Q <= n
+        profile = (-len(piv), piv)
+        if best is None or profile < best:
+            best = profile
+            lift = _KernelLift(piv, n)
+        elif profile != best:
+            continue  # unlucky prime: lower rank or a later pivot profile
+        kernel = lift.add_prime(p, red)
+        if kernel is not None and _verify_kernel(int_rows, kernel):
+            return ExactKernel(len(kernel), kernel, piv)
     raise RuntimeError("kernel reconstruction did not converge (unexpected)")
 
 
-def _crt_reconstruct(primes, residues, piv_list, free_cols, n):
-    modulus = 1
-    for p in primes:
-        modulus *= p
-    # precompute CRT multipliers
-    mults = []
-    for p in primes:
-        mp = modulus // p
-        mults.append(mp * pow(mp % p, p - 2, p))
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for k, c in enumerate(piv_list):
-            acc = 0
-            for mult, res in zip(mults, residues):
-                acc += mult * res[(f, k)]
-            rec = rational_reconstruct((-acc) % modulus, modulus)
-            if rec is None:
-                return None
-            v[c] = rec
-        basis.append(v)
-    return basis
+class _KernelLift:
+    """Kernel entries of one pivot profile, carried from prime to prime.
+
+    Entry (f, k), for free column f and pivot index k, is v_f[piv[k]], which
+    is -red[k][f] modulo each prime.  Its residue modulo the product of the
+    primes so far grows by one Garner step per prime.  A reconstructed n/d
+    is kept while every new prime agrees with it, (n + d red[k][f]) mod p ==
+    0; a kept candidate is also what reconstruction from scratch would give,
+    since it already meets the smaller bound of an earlier modulus.
+    """
+
+    def __init__(self, piv: List[int], n: int):
+        self.piv = piv
+        self.n = n
+        pivots = set(piv)
+        self.free = [c for c in range(n) if c not in pivots]
+        size = len(self.free) * len(piv)
+        self.modulus = 1
+        self.residues = [0] * size
+        self.values: List[Optional[Fraction]] = [None] * size
+
+    def add_prime(self, p: int, red: List[List[int]]) -> Optional[List[List[Fraction]]]:
+        """Fold in one prime's echelon rows; return the candidate basis once
+        every entry has a value."""
+        m = self.modulus
+        inv = pow(m % p, -1, p)
+        residues, values = self.residues, self.values
+        i = 0
+        for f in self.free:
+            for row in red:
+                r = row[f]
+                a = residues[i]
+                residues[i] = a + m * ((-r - a) * inv % p)
+                v = values[i]
+                if v is not None and (v.numerator + v.denominator * r) % p:
+                    values[i] = None
+                i += 1
+        self.modulus = m = m * p
+        for i, v in enumerate(values):
+            if v is None:
+                v = rational_reconstruct(residues[i], m)
+                if v is None:
+                    return None  # too few primes; try the rest after the next one
+                values[i] = v
+        basis = []
+        it = iter(values)
+        for f in self.free:
+            v = [Fraction(0)] * self.n
+            v[f] = Fraction(1)
+            for c in self.piv:
+                v[c] = next(it)
+            basis.append(v)
+        return basis
 
 
 def _verify_kernel(int_rows: List[List[int]], basis: List[List[Fraction]]) -> bool:

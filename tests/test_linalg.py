@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from exact_oracle import greedy_independent
+from planarweb import linalg
 from planarweb.linalg import (
     exact_nullspace,
     exact_rank_of_span,
@@ -131,3 +134,68 @@ def test_independent_rows_degenerate_inputs():
     assert independent_rows([[Fraction(0)] * 3] * 2) == []
     v = [Fraction(1), Fraction(-2), Fraction(10**60, 7)]
     assert independent_rows([v, [Fraction(0)] * 3, v, [2 * x for x in v]]) == [0]
+
+
+def count_modp_rref(monkeypatch, limit=None):
+    """Count exact_nullspace's mod-p eliminations; past `limit` calls fail
+    the test instead of letting it run on."""
+    calls = []
+    real = linalg.modp_rref
+
+    def counted(rows, p):
+        calls.append(p)
+        if limit is not None and len(calls) > limit:
+            pytest.fail(f"more than {limit} primes")
+        return real(rows, p)
+
+    monkeypatch.setattr(linalg, "modp_rref", counted)
+    return calls
+
+
+def test_first_prime_dividing_an_entry(monkeypatch):
+    # 134217689 is the first prime of the stream: modulo it the pivot is
+    # column 1, modulo every later prime column 0 (the pivot over Q)
+    p0 = next(linalg.prime_stream())
+    assert p0 == 134217689
+    count_modp_rref(monkeypatch, limit=20)
+    kern = exact_nullspace([[p0, 1]])
+    assert kern.dimension == 1
+    assert kern.pivot_cols == [0]
+    assert kern.basis == [[Fraction(-1, p0), Fraction(1)]]
+    assert independent_rows([[p0], [1]]) == [0]
+    kern = exact_nullspace([[p0, 1], [0, 1]])
+    assert (kern.dimension, kern.basis, kern.pivot_cols) == (0, [], [0, 1])
+
+
+def test_full_column_rank_needs_one_prime(monkeypatch):
+    calls = count_modp_rref(monkeypatch)
+    kern = exact_nullspace([[1, 2], [3, 4], [5, 6]])
+    assert (kern.dimension, kern.basis, kern.pivot_cols) == (0, [], [0, 1])
+    assert len(calls) == 1
+
+
+def test_kernel_entries_of_300_bits():
+    # adding multiples of earlier rows keeps the echelon form [I | B], so the
+    # kernel entries are the entries of -B, ratios of about 300-bit integers
+    rng = random.Random(23)
+    rank, n = 4, 7
+
+    def big():
+        return Fraction(rng.getrandbits(300) - 2**299, rng.getrandbits(300) | 1)
+
+    b = [[big() for _ in range(n - rank)] for _ in range(rank)]
+    m = []
+    for i in range(rank):
+        row = [Fraction(int(i == j)) for j in range(rank)] + b[i]
+        for earlier in m:
+            c = rng.randrange(-3, 4)
+            row = [x + c * y for x, y in zip(row, earlier)]
+        m.append(row)
+    kern = exact_nullspace(m)
+    assert kern.dimension == brute_nullspace_dim(m, n) == n - rank
+    assert kern.pivot_cols == list(range(rank))
+    for f, v in enumerate(kern.basis):
+        assert v[:rank] == [-b[k][f] for k in range(rank)]
+        for row in m:
+            assert sum(a * x for a, x in zip(row, v)) == 0
+
