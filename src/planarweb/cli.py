@@ -245,7 +245,9 @@ def cmd_prop7(args) -> int:
     return 0 if report["match"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     p = argparse.ArgumentParser(
         prog="planarweb",
         description="exact tools for abelian functional equations and planar webs",
@@ -315,16 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call: building it takes milliseconds,
-    and an in-process caller may run many commands."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -8,9 +8,9 @@ M v = 0 of every basis vector.
 This is a certificate, not a heuristic: rank mod p never exceeds the rank
 over Q, so the mod-p nullity bounds the rational nullity from above, while
 exactly verified independent kernel vectors bound it from below.  Once
-verification succeeds the two bounds meet and the kernel is exact.  The
-same bound certifies a zero kernel from a single prime whose rank equals
-the number of columns.
+verification succeeds the two bounds meet and the kernel is exact.  At
+full column rank the lift has no entries, so the first prime's empty basis
+verifies at once and certifies a zero kernel.
 
 The primes are walked in one order, taken from a prime table that grows on
 demand.  Each prime's pivot profile is compared as (rank, pivots): a higher
@@ -195,8 +195,6 @@ def exact_nullspace(
     for i in range(_MAX_PRIMES):
         p = _prime(i)
         piv, red = modp_rref(int_rows, p)
-        if len(piv) == n:
-            return ExactKernel(0, [], piv)  # rank mod p <= rank over Q <= n
         profile = (-len(piv), piv)
         if best is None or profile < best:
             best = profile
