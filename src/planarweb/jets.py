@@ -16,21 +16,48 @@ l_i = dU_i(base); powers l_i^m of pairwise non-proportional linear forms
 (the base point is off the tangency locus) are independent when N <= m + 1,
 so c = 0 and, by induction, every F_i is constant.
 
+The kernel at order K + 1 is also certified when it is prolonged from the
+certified kernel at order K instead of solved afresh.  v^k has no terms
+below degree k, and the table's coefficients of degree <= K do not depend
+on the order it was expanded to, so the rows of degree <= K of the order
+K + 1 system are the order-K rows with zeros in the new columns (i, K + 1).
+Hence ker_{K+1} = {(x, y) : x in ker_K, B x + C y = 0}, where [B | C] are
+the K + 2 rows of degree K + 1.  With v_1..v_d a basis of ker_K, the map
+(z, y) -> (sum_j z_j v_j, y) is injective and sends the kernel of the small
+system [C | B v_1 .. B v_d] onto ker_{K+1}, and that small kernel is
+certified like any other.
+
 What is heuristic.  Only the stop rule: K starts at N and grows by 1, and
 the rank is taken to be the dimension once `stabilize` (default three)
 consecutive orders give equal dimensions, with a hard cap N(N-1)/2 + 3.
-The ladder is `_stabilized_dims`, shared by the web rank and the pattern
-rank.
+The stop rule is `_stabilized_dims`, shared by the web rank and the
+pattern rank.
+
+The rank ladder.  Each BasePoint keeps the kernels of its web's jet
+systems by order (`jet_kernel`).  The first order asked for is one full
+JetSystem; each later order adds one degree of rows by the prolongation
+above, from the highest order already known.  The web's rank, every
+subweb's rank at the web's point, the filtration and the sub-solutions of
+a pattern read these ladders, so a subweb read at the web's order climbs
+its own ladder there.  The kernels are primitive integer vectors in the
+columns of `_jet_columns`, slot by slot, so an order-K vector widens to
+order K + 1 by one entry at the end of each slot's block.  The new columns
+come first in the small system.  From K = N - 2 on, C has full column rank
+(the powers l_i^(K+1) above), so the lex-first pivots of the certified
+kernel are C's columns, and at an order where the dimension stays each old
+vector v_j extends by itself, with z the j-th unit vector.
 
 The jet table.  Rows are built from one table per (web, point), held by
 its BasePoint: the powers v_i^k of v_i = U_i - U_i(base) as dicts of
 integer coefficients over den_i^k.  It grows lazily: an integral asked for
 a higher order is expanded again at that order, and a lower order reads the
-entries by truncation, because v^k has no terms below degree k.  A
-subweb's base point at the parent's point (BasePoint.restrict) shares the
-parent's entries, so the web, every subweb and every order read one table.
-Each row is scaled to the primitive integer row of the rational system:
-multiplied by the lcm of the den_i^k it touches and divided by its gcd.
+entries by truncation.  The rank ladder asks for the N + stabilize - 1
+orders its stop rule reads at least, so each integral is expanded once
+unless the ladder climbs past them.  A subweb's base point at the parent's
+point (BasePoint.restrict) shares the parent's entries, so the web, every
+subweb and every order read one table.  Each row is scaled to the
+primitive integer row of the rational system: multiplied by the lcm of the
+den_i^k it touches and divided by its gcd.
 """
 
 from __future__ import annotations
@@ -38,6 +65,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter, NotStabilized
@@ -55,16 +83,18 @@ def _jet_columns(n: int, order: int) -> Dict[Tuple[int, int], int]:
     return {(i, k): i * order + k - 1 for i in range(n) for k in range(1, order + 1)}
 
 
-def _jet_rows(base: BasePoint, terms, order: int, n_cols: int, first_power: int) -> List[List[int]]:
+def _jet_rows(
+    base: BasePoint, terms, order: int, n_cols: int, first_power: int, lowest: int = 0
+) -> List[List[int]]:
     """Rows of sum over terms (i, m, col) of m * sum_k c_{col+k} v_i^k,
     k = first_power..order, v_i^k read from the base point's jet table: one
-    row per monomial of total degree <= order with a nonzero coefficient.
-    Each row is multiplied by the lcm of the den^k it touches and divided by
-    its gcd: the primitive integer row proportional to the rational one,
-    whatever denominators the table holds."""
+    row per monomial of total degree lowest..order with a nonzero
+    coefficient.  Each row is multiplied by the lcm of the den^k it touches
+    and divided by its gcd: the primitive integer row proportional to the
+    rational one, whatever denominators the table holds."""
     tables = [(base.jet_powers(i, order), m, col) for i, m, col in terms]
     rows = []
-    for total in range(order + 1):
+    for total in range(lowest, order + 1):
         for a in range(total + 1):
             e = (a, total - a)
             hits = []
@@ -96,17 +126,84 @@ class JetSystem:
         self.base = base
         self.order = order
         self.unknown_index = _jet_columns(web.size, order)
-        terms = [(i, 1, i * order - 1) for i in range(web.size)]
-        self.rows = _jet_rows(base, terms, order, len(self.unknown_index), 1)
+        self.rows = _jet_rows(base, _slot_terms(web.size, order), order, len(self.unknown_index), 1)
 
     def nullspace(self) -> ExactKernel:
         return exact_nullspace(self.rows, n_cols=len(self.unknown_index))
 
 
-class KernelBasis:
-    """Exact kernel vectors of a stabilized jet system."""
+def _slot_terms(n: int, order: int):
+    """_jet_rows terms of the web system: slot i, multiplier 1, columns of
+    _jet_columns(n, order)."""
+    return [(i, 1, i * order - 1) for i in range(n)]
 
-    def __init__(self, vectors: List[List[Fraction]], order: int, unknown_index):
+
+def _primitive(v: Sequence[Fraction]) -> List[int]:
+    """A nonzero rational vector scaled to coprime integers."""
+    den = lcm(*(c.denominator for c in v))
+    x = [c.numerator * (den // c.denominator) for c in v]
+    g = gcd(*x)
+    return [c // g for c in x]
+
+
+def _prolong(base: BasePoint, vectors: List[List[int]], order: int) -> List[List[int]]:
+    """Kernel basis of the order-(K+1) jet system from a certified one at
+    order K = `order`.  The rows of degree <= K at order K+1 are the order-K
+    rows, zero on the new columns (i, K+1), so the kernel is the (x, y) with
+    x = sum_j z_j v_j and B x + C y = 0 for the degree-(K+1) rows [B | C].
+    The small system [C | B v_1 .. B v_d] is solved exactly and its kernel
+    lifted by (z, y) -> (sum_j z_j v_j, y), which is injective."""
+    n = base.web.size
+    new = order + 1
+    # the old vectors in the order-(K+1) columns, zero on the new ones
+    old = []
+    for v in vectors:
+        w = []
+        for i in range(n):
+            w.extend(v[i * order : (i + 1) * order])
+            w.append(0)
+        old.append(w)
+    tops = [i * new + order for i in range(n)]  # the columns (i, K+1)
+    rows = _jet_rows(base, _slot_terms(n, new), new, n * new, 1, new)
+    small = [[r[c] for c in tops] + [sum(map(mul, r, w)) for w in old] for r in rows]
+    out = []
+    for yz in exact_nullspace(small, n_cols=n + len(old)).basis:
+        a = _primitive(yz)
+        x = [0] * (n * new)
+        for c, y in zip(tops, a):
+            x[c] = y
+        for z, w in zip(a[n:], old):
+            if z:
+                x = [s + z * t for s, t in zip(x, w)]
+        out.append(_primitive(x))
+    return out
+
+
+def jet_kernel(base: BasePoint, order: int) -> List[List[int]]:
+    """Certified kernel basis of base.web's order-`order` jet system, as
+    primitive integer vectors in the columns of _jet_columns, from the base
+    point's ladder: the first order asked for is a full JetSystem, and a
+    higher one is prolonged a degree at a time from the highest order below
+    it."""
+    kernels = base.kernels
+    if order not in kernels:
+        below = [k for k in kernels if k < order]
+        if not below:
+            system = JetSystem(base.web, base, order)
+            kernels[order] = [_primitive(v) for v in system.nullspace().basis]
+        else:
+            k = max(below)
+            while k < order:
+                kernels[k + 1] = _prolong(base, kernels[k], k)
+                k += 1
+    return kernels[order]
+
+
+class KernelBasis:
+    """Exact kernel vectors of a stabilized jet system: primitive integer
+    vectors for a web's rank, Fractions for a pattern's."""
+
+    def __init__(self, vectors: List[List[Fraction | int]], order: int, unknown_index):
         self.vectors = vectors
         self.order = order
         self.unknown_index = dict(unknown_index)
@@ -120,13 +217,17 @@ def bol_bound(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
+def _order_cap(n: int, max_order: Optional[int]) -> int:
+    return max_order if max_order is not None else n * (n - 1) // 2 + 3
+
+
 def _stabilized_dims(n, dim_at, failure, stabilize=3, max_order=None) -> Dict[int, int]:
     """dim_at(K) for K = N, N + 1, .. until the last `stabilize` dims are
     equal, capped at max_order (default N(N-1)/2 + 3).  Returns the dims by
     order; at the cap raises NotStabilized with the message `failure`,
     formatted with the cap and the dims.  A ladder with fewer than
     `stabilize` orders can never stop, so it is an InvalidParameter."""
-    cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
+    cap = _order_cap(n, max_order)
     if stabilize > cap - n + 1:
         raise InvalidParameter(f"orders {n}..{cap} are too few to stabilize over {stabilize}")
     dims: Dict[int, int] = {}
@@ -149,14 +250,17 @@ def abelian_rank(
     if base is None:
         base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
     n = web.size
-    kernels: Dict[int, ExactKernel] = {}
 
     def dim_at(order):
-        kern = JetSystem(web, base, order).nullspace()
-        if kernels and kern.dimension > kernels[order - 1].dimension:
+        if order == n:
+            # the stop rule reads at least `stabilize` orders: expand the
+            # jet table once for all of them, not once per order
+            for i in range(n):
+                base.jet_powers(i, min(n + stabilize - 1, _order_cap(n, max_order)))
+        dim = len(jet_kernel(base, order))
+        if order > n and dim > len(jet_kernel(base, order - 1)):
             raise AssertionError("kernel dimension increased with the truncation order")
-        kernels[order] = kern
-        return kern.dimension
+        return dim
 
     dims = _stabilized_dims(
         n, dim_at, "kernel dimension not stabilized by order {cap}: {dims}", stabilize, max_order
@@ -165,26 +269,20 @@ def abelian_rank(
     rank = dims[order]
     if rank > bol_bound(n):
         raise AssertionError(f"computed rank {rank} exceeds the bound {bol_bound(n)}")
-    return rank, KernelBasis(kernels[order].basis, order, _jet_columns(n, order))
+    return rank, KernelBasis(jet_kernel(base, order), order, _jet_columns(n, order))
 
 
 def rank_only(web: Web, base: Optional[BasePoint] = None) -> int:
     return abelian_rank(web, base)[0]
 
 
-def _subweb_jets(base: BasePoint, subset: Sequence[int], order: int, col_of):
-    """The subweb's base point (the parent's point and jet table) and its
-    order-`order` kernel vectors, embedded in the parent's jet columns
-    `col_of`."""
-    sub_base = base.restrict(subset)
-    system = JetSystem(sub_base.web, sub_base, order)
-    jets = []
-    for v in system.nullspace().basis:
-        big = [Fraction(0)] * len(col_of)
-        for (si, k), col in system.unknown_index.items():
-            big[col_of[(subset[si] - 1, k)]] = v[col]
-        jets.append(big)
-    return sub_base, jets
+def _embed(v: List[int], subset: Sequence[int], n: int, order: int) -> List[int]:
+    """A subweb's jet vector in the web's jet columns: slot si of the subweb
+    is foliation subset[si] (1-based), both laid out by _jet_columns."""
+    big = [0] * (n * order)
+    for si, s in enumerate(subset):
+        big[(s - 1) * order : s * order] = v[si * order : (si + 1) * order]
+    return big
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +299,18 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
     order = basis.order
     n = web.size
     out: Dict[int, int] = {}
-    vecs: List[List[Fraction]] = []  # a basis of F^(p-1), then the new jets
+    vecs: List[List[int]] = []  # a basis of F^(p-1), then the new jets
     for p in range(3, n + 1):
         for subset in combinations(range(1, n + 1), p):
-            sub_base, jets = _subweb_jets(base, subset, order, basis.unknown_index)
+            sub_base = base.restrict(subset)
             sub_rank = rank_only(sub_base.web, sub_base)
+            jets = jet_kernel(sub_base, order)
             if len(jets) != sub_rank:
                 raise NotStabilized(
                     f"subweb {subset} kernel at order {order} has dim "
                     f"{len(jets)} but stabilized rank {sub_rank}"
                 )
-            vecs.extend(jets)
+            vecs.extend(_embed(v, subset, n, order) for v in jets)
         vecs = [vecs[i] for i in independent_rows(vecs)]
         out[p] = len(vecs)
     assert out[n] == rank, "full filtration level must equal the rank"
@@ -386,9 +485,10 @@ def constrained_rank(
 
     # sub-solutions first, so a projected vector is kept iff it enlarges the
     # span of the sub-solution jets and of the projected vectors before it
-    sub_jets: List[List[Fraction]] = []
+    sub_jets: List[List[int]] = []
     for subset in combinations(range(1, n + 1), n - 1):
-        sub_jets.extend(_subweb_jets(base, subset, order, slot_cols)[1])
+        jets = jet_kernel(base.restrict(subset), order)
+        sub_jets.extend(_embed(v, subset, n, order) for v in jets)
     n_sub = len(sub_jets)
     genuine = [
         projected[i - n_sub] for i in independent_rows(sub_jets + projected) if i >= n_sub

@@ -285,13 +285,18 @@ class BasePoint:
     It holds the point's jet table: the integer jet powers of each integral,
     grown lazily by order (see `jet_powers`).  A subweb's base point from
     `restrict` shares the parent's entries, so each integral is expanded
-    once per order, however many subwebs and orders read it."""
+    once per order, however many subwebs and orders read it.
+
+    It also holds the rungs of its web's rank ladder: `kernels[K]` is the
+    certified kernel of the order-K jet system, filled by `jets.jet_kernel`.
+    A subweb's base point has its own ladder."""
 
     def __init__(self, web: Web, point: Tuple[Fraction, Fraction]):
         self.point = (Fraction(point[0]), Fraction(point[1]))
         self.web = web
         self.images: List[Fraction] = [u.evaluate(*self.point) for u in web.integrals()]
         self._jets = [_JetPowers(u, v, self.point) for u, v in zip(web.integrals(), self.images)]
+        self.kernels: Dict[int, List[List[int]]] = {}
 
     def jet_powers(self, i: int, order: int):
         """(den_powers, powers) of integral i (0-based): v^k = powers[k] /
@@ -309,6 +314,7 @@ class BasePoint:
         sub.web = self.web.subweb(idx)
         sub.images = [self.images[i - 1] for i in idx]
         sub._jets = [self._jets[i - 1] for i in idx]
+        sub.kernels = {}
         return sub
 
     def __repr__(self):

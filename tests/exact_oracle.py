@@ -22,7 +22,7 @@ class FractionSpan:
         for row, pc in zip(self.rows, self.pivots):
             if w[pc]:
                 f = w[pc]
-                w = [a - f * b for a, b in zip(w, row)]
+                w = [a - f * b if b else a for a, b in zip(w, row)]
         return w
 
     def contains(self, v):

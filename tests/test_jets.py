@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 import pytest
 
@@ -13,12 +14,15 @@ from planarweb.jets import (
     bol_bound,
     filtration_dims,
     hexagonality,
+    jet_kernel,
     rank_only,
     rank_report,
 )
 from planarweb.parse import parse_ratfunc as P
 from planarweb.ratfunc import RatFunc, SeriesJet
 from planarweb.web import BasePoint, Web, pick_generic_point
+
+from exact_oracle import FractionSpan
 
 
 def test_rank_cauchy(cauchy_web):
@@ -69,7 +73,6 @@ def test_kernel_extends_to_higher_order(bol_web):
     rank, basis = abelian_rank(bol_web, bp)
     order = basis.order
     high = JetSystem(bol_web, bp, order + 2).nullspace()
-    from exact_oracle import FractionSpan
 
     # project high-order kernel down and check it spans the stabilized one
     proj = []
@@ -215,15 +218,99 @@ def test_subweb_jet_rows_read_from_the_parent_table(bol_web):
 
 
 def test_hexagonality_expands_each_integral_once_per_order(sk_web, monkeypatch):
-    # the triples share the web's jet table: an integral is expanded again
-    # only when a higher order is asked for, not once per triple
-    orders = []
+    # the triples share the web's jet table, and each triple's ladder asks
+    # it for the three orders its stop rule reads at once: every triple of
+    # sk stops at order 5, so each integral is expanded once, not once per
+    # triple or order
+    expanded = []
     taylor = RatFunc.taylor
 
     def counted(self, center, order):
-        orders.append(order)
+        expanded.append(self)
         return taylor(self, center, order)
 
     monkeypatch.setattr(RatFunc, "taylor", counted)
     hexagonality(sk_web)
-    assert 0 < len(orders) <= sk_web.size * len(set(orders))
+    assert sorted(map(id, expanded)) == sorted(map(id, sk_web.integrals()))
+
+
+def _truncated(v, n, order):
+    """An order-(order + 1) jet vector cut to order `order`."""
+    return [c for i in range(n) for c in v[i * (order + 1) : i * (order + 1) + order]]
+
+
+def _ladders_match_direct_systems(base, top):
+    """From each first order 1..N, the ladder's kernels at every order up to
+    `top` span the kernel of the JetSystem of that order: the same
+    dimension, every vector annihilates the system's rows exactly, and the
+    vectors are independent on its free columns (a basis of the kernel
+    restricts to an invertible matrix there).  Returns each ladder's
+    kernels by order, keyed by its first order."""
+    web = base.web
+    direct = {}
+    for order in range(1, top + 1):
+        system = JetSystem(web, base, order)
+        direct[order] = (system.rows, system.nullspace())
+    ladders = {}
+    for first in range(1, web.size + 1):
+        ladder = base.restrict(range(1, web.size + 1))  # the same table, a fresh ladder
+        kernels = {order: jet_kernel(ladder, order) for order in range(first, top + 1)}
+        for order, vectors in kernels.items():
+            rows, kernel = direct[order]
+            assert len(vectors) == kernel.dimension, (web.name, first, order)
+            assert all(sum(map(mul, r, v)) == 0 for v in vectors for r in rows)
+            free = [c for c in range(web.size * order) if c not in kernel.pivot_cols]
+            span = FractionSpan([[v[c] for c in free] for v in vectors])
+            assert span.rank == kernel.dimension, (web.name, first, order)
+        ladders[first] = kernels
+    return ladders
+
+
+@pytest.mark.parametrize(
+    "web_name", ["bol_web", "cauchy_web", "arctan_web", "configc_web", "sk_web"]
+)
+def test_ladder_equals_jet_system(web_name, request):
+    web = request.getfixturevalue(web_name)
+    base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    ladders = _ladders_match_direct_systems(base, web.size + 3)
+    if web_name == "configc_web":
+        # a rising ladder: below order N - 2 the new columns add solutions
+        assert [len(ladders[1][k]) for k in (1, 2, 3)] == [6, 11, 15]
+
+
+def test_ladder_equals_jet_system_on_subwebs(bol_web, sk_web):
+    base = pick_generic_point(bol_web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    for p in (3, 4, 5):
+        for subset in combinations(range(1, bol_web.size + 1), p):
+            _ladders_match_direct_systems(base.restrict(subset), p + 3)
+    sk_base = pick_generic_point(sk_web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    # a falling ladder: the rank-0 triple's one solution of orders 1 and 2
+    # does not extend to order 3
+    kernels = _ladders_match_direct_systems(sk_base.restrict((1, 3, 7)), 6)[1]
+    assert [len(kernels[k]) for k in range(1, 7)] == [1, 1, 0, 0, 0, 0]
+    # at order 4 this subweb's kernel holds a vector whose truncation to
+    # order 3 combines several order-3 vectors, the general lift
+    kernels = _ladders_match_direct_systems(sk_base.restrict((1, 2, 3, 7)), 7)[1]
+    cut = [_truncated(v, 4, 3) for v in kernels[4]]
+    assert any(all(not FractionSpan([v]).contains(c) for v in kernels[3]) for c in cut)
+
+
+@pytest.mark.parametrize("web_name,jet_systems", [("sk_web", 84), ("bol_web", 17)])
+def test_each_ladder_solves_one_jet_system(web_name, jet_systems, request, monkeypatch):
+    # one full system at each ladder's first order, every later order a
+    # prolongation: one per triple of sk, and one per subweb plus one for
+    # the web in bol's filtration
+    web = request.getfixturevalue(web_name)
+    built = []
+    init = JetSystem.__init__
+
+    def counted(self, *args):
+        built.append(args[2])
+        init(self, *args)
+
+    monkeypatch.setattr(JetSystem, "__init__", counted)
+    if web_name == "sk_web":
+        hexagonality(web)
+    else:
+        filtration_dims(web)
+    assert len(built) == jet_systems
