@@ -51,13 +51,16 @@ The jet table.  Rows are built from one table per (web, point), held by
 its BasePoint: the powers v_i^k of v_i = U_i - U_i(base) as dicts of
 integer coefficients over den_i^k.  It grows lazily: an integral asked for
 a higher order is expanded again at that order, and a lower order reads the
-entries by truncation.  The rank ladder asks for the N + stabilize - 1
-orders its stop rule reads at least, so each integral is expanded once
-unless the ladder climbs past them.  A subweb's base point at the parent's
-point (BasePoint.restrict) shares the parent's entries, so the web, every
-subweb and every order read one table.  Each row is scaled to the
-primitive integer row of the rational system: multiplied by the lcm of the
-den_i^k it touches and divided by its gcd.
+entries by truncation.  Every ladder, whether the web's rank, a table of
+subweb ranks or a pattern's rank at several base points, first asks the
+table once for the N + stabilize - 1 orders its stop rule reads at least
+(`_expand_jet_tables`, over the largest N of a subweb table), so each
+integral is expanded once per base point unless a ladder climbs past
+them.  A subweb's base point at the parent's point (BasePoint.restrict)
+shares the parent's entries, so the web, every subweb and every order read
+one table.  Each row is scaled to the primitive integer row of the rational
+system: multiplied by the lcm of the den_i^k it touches and divided by its
+gcd.
 """
 
 from __future__ import annotations
@@ -221,6 +224,18 @@ def _order_cap(n: int, max_order: Optional[int]) -> int:
     return max_order if max_order is not None else n * (n - 1) // 2 + 3
 
 
+def _expand_jet_tables(bases, slots, sizes, stabilize=3, max_order=None) -> None:
+    """Expand the jet table entries of the given integrals (0-based) at each
+    base point once, to the last order that the stop rule of a ladder of any
+    of the given web sizes reads at least: N + stabilize - 1, capped.  The
+    lower orders read these entries by truncation, so a ladder that stops
+    at its first chance expands each integral once, not once per order."""
+    top = max(min(n + stabilize - 1, _order_cap(n, max_order)) for n in sizes)
+    for bp in bases:
+        for i in slots:
+            bp.jet_powers(i, top)
+
+
 def _stabilized_dims(n, dim_at, failure, stabilize=3, max_order=None) -> Dict[int, int]:
     """dim_at(K) for K = N, N + 1, .. until the last `stabilize` dims are
     equal, capped at max_order (default N(N-1)/2 + 3).  Returns the dims by
@@ -253,10 +268,7 @@ def abelian_rank(
 
     def dim_at(order):
         if order == n:
-            # the stop rule reads at least `stabilize` orders: expand the
-            # jet table once for all of them, not once per order
-            for i in range(n):
-                base.jet_powers(i, min(n + stabilize - 1, _order_cap(n, max_order)))
+            _expand_jet_tables([base], range(n), [n], stabilize, max_order)
         dim = len(jet_kernel(base, order))
         if order > n and dim > len(jet_kernel(base, order - 1)):
             raise AssertionError("kernel dimension increased with the truncation order")
@@ -338,8 +350,12 @@ def rank_report(web: Web, subweb_sizes: Sequence[int], base: Optional[BasePoint]
     web's base point."""
     if base is None:
         base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
+    sizes = sorted(set(subweb_sizes))
+    tabulated = [size for size in sizes if size <= web.size]
+    if tabulated:
+        _expand_jet_tables([base], range(web.size), tabulated)
     entries = []
-    for size in sorted(set(subweb_sizes)):
+    for size in sizes:
         for subset in combinations(range(1, web.size + 1), size):
             sub_base = base.restrict(subset)
             r = rank_only(sub_base.web, sub_base)
@@ -439,6 +455,7 @@ def constrained_rank(
             if (ci, val) not in germ_keys:
                 germ_keys.append((ci, val))
     germ_keys.sort(key=lambda t: (t[0], t[1]))
+    _expand_jet_tables(bases, [s - 1 for s in slots], [n])
     kernels = {}
 
     def dim_at(order):

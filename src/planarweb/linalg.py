@@ -1,9 +1,9 @@
 """Certified exact linear algebra over Q for the jet systems.
 
-Nullspaces are computed by reduced row echelon form modulo word-sized
-primes, Chinese-remainder combination of the (canonical) echelon kernel
-basis, rational reconstruction, and a final exact integer verification
-M v = 0 of every basis vector.
+Nullspaces are computed by reduced row echelon form modulo 62-bit primes,
+Chinese-remainder combination of the (canonical) echelon kernel basis,
+rational reconstruction, and a final exact integer verification M v = 0 of
+every basis vector.
 
 This is a certificate, not a heuristic: rank mod p never exceeds the rank
 over Q, so the mod-p nullity bounds the rational nullity from above, while
@@ -28,9 +28,12 @@ of earlier pivot columns only, so the pivot columns are exactly the vectors
 that a greedy pass over Q keeps.  Ranks of spans and independent subsets are
 read off those pivots; there is no second elimination engine.
 
-Primes are 27-bit so the elimination fits int64 numpy arithmetic:
-modp_rref reduces mod p after every row operation, so no intermediate
-exceeds (p-1)^2 < 2^63.
+The primes are the primes just below 2^62, found by a Miller-Rabin test
+with the twelve prime bases 2..37, which is a proof below 3.18 * 10^23.
+One prime then reconstructs entries n/d with |n|, d <= 2^30.5, so most
+kernels need a single prime.  modp_rref eliminates on Python ints and
+reduces lazily: each pivot adds less than p^2 to an entry, so the entries
+stay below (rank + 1) p^2 until one final reduction mod p.
 """
 
 from __future__ import annotations
@@ -39,11 +42,9 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 
 # ---------------------------------------------------------------------------
-# deterministic prime stream (27-bit)
+# deterministic prime stream (62-bit)
 # ---------------------------------------------------------------------------
 
 
@@ -71,9 +72,9 @@ def _is_prime(n: int) -> bool:
 
 
 def prime_stream():
-    """Deterministic decreasing stream of 27-bit primes."""
-    n = (1 << 27) - 1
-    while n > (1 << 26):
+    """Deterministic decreasing stream of the primes below 2^62."""
+    n = (1 << 62) - 1
+    while n > (1 << 61):
         if _is_prime(n):
             yield n
         n -= 2
@@ -98,30 +99,45 @@ def _prime(i: int) -> int:
 
 
 def modp_rref(rows: Sequence[Sequence[int]], p: int):
-    """(pivot columns, reduced rows) of the integer matrix modulo p."""
-    if not rows:
-        return [], []
-    m = np.array([[v % p for v in row] for row in rows], dtype=np.int64)
-    n_rows, n_cols = m.shape
+    """(pivot columns, reduced rows) of the integer matrix modulo p.
+
+    Gauss-Jordan on lists of ints with lazy reduction: an entry is reduced
+    when it is read as a pivot or a multiplier, and the rows only once at
+    the end, since each pivot adds less than p^2 to an entry."""
+    m = [[v % p for v in row] for row in rows]
+    n_rows = len(m)
+    n_cols = len(m[0]) if m else 0
     piv_cols: List[int] = []
     r = 0
     for c in range(n_cols):
-        if r >= n_rows:
+        if r == n_rows:
             break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        for i in range(r, n_rows):
+            a = m[i][c] % p
+            if a:
+                break
+        else:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            m[[r, i]] = m[[i, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != r]
-        if others.size:
-            m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+        row = m[i]
+        m[i], m[r] = m[r], row
+        inv = pow(a, -1, p)
+        row[c] = 1
+        nz = []
+        for j in range(c + 1, n_cols):
+            b = row[j] * inv % p
+            row[j] = b
+            if b:
+                nz.append((j, b))
+        for k, other in enumerate(m):
+            if k != r:
+                f = other[c] % p
+                if f:
+                    other[c] = 0
+                    for j, b in nz:
+                        other[j] -= f * b
         piv_cols.append(c)
         r += 1
-    return piv_cols, m[: len(piv_cols)].tolist()
+    return piv_cols, [[v % p for v in row] for row in m[:r]]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from planarweb.jets import (
     _stabilized_dims,
     abelian_rank,
     bol_bound,
+    constrained_rank,
     filtration_dims,
     hexagonality,
     jet_kernel,
@@ -232,6 +233,43 @@ def test_hexagonality_expands_each_integral_once_per_order(sk_web, monkeypatch):
     monkeypatch.setattr(RatFunc, "taylor", counted)
     hexagonality(sk_web)
     assert sorted(map(id, expanded)) == sorted(map(id, sk_web.integrals()))
+
+
+def count_expansions(monkeypatch):
+    """(integral, center) of every Taylor expansion made from now on."""
+    expanded = []
+    taylor = RatFunc.taylor
+
+    def counted(self, center, order):
+        expanded.append((id(self), tuple(center)))
+        return taylor(self, center, order)
+
+    monkeypatch.setattr(RatFunc, "taylor", counted)
+    return expanded
+
+
+def test_rank_report_expands_each_integral_once(bol_web, monkeypatch):
+    # the ladders of sizes 3, 4 and 5 read orders up to 5, 6 and 7 at least:
+    # a fresh table is expanded once to order 7, not once per size
+    base = pick_generic_point(bol_web, preferred=(Fraction(1, 2), Fraction(3, 4)))
+    expanded = count_expansions(monkeypatch)
+    report = rank_report(bol_web, [3, 4, 5], base)
+    assert [e["rank"] for e in report["subwebs"] if e["size"] == 5] == [6]
+    assert sorted(expanded) == sorted((id(u), base.point) for u in bol_web.integrals())
+
+
+def test_constrained_rank_expands_each_integral_once_per_base_point(
+    bol_web_indomain, monkeypatch
+):
+    # the pattern's ladder reads orders 5, 6 and 7 at the base point and at
+    # each auxiliary point; every table is expanded once, to order 7
+    web = bol_web_indomain
+    base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    expanded = count_expansions(monkeypatch)
+    rep = constrained_rank(web, Pattern([[1, 2, 3, 4, 5]], {1: 1, 2: -1, 3: -1, 4: -1, 5: 1}), base)
+    assert rep["order"] == 7 and len(rep["aux_points"]) == 2
+    points = [base.point] + [(Fraction(a), Fraction(b)) for a, b in rep["aux_points"]]
+    assert sorted(expanded) == sorted((id(u), pt) for u in web.integrals() for pt in points)
 
 
 def _truncated(v, n, order):

@@ -136,6 +136,58 @@ def test_independent_rows_degenerate_inputs():
     assert independent_rows([v, [Fraction(0)] * 3, v, [2 * x for x in v]]) == [0]
 
 
+def test_prime_stream_is_decreasing_62_bit_primes():
+    sympy = pytest.importorskip("sympy")
+    stream = linalg.prime_stream()
+    primes = [next(stream) for _ in range(12)]
+    assert primes == sorted(set(primes), reverse=True)
+    assert all(2**61 < p < 2**62 and sympy.isprime(p) for p in primes)
+    # no prime is skipped between the first and the last
+    assert [q for q in range(primes[-1], 2**62) if sympy.isprime(q)] == primes[::-1]
+
+
+def reference_rref(rows, p):
+    """Reduced echelon form mod p, reduced after every operation."""
+    m = [[v % p for v in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [v * inv % p for v in m[r]]
+        for k in range(len(m)):
+            if k != r:
+                f = m[k][c]
+                m[k] = [(a - f * b) % p for a, b in zip(m[k], m[r])]
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+@pytest.mark.parametrize("p", [linalg._prime(0), 7])
+def test_modp_rref_matches_reference(p):
+    # negative entries, multiples of p, zero rows, tall and rank-deficient
+    # matrices; at p = 7 many pivots vanish mod p
+    rng = random.Random(p % 1000)
+    for trial in range(300):
+        n_rows, n_cols = rng.randrange(0, 10), rng.randrange(1, 9)
+        gens = [
+            [rng.choice([0, p, -3 * p, rng.randrange(-p, p), rng.randrange(-20, 20)])
+             for _ in range(n_cols)]
+            for _ in range(rng.randrange(1, n_cols + 1))
+        ]
+        rows = []
+        for _ in range(n_rows):
+            if rng.random() < 0.15:
+                rows.append([0] * n_cols)
+            else:
+                cs = [rng.randrange(-5, 6) for _ in gens]
+                rows.append([sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n_cols)])
+        assert linalg.modp_rref(rows, p) == reference_rref(rows, p), (trial, rows)
+
+
 def count_modp_rref(monkeypatch, limit=None):
     """Count exact_nullspace's mod-p eliminations; past `limit` calls fail
     the test instead of letting it run on."""
@@ -153,10 +205,10 @@ def count_modp_rref(monkeypatch, limit=None):
 
 
 def test_first_prime_dividing_an_entry(monkeypatch):
-    # 134217689 is the first prime of the stream: modulo it the pivot is
+    # 2^62 - 57 is the first prime of the stream: modulo it the pivot is
     # column 1, modulo every later prime column 0 (the pivot over Q)
     p0 = next(linalg.prime_stream())
-    assert p0 == 134217689
+    assert p0 == 4611686018427387847
     count_modp_rref(monkeypatch, limit=20)
     kern = exact_nullspace([[p0, 1]])
     assert kern.dimension == 1
