@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -202,9 +202,8 @@ def _reexpress_attempt(f: RatFunc, u: RatFunc, d: int) -> Optional[RatFunc]:
     matrix = [[col.terms.get(e, 0) for col in cols] for e in monomials]
     kern = exact_nullspace(matrix, n_cols=len(cols))
     for vec in kern.basis:
-        scale = lcm(*(c.denominator for c in vec))
-        p = BivarPoly({(k, 0): vec[k] * scale for k in range(d + 1)})
-        q = BivarPoly({(k, 0): vec[d + 1 + k] * scale for k in range(d + 1)})
+        p = BivarPoly({(k, 0): vec[k] for k in range(d + 1)})
+        q = BivarPoly({(k, 0): vec[d + 1 + k] for k in range(d + 1)})
         if q.is_zero():
             continue
         g = RatFunc(p, q)

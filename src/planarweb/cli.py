@@ -53,6 +53,13 @@ def _positive_int(text):
     return value
 
 
+def _positive_fraction(text):
+    value = _fraction(text)
+    if value <= 0:
+        raise ValueError(f"{text} is not positive")
+    return value
+
+
 def _indices(text):
     indices = [int(s) for s in text.split(",")]
     if min(indices) < 1:
@@ -98,8 +105,7 @@ def cmd_rank(args) -> int:
 
     web = load_web(args.webfile)
     if args.subwebs and max(args.subwebs) > web.size:
-        _emit({"error": f"--subwebs sizes must be at most the web size {web.size}"})
-        return 2
+        raise InvalidParameter(f"--subwebs sizes must be at most the web size {web.size}")
     base = pick_generic_point(web, seed=args.seed, preferred=args.point or DEFAULT_POINT)
     rank, basis = abelian_rank(
         web, base, max_order=args.max_order, stabilize=args.stabilize
@@ -127,8 +133,7 @@ def cmd_abel_ode(args) -> int:
 
     web = load_web(args.webfile)
     if not 1 <= args.target <= web.size:
-        _emit({"error": f"--target must be between 1 and {web.size}"})
-        return 2
+        raise InvalidParameter(f"--target must be between 1 and {web.size}")
     try:
         ode = derive_lde(web, args.target)
     except TrivialEquation as exc:
@@ -234,8 +239,7 @@ def cmd_prop7(args) -> int:
         config = load_configuration(args.config)
     if args.subset:
         if max(args.subset) > len(config):
-            _emit({"error": f"--subset indices must be at most {len(config)}"})
-            return 2
+            raise InvalidParameter(f"--subset indices must be at most {len(config)}")
         config = Configuration(
             [config.points[i - 1] for i in args.subset],
             name=f"{config.name}[{','.join(map(str, args.subset))}]",
@@ -297,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("afefile")
     sp.add_argument("--samples", type=_positive_int, default=20)
     sp.add_argument("--precision", type=_positive_int, default=50)
-    sp.add_argument("--tolerance", type=_fraction, default="1e-40")
+    sp.add_argument("--tolerance", type=_positive_fraction, default="1e-40")
     common(sp)
     sp.set_defaults(fn=cmd_verify_num)
 

@@ -141,21 +141,14 @@ def _slot_terms(n: int, order: int):
     return [(i, 1, i * order - 1) for i in range(n)]
 
 
-def _primitive(v: Sequence[Fraction]) -> List[int]:
-    """A nonzero rational vector scaled to coprime integers."""
-    den = lcm(*(c.denominator for c in v))
-    x = [c.numerator * (den // c.denominator) for c in v]
-    g = gcd(*x)
-    return [c // g for c in x]
-
-
 def _prolong(base: BasePoint, vectors: List[List[int]], order: int) -> List[List[int]]:
     """Kernel basis of the order-(K+1) jet system from a certified one at
     order K = `order`.  The rows of degree <= K at order K+1 are the order-K
     rows, zero on the new columns (i, K+1), so the kernel is the (x, y) with
     x = sum_j z_j v_j and B x + C y = 0 for the degree-(K+1) rows [B | C].
     The small system [C | B v_1 .. B v_d] is solved exactly and its kernel
-    lifted by (z, y) -> (sum_j z_j v_j, y), which is injective."""
+    lifted by (z, y) -> (sum_j z_j v_j, y), which is injective; the lift is
+    divided by its gcd."""
     n = base.web.size
     new = order + 1
     # the old vectors in the order-(K+1) columns, zero on the new ones
@@ -171,29 +164,29 @@ def _prolong(base: BasePoint, vectors: List[List[int]], order: int) -> List[List
     small = [[r[c] for c in tops] + [sum(map(mul, r, w)) for w in old] for r in rows]
     out = []
     for yz in exact_nullspace(small, n_cols=n + len(old)).basis:
-        a = _primitive(yz)
         x = [0] * (n * new)
-        for c, y in zip(tops, a):
+        for c, y in zip(tops, yz):
             x[c] = y
-        for z, w in zip(a[n:], old):
+        for z, w in zip(yz[n:], old):
             if z:
                 x = [s + z * t for s, t in zip(x, w)]
-        out.append(_primitive(x))
+        g = gcd(*x)
+        out.append([c // g for c in x])
     return out
 
 
 def jet_kernel(base: BasePoint, order: int) -> List[List[int]]:
     """Certified kernel basis of base.web's order-`order` jet system, as
     primitive integer vectors in the columns of _jet_columns, from the base
-    point's ladder: the first order asked for is a full JetSystem, and a
-    higher one is prolonged a degree at a time from the highest order below
-    it."""
+    point's ladder: the first order asked for is a full JetSystem, whose
+    basis is exact_nullspace's as it is, and a higher one is prolonged a
+    degree at a time from the highest order below it."""
     kernels = base.kernels
     if order not in kernels:
         below = [k for k in kernels if k < order]
         if not below:
             system = JetSystem(base.web, base, order)
-            kernels[order] = [_primitive(v) for v in system.nullspace().basis]
+            kernels[order] = system.nullspace().basis
         else:
             k = max(below)
             while k < order:
@@ -203,16 +196,13 @@ def jet_kernel(base: BasePoint, order: int) -> List[List[int]]:
 
 
 class KernelBasis:
-    """Exact kernel vectors of a stabilized jet system: primitive integer
-    vectors for a web's rank, Fractions for a pattern's."""
+    """Exact kernel vectors of a stabilized jet system, a web's or a
+    pattern's, as primitive integer vectors in the columns unknown_index."""
 
-    def __init__(self, vectors: List[List[Fraction | int]], order: int, unknown_index):
+    def __init__(self, vectors: List[List[int]], order: int, unknown_index):
         self.vectors = vectors
         self.order = order
         self.unknown_index = dict(unknown_index)
-
-    def __len__(self):
-        return len(self.vectors)
 
 
 def bol_bound(n: int) -> int:
@@ -488,7 +478,7 @@ def constrained_rank(
     slot_cols = _jet_columns(n, order)
     projected = []
     for v in kern.basis:
-        big = [Fraction(0)] * len(slot_cols)
+        big = [0] * len(slot_cols)
         for s in slots:
             ci = pattern.class_of(s)
             val = base.images[s - 1]

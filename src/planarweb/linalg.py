@@ -1,9 +1,12 @@
-"""Certified exact linear algebra over Q for the jet systems.
+"""Certified exact linear algebra over Q for the jet systems: integer
+matrices in, primitive integer kernel vectors out.
 
 Nullspaces are computed by reduced row echelon form modulo 62-bit primes,
 Chinese-remainder combination of the (canonical) echelon kernel basis,
 rational reconstruction, and a final exact integer verification M v = 0 of
-every basis vector.
+every basis vector.  The kernel is reconstructed over Q, and each basis
+vector is returned as the primitive integer multiple of the canonical one,
+positive on its free column.
 
 This is a certificate, not a heuristic: rank mod p never exceeds the rank
 over Q, so the mod-p nullity bounds the rational nullity from above, while
@@ -22,11 +25,12 @@ prime to prime by one Garner step, checks an entry's reconstructed n/d
 against each new prime, and reconstructs only the entries that have none;
 a candidate basis is verified after every prime once all entries have one.
 
-The same certificate answers span questions.  Put vectors in the columns of
-a matrix: each verified kernel vector writes one free column as a combination
-of earlier pivot columns only, so the pivot columns are exactly the vectors
-that a greedy pass over Q keeps.  Ranks of spans and independent subsets are
-read off those pivots; there is no second elimination engine.
+The same certificate answers span questions.  Put integer vectors, kernel
+vectors among them, in the columns of a matrix: each verified kernel vector
+writes one free column as a combination of earlier pivot columns only, so
+the pivot columns are exactly the vectors that a greedy pass over Q keeps.
+Ranks of spans and independent subsets are read off those pivots; there is
+no second elimination engine and no conversion of the vectors.
 
 The primes are the primes just below 2^62, found by a Miller-Rabin test
 with the twelve prime bases 2..37, which is a proof below 3.18 * 10^23.
@@ -39,7 +43,7 @@ stay below (rank + 1) p^2 until one final reduction mod p.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import List, Optional, Sequence
 
 
@@ -162,50 +166,24 @@ def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
     return Fraction(r1 * (1 if s1 > 0 else -1), abs(s1))
 
 
-def _clear_rows(mat: Sequence[Sequence[Fraction]]) -> List[List[int]]:
-    """Scale each row to coprime integers (kernel unchanged).  A row of
-    Python ints is taken as it is."""
-    out = []
-    for row in mat:
-        if all(type(v) is int for v in row):
-            out.append(row)
-            continue
-        den = 1
-        for v in row:
-            if v:
-                den = den * v.denominator // gcd(den, v.denominator)
-        ints = [int(v * den) for v in row]
-        g = 0
-        for v in ints:
-            g = gcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
-        out.append(ints)
-    return out
-
-
 class ExactKernel:
-    """Certified nullspace: dimension, exact basis, pivot structure."""
+    """Certified nullspace: a basis of primitive integer vectors, each
+    positive on its free column, and the pivot columns."""
 
-    def __init__(self, dimension: int, basis: List[List[Fraction]], pivot_cols: List[int]):
-        self.dimension = dimension
+    def __init__(self, basis: List[List[int]], pivot_cols: List[int]):
         self.basis = basis
         self.pivot_cols = pivot_cols
 
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
-def exact_nullspace(
-    mat: Sequence[Sequence[Fraction]], n_cols: Optional[int] = None
-) -> ExactKernel:
-    """Certified exact nullspace of a rational matrix."""
-    rows = [list(r) for r in mat]
-    if not rows or all(not any(r) for r in rows):
-        n = n_cols if n_cols is not None else (len(rows[0]) if rows else 0)
-        basis = [
-            [Fraction(1) if i == j else Fraction(0) for i in range(n)] for j in range(n)
-        ]
-        return ExactKernel(n, basis, [])
-    n = len(rows[0])
-    int_rows = [r for r in _clear_rows(rows) if any(r)]
+
+def exact_nullspace(mat: Sequence[Sequence[int]], n_cols: Optional[int] = None) -> ExactKernel:
+    """Certified exact nullspace of an integer matrix.  A matrix without a
+    nonzero row has no pivots, so its basis is the identity."""
+    n = n_cols if n_cols is not None else (len(mat[0]) if mat else 0)
+    int_rows = [r for r in mat if any(r)]
 
     best = None  # (-rank, pivots): the smallest profile seen so far is the best
     for i in range(_MAX_PRIMES):
@@ -219,7 +197,7 @@ def exact_nullspace(
             continue  # unlucky prime: lower rank or a later pivot profile
         kernel = lift.add_prime(p, red)
         if kernel is not None and _verify_kernel(int_rows, kernel):
-            return ExactKernel(len(kernel), kernel, piv)
+            return ExactKernel(kernel, piv)
     raise RuntimeError("kernel reconstruction did not converge (unexpected)")
 
 
@@ -244,9 +222,13 @@ class _KernelLift:
         self.residues = [0] * size
         self.values: List[Optional[Fraction]] = [None] * size
 
-    def add_prime(self, p: int, red: List[List[int]]) -> Optional[List[List[Fraction]]]:
+    def add_prime(self, p: int, red: List[List[int]]) -> Optional[List[List[int]]]:
         """Fold in one prime's echelon rows; return the candidate basis once
-        every entry has a value."""
+        every entry has a value.  Free column f's vector is L v_f, with L the
+        lcm of its entries' denominators d_j, and it is primitive: a prime q
+        dividing L divides some d_j as often as it divides L, so q divides
+        neither L / d_j nor n_j (n_j / d_j is in lowest terms), and not that
+        entry L n_j / d_j."""
         m = self.modulus
         inv = pow(m % p, -1, p)
         residues, values = self.residues, self.values
@@ -268,25 +250,22 @@ class _KernelLift:
                     return None  # too few primes; try the rest after the next one
                 values[i] = v
         basis = []
-        it = iter(values)
-        for f in self.free:
-            v = [Fraction(0)] * self.n
-            v[f] = Fraction(1)
-            for c in self.piv:
-                v[c] = next(it)
+        k = len(self.piv)
+        for i, f in enumerate(self.free):
+            entries = values[i * k : (i + 1) * k]
+            den = lcm(*(x.denominator for x in entries))
+            v = [0] * self.n
+            v[f] = den
+            for c, x in zip(self.piv, entries):
+                v[c] = x.numerator * (den // x.denominator)
             basis.append(v)
         return basis
 
 
-def _verify_kernel(int_rows: List[List[int]], basis: List[List[Fraction]]) -> bool:
+def _verify_kernel(int_rows: List[List[int]], basis: List[List[int]]) -> bool:
     """Exact integer check that every vector annihilates every row."""
     for v in basis:
-        den = 1
-        for x in v:
-            if x:
-                den = den * x.denominator // gcd(den, x.denominator)
-        iv = [x.numerator * (den // x.denominator) for x in v]
-        nz = [(c, val) for c, val in enumerate(iv) if val]
+        nz = [(c, val) for c, val in enumerate(v) if val]
         for row in int_rows:
             s = 0
             for c, val in nz:
@@ -303,7 +282,7 @@ def _verify_kernel(int_rows: List[List[int]], basis: List[List[Fraction]]) -> bo
 # ---------------------------------------------------------------------------
 
 
-def independent_rows(vectors: Sequence[Sequence[Fraction]]) -> List[int]:
+def independent_rows(vectors: Sequence[Sequence[int]]) -> List[int]:
     """Indices of the vectors a greedy pass over Q keeps, in order.
 
     Vector i is kept iff it is not in the span of vectors 0..i-1.  These are
@@ -315,6 +294,6 @@ def independent_rows(vectors: Sequence[Sequence[Fraction]]) -> List[int]:
     return exact_nullspace(list(zip(*vectors)), n_cols=len(vectors)).pivot_cols
 
 
-def exact_rank_of_span(vectors: Sequence[Sequence[Fraction]]) -> int:
+def exact_rank_of_span(vectors: Sequence[Sequence[int]]) -> int:
     """Certified rank of the Q-span of the given vectors."""
     return len(independent_rows(vectors))

@@ -6,6 +6,7 @@ multi-modular engine it checks.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class FractionSpan:
@@ -48,3 +49,22 @@ def greedy_independent(vectors):
     """Indices of the vectors that enlarge the span of those before them."""
     span = FractionSpan()
     return [i for i, v in enumerate(vectors) if span.add(v)]
+
+
+def free_columns(basis):
+    """Check that a kernel basis is in the integer contract of
+    planarweb.linalg.exact_nullspace and return its free columns.  Every
+    vector holds Python ints only and has gcd 1; its last nonzero entry is
+    positive, and every other vector is zero there.  In the canonical basis
+    that entry is the vector's free column, since a vector is zero right of
+    it."""
+    free = []
+    for v in basis:
+        assert all(type(x) is int for x in v), v
+        assert gcd(*v) == 1, v
+        last = max(c for c, x in enumerate(v) if x)
+        assert v[last] > 0, v
+        free.append(last)
+    for i, f in enumerate(free):
+        assert all(w[f] == 0 for j, w in enumerate(basis) if j != i), f
+    return free

@@ -120,6 +120,19 @@ def test_verify_num_keeps_the_given_tolerance():
     assert rc == 0 and doc["tolerance"] == "5.0e-40"
 
 
+@pytest.mark.parametrize("tolerance", ["0", "-1", "-1e-40"])
+def test_nonpositive_tolerance_is_usage_error(tolerance):
+    # no residual can be below a tolerance <= 0, so it could never PASS
+    proc = subprocess.run(
+        [sys.executable, "-m", "planarweb.cli", "verify-num", fixture_path("arctan.afe"),
+         "--samples", "1", "--tolerance", tolerance],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "option",
     [
@@ -143,6 +156,10 @@ def test_bad_rank_argument_is_usage_error(option):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
+    # argparse rejects malformed values before any report; the rest are
+    # reported as InvalidParameter
+    if proc.stdout:
+        assert json.loads(proc.stdout)["type"] == "InvalidParameter"
 
 
 @pytest.mark.parametrize("command,afe", [("verify-num", "arctan.afe"), ("constant", "rogers_d.afe")])
@@ -166,7 +183,8 @@ def test_abel_ode_target_out_of_range_is_usage_error(target):
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "error" in json.loads(proc.stdout)
+    doc = json.loads(proc.stdout)
+    assert "error" in doc and doc["type"] == "InvalidParameter"
 
 
 @pytest.mark.parametrize("subset", ["abc", "0", ",", "1,1,2", "1,2"])
@@ -182,7 +200,7 @@ def test_bad_prop7_subset_is_usage_error(subset):
 
 def test_prop7_subset_past_the_configuration_reports_an_error():
     rc, doc, _ = run_cli("prop7", fixture_path("sk.web"), "--subset", "1,2,99")
-    assert rc == 2 and "error" in doc
+    assert rc == 2 and "error" in doc and doc["type"] == "InvalidParameter"
 
 
 @pytest.mark.parametrize(

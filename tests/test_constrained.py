@@ -10,7 +10,7 @@ surviving the quotient by sub-equation solution jets.
 
 from fractions import Fraction
 
-from exact_oracle import FractionSpan
+from exact_oracle import FractionSpan, free_columns
 from planarweb.hyperlog.calculus import PrefactoredExpr
 from planarweb.hyperlog.registry import special
 from planarweb.jets import JetSystem, Pattern, constrained_rank
@@ -76,6 +76,7 @@ def test_prop11_dimension_and_d_direction(bol_web_indomain):
     col_of = rep["kernel"].unknown_index
     order = rep["order"]
     kernel = rep["kernel"].vectors
+    free_columns(kernel)  # primitive integer vectors, as exact_nullspace gives them
 
     # exact d-jets, split into log2 / log3 / rational parts
     values = sorted({v for (_, v, _) in col_of})

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm
 from operator import mul
 
 import pytest
@@ -23,7 +23,7 @@ from planarweb.parse import parse_ratfunc as P
 from planarweb.ratfunc import RatFunc, SeriesJet
 from planarweb.web import BasePoint, Web, pick_generic_point
 
-from exact_oracle import FractionSpan
+from exact_oracle import FractionSpan, free_columns
 
 
 def test_rank_cauchy(cauchy_web):
@@ -198,6 +198,15 @@ def _fraction_kernel(web, point, order):
     return basis
 
 
+def _primitive(v):
+    """A rational vector times the positive scalar that makes it a
+    primitive integer vector."""
+    den = lcm(*(c.denominator for c in v))
+    x = [int(c * den) for c in v]
+    g = gcd(*x)
+    return [c // g for c in x]
+
+
 @pytest.mark.parametrize("web_name", ["bol_web", "cauchy_web"])
 def test_integer_jet_rows_give_the_fraction_kernel(web_name, request):
     # orders high to low, so the lower ones read the table by truncation
@@ -205,7 +214,23 @@ def test_integer_jet_rows_give_the_fraction_kernel(web_name, request):
     base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
     for order in (web.size + 2, web.size + 1, web.size):
         got = JetSystem(web, base, order).nullspace().basis
-        assert got == _fraction_kernel(web, base.point, order), order
+        assert got == [_primitive(v) for v in _fraction_kernel(web, base.point, order)], order
+
+
+@pytest.mark.parametrize("web_name", ["bol_web", "cauchy_web", "arctan_web"])
+def test_kernel_bases_are_primitive_integer_vectors(web_name, request):
+    web = request.getfixturevalue(web_name)
+    base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    # the ladder's first order is a full system, whose basis exact_nullspace
+    # gives positive on its free columns
+    system = JetSystem(web, base, web.size)
+    pivots = system.nullspace().pivot_cols
+    free = [c for c in range(len(system.unknown_index)) if c not in pivots]
+    assert free_columns(jet_kernel(base, web.size)) == free
+    # these webs stabilize at the first order, so the rank's basis is that one
+    rank, basis = abelian_rank(web, base)
+    assert basis.order == web.size
+    assert free_columns(basis.vectors) == free
 
 
 def test_subweb_jet_rows_read_from_the_parent_table(bol_web):
@@ -215,7 +240,8 @@ def test_subweb_jet_rows_read_from_the_parent_table(bol_web):
         sub = base.restrict(subset)
         for order in (3, 4, 5):
             got = JetSystem(sub.web, sub, order).nullspace().basis
-            assert got == _fraction_kernel(sub.web, base.point, order), (subset, order)
+            want = [_primitive(v) for v in _fraction_kernel(sub.web, base.point, order)]
+            assert got == want, (subset, order)
 
 
 def test_hexagonality_expands_each_integral_once_per_order(sk_web, monkeypatch):
@@ -282,8 +308,9 @@ def _ladders_match_direct_systems(base, top):
     `top` span the kernel of the JetSystem of that order: the same
     dimension, every vector annihilates the system's rows exactly, and the
     vectors are independent on its free columns (a basis of the kernel
-    restricts to an invertible matrix there).  Returns each ladder's
-    kernels by order, keyed by its first order."""
+    restricts to an invertible matrix there).  Each vector is a primitive
+    integer vector; a prolonged basis need not be in echelon form.  Returns
+    each ladder's kernels by order, keyed by its first order."""
     web = base.web
     direct = {}
     for order in range(1, top + 1):
@@ -296,6 +323,8 @@ def _ladders_match_direct_systems(base, top):
         for order, vectors in kernels.items():
             rows, kernel = direct[order]
             assert len(vectors) == kernel.dimension, (web.name, first, order)
+            assert all(type(x) is int for v in vectors for x in v)
+            assert all(gcd(*v) == 1 for v in vectors), (web.name, first, order)
             assert all(sum(map(mul, r, v)) == 0 for v in vectors for r in rows)
             free = [c for c in range(web.size * order) if c not in kernel.pivot_cols]
             span = FractionSpan([[v[c] for c in free] for v in vectors])
@@ -331,6 +360,9 @@ def test_ladder_equals_jet_system_on_subwebs(bol_web, sk_web):
     kernels = _ladders_match_direct_systems(sk_base.restrict((1, 2, 3, 7)), 7)[1]
     cut = [_truncated(v, 4, 3) for v in kernels[4]]
     assert any(all(not FractionSpan([v]).contains(c) for v in kernels[3]) for c in cut)
+    # lifting this subweb's order-3 kernel to order 4 gives vectors with a
+    # common factor 3, which the prolongation divides out
+    _ladders_match_direct_systems(sk_base.restrict((1, 2, 3, 8)), 5)
 
 
 @pytest.mark.parametrize("web_name,jet_systems", [("sk_web", 84), ("bol_web", 17)])

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from exact_oracle import greedy_independent
+from exact_oracle import free_columns, greedy_independent
 from planarweb import linalg
 from planarweb.linalg import (
     exact_nullspace,
@@ -32,6 +33,17 @@ def brute_nullspace_dim(rows, n):
     return n - rank
 
 
+def cleared(rows):
+    """Each rational row times the lcm of its denominators: the integer
+    matrix that exact_nullspace takes, with the same kernel, and for span
+    questions the same vectors up to positive scalars."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(x).denominator for x in row))
+        out.append([int(x * den) for x in row])
+    return out
+
+
 def random_matrix(rng, rows, cols, scale=10):
     return [
         [Fraction(rng.randrange(-scale, scale), rng.randrange(1, 5)) for _ in range(cols)]
@@ -45,7 +57,7 @@ def test_nullspace_matches_brute_force():
         rows = rng.randrange(1, 8)
         cols = rng.randrange(1, 8)
         m = random_matrix(rng, rows, cols)
-        kern = exact_nullspace(m, n_cols=cols)
+        kern = exact_nullspace(cleared(m), n_cols=cols)
         assert kern.dimension == brute_nullspace_dim(m, cols)
         for v in kern.basis:
             for row in m:
@@ -58,17 +70,17 @@ def test_nullspace_with_designed_kernel():
         [Fraction(2), Fraction(-1), Fraction(0)],
         [Fraction(0), Fraction(3), Fraction(-2)],
     ]
-    kern = exact_nullspace(m)
+    kern = exact_nullspace(cleared(m))
     assert kern.dimension == 1
     v = kern.basis[0]
-    ratio = [v[1] / v[0], v[2] / v[0]]
+    ratio = [Fraction(v[1], v[0]), Fraction(v[2], v[0])]
     assert ratio == [2, 3]
 
 
 def test_big_entries():
     big = Fraction(10**60 + 7, 3)
     m = [[big, -big], [Fraction(1), Fraction(-1)]]
-    kern = exact_nullspace(m)
+    kern = exact_nullspace(cleared(m))
     assert kern.dimension == 1
 
 
@@ -78,7 +90,7 @@ def test_rank_of_span():
         [Fraction(0), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(1), Fraction(3)],
     ]
-    assert exact_rank_of_span(vecs) == 2
+    assert exact_rank_of_span(cleared(vecs)) == 2
 
 
 def test_rational_reconstruction_roundtrip():
@@ -125,15 +137,15 @@ def test_independent_rows_is_greedy_selection():
     for trial in range(40):
         dim = rng.randrange(1, 7)
         vecs = rank_deficient_vectors(rng, rng.randrange(1, 10), dim, big=trial % 2 == 1)
-        assert independent_rows(vecs) == greedy_independent(vecs)
-        assert exact_rank_of_span(vecs) == dim - brute_nullspace_dim(vecs, dim)
+        assert independent_rows(cleared(vecs)) == greedy_independent(vecs)
+        assert exact_rank_of_span(cleared(vecs)) == dim - brute_nullspace_dim(vecs, dim)
 
 
 def test_independent_rows_degenerate_inputs():
     assert independent_rows([]) == []
-    assert independent_rows([[Fraction(0)] * 3] * 2) == []
+    assert independent_rows(cleared([[Fraction(0)] * 3] * 2)) == []
     v = [Fraction(1), Fraction(-2), Fraction(10**60, 7)]
-    assert independent_rows([v, [Fraction(0)] * 3, v, [2 * x for x in v]]) == [0]
+    assert independent_rows(cleared([v, [Fraction(0)] * 3, v, [2 * x for x in v]])) == [0]
 
 
 def test_prime_stream_is_decreasing_62_bit_primes():
@@ -213,7 +225,7 @@ def test_first_prime_dividing_an_entry(monkeypatch):
     kern = exact_nullspace([[p0, 1]])
     assert kern.dimension == 1
     assert kern.pivot_cols == [0]
-    assert kern.basis == [[Fraction(-1, p0), Fraction(1)]]
+    assert kern.basis == [[-1, p0]]
     assert independent_rows([[p0], [1]]) == [0]
     kern = exact_nullspace([[p0, 1], [0, 1]])
     assert (kern.dimension, kern.basis, kern.pivot_cols) == (0, [], [0, 1])
@@ -243,11 +255,37 @@ def test_kernel_entries_of_300_bits():
             c = rng.randrange(-3, 4)
             row = [x + c * y for x, y in zip(row, earlier)]
         m.append(row)
-    kern = exact_nullspace(m)
+    kern = exact_nullspace(cleared(m))
     assert kern.dimension == brute_nullspace_dim(m, n) == n - rank
     assert kern.pivot_cols == list(range(rank))
     for f, v in enumerate(kern.basis):
-        assert v[:rank] == [-b[k][f] for k in range(rank)]
+        assert [Fraction(v[k], v[rank + f]) for k in range(rank)] == [-b[k][f] for k in range(rank)]
         for row in m:
             assert sum(a * x for a, x in zip(row, v)) == 0
 
+
+def test_kernel_vectors_are_primitive_integer_vectors():
+    # random integer matrices with zero rows and repeated rows, all-zero
+    # matrices (the identity basis) and full column rank ones (no basis)
+    rng = random.Random(29)
+    for trial in range(60):
+        rows, cols = rng.randrange(0, 7), rng.randrange(1, 8)
+        if trial % 6 == 0:
+            m = [[0] * cols for _ in range(rows)]
+        else:
+            scale = 10**40 if trial % 6 == 1 else 9
+            m = [[rng.randrange(-scale, scale + 1) for _ in range(cols)] for _ in range(rows)]
+            if m and trial % 3 == 2:
+                m.append(list(rng.choice(m)))
+                m.append([0] * cols)
+        kern = exact_nullspace(m, n_cols=cols)
+        assert kern.dimension == brute_nullspace_dim(m, cols), (trial, m)
+        assert all(len(v) == cols for v in kern.basis)
+        assert free_columns(kern.basis) == [c for c in range(cols) if c not in kern.pivot_cols]
+        for v in kern.basis:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
+        if not any(map(any, m)):
+            assert kern.basis == [[int(i == j) for i in range(cols)] for j in range(cols)]
+            assert kern.pivot_cols == []
+    full = exact_nullspace([[2, 0, 1], [0, 3, 1], [1, 1, 5]])
+    assert (full.basis, full.pivot_cols) == ([], [0, 1, 2])
