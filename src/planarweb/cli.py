@@ -78,8 +78,13 @@ def cmd_sigma(args) -> int:
     from .web import load_web, singular_locus, verify_sigma_factors
 
     web = load_web(args.webfile)
-    if args.factors:
-        cands = [parse_ratfunc(t) for t in args.factors.split(";")]
+    if args.factors is not None:
+        cands = []
+        for k, text in enumerate(args.factors.split(";"), 1):
+            try:
+                cands.append(parse_ratfunc(text))
+            except PlanarWebError as exc:
+                raise InvalidParameter(f"candidate factor {k} {text!r}: {type(exc).__name__}: {exc}") from None
         report = verify_sigma_factors(web, cands)
         _emit(report, args.output)
         return 0 if report["all_divide"] else 1

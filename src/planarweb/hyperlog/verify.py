@@ -148,7 +148,11 @@ def constancy_check(
     seed: int = 0,
 ) -> dict:
     """The left-hand side must be constant across samples; the empirical
-    constant is matched against the supplied candidate closed forms."""
+    constant is matched against the supplied candidate closed forms.  One
+    sample cannot show a varying left-hand side, so at least two are
+    needed."""
+    if samples < 2:
+        raise InvalidParameter(f"a constancy check needs at least 2 samples, got {samples}")
     mp, sampled = _sample_values(instance, samples, dps, seed)
     tol = mp.mpf(tolerance.numerator) / tolerance.denominator
     values = [total for _, _, total in sampled]

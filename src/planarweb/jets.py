@@ -16,16 +16,18 @@ l_i = dU_i(base); powers l_i^m of pairwise non-proportional linear forms
 (the base point is off the tangency locus) are independent when N <= m + 1,
 so c = 0 and, by induction, every F_i is constant.
 
-The kernel at order K + 1 is also certified when it is prolonged from the
-certified kernel at order K instead of solved afresh.  v^k has no terms
-below degree k, and the table's coefficients of degree <= K do not depend
-on the order it was expanded to, so the rows of degree <= K of the order
-K + 1 system are the order-K rows with zeros in the new columns (i, K + 1).
-Hence ker_{K+1} = {(x, y) : x in ker_K, B x + C y = 0}, where [B | C] are
-the K + 2 rows of degree K + 1.  With v_1..v_d a basis of ker_K, the map
-(z, y) -> (sum_j z_j v_j, y) is injective and sends the kernel of the small
-system [C | B v_1 .. B v_d] onto ker_{K+1}, and that small kernel is
-certified like any other.
+Every kernel at order K + 1 is prolonged from the certified kernel at
+order K, never solved at one order in one piece, and it is certified as
+well.  v^k has no terms below degree k, and the table's coefficients of
+degree <= K do not depend on the order it was expanded to, so the rows of
+degree <= K of the order-(K + 1) system are the order-K rows with zeros in
+the new columns (i, K + 1).  Hence ker_{K+1} = {(x, y) : x in ker_K,
+B x + C y = 0}, where [B | C] are the rows of degree K + 1.  With
+v_1..v_d a basis of ker_K, the map (z, y) -> (sum_j z_j v_j, y) is
+injective and sends the kernel of the small system [C | B v_1 .. B v_d]
+onto ker_{K+1}, and that small kernel is certified like any other.  The
+argument holds from the order below the first power, whose system has no
+columns and the kernel {0}, and for rows stacked over several base points.
 
 What is heuristic.  Only the stop rule: K starts at N and grows by 1, and
 the rank is taken to be the dimension once `stabilize` (default three)
@@ -33,19 +35,23 @@ consecutive orders give equal dimensions, with a hard cap N(N-1)/2 + 3.
 The stop rule is `_stabilized_dims`, shared by the web rank and the
 pattern rank.
 
-The rank ladder.  Each BasePoint keeps the kernels of its web's jet
-systems by order (`jet_kernel`).  The first order asked for is one full
-JetSystem; each later order adds one degree of rows by the prolongation
-above, from the highest order already known.  The web's rank, every
-subweb's rank at the web's point, the filtration and the sub-solutions of
-a pattern read these ladders, so a subweb read at the web's order climbs
-its own ladder there.  The kernels are primitive integer vectors in the
-columns of `_jet_columns`, slot by slot, so an order-K vector widens to
-order K + 1 by one entry at the end of each slot's block.  The new columns
-come first in the small system.  From K = N - 2 on, C has full column rank
-(the powers l_i^(K+1) above), so the lex-first pivots of the certified
-kernel are C's columns, and at an order where the dimension stays each old
-vector v_j extends by itself, with z the j-th unit vector.
+The rank ladder.  A ladder is a list of systems, each a base point with its
+terms (slot, multiplier, block), over columns laid out block by block,
+k = first_power..K in each block.  It starts with the empty basis at order
+first_power - 1 and climbs one degree per `_prolong` (`_ladder_kernel`).
+A web's ladder is one system with one block per slot and first power 1,
+from order 0; its BasePoint keeps the rungs (`jet_kernel`).  The web's
+rank, every subweb's rank at the web's point, the filtration and the
+sub-solutions of a pattern read these ladders, so a subweb read at the
+web's order climbs its own ladder there.  A pattern's ladder is one system
+per base point with one block per germ key (class, value) and first power
+0, from order -1 (`constrained_rank`).  The kernels are primitive integer
+vectors, so an order-K vector widens to order K + 1 by one entry at the
+end of each block.  The new columns come first in the small system.  On a
+web's ladder from K = N - 2 on, C has full column rank (the powers
+l_i^(K+1) above), so the lex-first pivots of the certified kernel are C's
+columns, and at an order where the dimension stays each old vector v_j
+extends by itself, with z the j-th unit vector.
 
 The jet table.  Rows are built from one table per (web, point), held by
 its BasePoint: the powers v_i^k of v_i = U_i - U_i(base) as dicts of
@@ -65,19 +71,18 @@ gcd.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter, NotStabilized
-from .linalg import ExactKernel, exact_nullspace, exact_rank_of_span, independent_rows
+from .linalg import exact_nullspace, exact_rank_of_span, independent_rows
 from .web import DEFAULT_POINT, BasePoint, Web, pick_generic_point, singular_locus
 
 
 # ---------------------------------------------------------------------------
-# the jet system
+# the jet systems and their ladders
 # ---------------------------------------------------------------------------
 
 
@@ -120,54 +125,40 @@ def _jet_rows(
     return rows
 
 
-class JetSystem:
-    """Exact truncated linear system of a web at a base point, as primitive
-    integer rows built from the base point's jet table."""
-
-    def __init__(self, web: Web, base: BasePoint, order: int):
-        self.web = web
-        self.base = base
-        self.order = order
-        self.unknown_index = _jet_columns(web.size, order)
-        self.rows = _jet_rows(base, _slot_terms(web.size, order), order, len(self.unknown_index), 1)
-
-    def nullspace(self) -> ExactKernel:
-        return exact_nullspace(self.rows, n_cols=len(self.unknown_index))
-
-
-def _slot_terms(n: int, order: int):
-    """_jet_rows terms of the web system: slot i, multiplier 1, columns of
-    _jet_columns(n, order)."""
-    return [(i, 1, i * order - 1) for i in range(n)]
-
-
-def _prolong(base: BasePoint, vectors: List[List[int]], order: int) -> List[List[int]]:
-    """Kernel basis of the order-(K+1) jet system from a certified one at
-    order K = `order`.  The rows of degree <= K at order K+1 are the order-K
-    rows, zero on the new columns (i, K+1), so the kernel is the (x, y) with
-    x = sum_j z_j v_j and B x + C y = 0 for the degree-(K+1) rows [B | C].
-    The small system [C | B v_1 .. B v_d] is solved exactly and its kernel
-    lifted by (z, y) -> (sum_j z_j v_j, y), which is injective; the lift is
-    divided by its gcd."""
-    n = base.web.size
+def _prolong(systems, n_blocks: int, first_power: int, vectors: List[List[int]], order: int):
+    """Kernel basis at order K + 1 of the jet systems, from a certified one at
+    order K = `order`.  `systems` are (base point, terms) pairs, terms
+    (slot, multiplier, block); their rows, stacked, are those of
+    sum m * sum_k c_{block,k} v_slot^k, k = first_power..K, and block b holds
+    the columns k = first_power..K in turn.  The rows of degree <= K at
+    order K + 1 are the order-K rows, zero on the new columns (b, K + 1), so
+    the kernel is the (x, y) with x = sum_j z_j v_j and B x + C y = 0 for the
+    degree-(K + 1) rows [B | C].  The small system [C | B v_1 .. B v_d] is
+    solved exactly and its kernel lifted by (z, y) -> (sum_j z_j v_j, y),
+    which is injective; the lift is divided by its gcd."""
+    width = order - first_power + 1  # columns per block at order K
     new = order + 1
+    n_cols = n_blocks * (width + 1)
     # the old vectors in the order-(K+1) columns, zero on the new ones
     old = []
     for v in vectors:
         w = []
-        for i in range(n):
-            w.extend(v[i * order : (i + 1) * order])
+        for b in range(n_blocks):
+            w.extend(v[b * width : (b + 1) * width])
             w.append(0)
         old.append(w)
-    tops = [i * new + order for i in range(n)]  # the columns (i, K+1)
-    rows = _jet_rows(base, _slot_terms(n, new), new, n * new, 1, new)
+    tops = [b * (width + 1) + width for b in range(n_blocks)]  # the columns (b, K+1)
+    rows = []
+    for base, terms in systems:
+        cols = [(i, m, b * (width + 1) - first_power) for i, m, b in terms]
+        rows.extend(_jet_rows(base, cols, new, n_cols, first_power, new))
     small = [[r[c] for c in tops] + [sum(map(mul, r, w)) for w in old] for r in rows]
     out = []
-    for yz in exact_nullspace(small, n_cols=n + len(old)).basis:
-        x = [0] * (n * new)
+    for yz in exact_nullspace(small, n_cols=n_blocks + len(old)).basis:
+        x = [0] * n_cols
         for c, y in zip(tops, yz):
             x[c] = y
-        for z, w in zip(yz[n:], old):
+        for z, w in zip(yz[n_blocks:], old):
             if z:
                 x = [s + z * t for s, t in zip(x, w)]
         g = gcd(*x)
@@ -175,24 +166,26 @@ def _prolong(base: BasePoint, vectors: List[List[int]], order: int) -> List[List
     return out
 
 
+def _ladder_kernel(kernels, systems, n_blocks: int, first_power: int, order: int):
+    """Certified kernel basis at `order` of the jet systems (as in _prolong)
+    from their ladder `kernels`, whose entry j is the basis at order
+    first_power - 1 + j.  The ladder starts with the empty basis on no
+    columns, and each missing order is prolonged from the one below."""
+    if not kernels:
+        kernels.append([])
+    start = first_power - 1
+    while start + len(kernels) <= order:
+        top = start + len(kernels) - 1
+        kernels.append(_prolong(systems, n_blocks, first_power, kernels[-1], top))
+    return kernels[order - start]
+
+
 def jet_kernel(base: BasePoint, order: int) -> List[List[int]]:
     """Certified kernel basis of base.web's order-`order` jet system, as
     primitive integer vectors in the columns of _jet_columns, from the base
-    point's ladder: the first order asked for is a full JetSystem, whose
-    basis is exact_nullspace's as it is, and a higher one is prolonged a
-    degree at a time from the highest order below it."""
-    kernels = base.kernels
-    if order not in kernels:
-        below = [k for k in kernels if k < order]
-        if not below:
-            system = JetSystem(base.web, base, order)
-            kernels[order] = system.nullspace().basis
-        else:
-            k = max(below)
-            while k < order:
-                kernels[k + 1] = _prolong(base, kernels[k], k)
-                k += 1
-    return kernels[order]
+    point's ladder: one system, one block per slot, first power 1."""
+    n = base.web.size
+    return _ladder_kernel(base.kernels, [(base, [(i, 1, i) for i in range(n)])], n, 1, order)
 
 
 class KernelBasis:
@@ -423,6 +416,22 @@ def _value_closed_points(web: Web, pattern: Pattern, base: BasePoint):
     return pts
 
 
+def _pattern_systems(web: Web, pattern: Pattern, base: BasePoint):
+    """The auxiliary points, the germ keys (class, value) in order, and the
+    pattern's jet systems for _prolong: one per base point, with the terms
+    (slot, multiplier, block), where block j is germ key j."""
+    slots = pattern.slots()
+    aux_pts = _value_closed_points(web, pattern, base)
+    bases = [base] + [BasePoint(web, pt) for pt in aux_pts]
+    germ_keys = sorted({(pattern.class_of(s), bp.images[s - 1]) for s in slots for bp in bases})
+    block = {key: j for j, key in enumerate(germ_keys)}
+    systems = [
+        (bp, [(s - 1, pattern.multipliers[s], block[(pattern.class_of(s), bp.images[s - 1])]) for s in slots])
+        for bp in bases
+    ]
+    return aux_pts, germ_keys, systems
+
+
 def constrained_rank(
     web: Web,
     pattern: Pattern,
@@ -434,50 +443,32 @@ def constrained_rank(
     if base is None:
         base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
     slots = pattern.slots()
-    aux_pts = _value_closed_points(web, pattern, base)
     n = web.size
-    bases = [base] + [BasePoint(web, pt) for pt in aux_pts]
-    germ_keys: List[Tuple[int, Fraction]] = []
-    for s in slots:
-        ci = pattern.class_of(s)
-        for bp in bases:
-            val = bp.images[s - 1]
-            if (ci, val) not in germ_keys:
-                germ_keys.append((ci, val))
-    germ_keys.sort(key=lambda t: (t[0], t[1]))
-    _expand_jet_tables(bases, [s - 1 for s in slots], [n])
-    kernels = {}
+    aux_pts, germ_keys, systems = _pattern_systems(web, pattern, base)
+    _expand_jet_tables([bp for bp, _ in systems], [s - 1 for s in slots], [n])
+    # columns c_{class, value, k}, k = 0..K: constants are kept in the system
+    # and quotiented out of the kernel, so its ladder starts at order -1
+    ladder: List[List[List[int]]] = []
 
     def dim_at(order):
-        # columns c_{class, value, k}, k = 0..order: constants are kept in
-        # the system and quotiented out of the kernel below
-        col_of = {
-            (ci, val, k): j * (order + 1) + k
-            for j, (ci, val) in enumerate(germ_keys)
-            for k in range(order + 1)
-        }
-        rows: List[List[int]] = []
-        for bp in bases:
-            terms = [
-                (s - 1, pattern.multipliers[s], col_of[(pattern.class_of(s), bp.images[s - 1], 0)])
-                for s in slots
-            ]
-            rows.extend(_jet_rows(bp, terms, order, len(col_of), 0))
-        kern = exact_nullspace(rows, n_cols=len(col_of))
-        const_cols = {col_of[(ci, val, 0)] for ci, val in germ_keys}
-        noncst = [c for c in range(len(col_of)) if c not in const_cols]
-        kernels[order] = (kern, col_of)
-        return exact_rank_of_span([[v[c] for c in noncst] for v in kern.basis])
+        kernel = _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
+        width = order + 1
+        return exact_rank_of_span([[c for j, c in enumerate(v) if j % width] for v in kernel])
 
     dims = _stabilized_dims(n, dim_at, "constrained system not stabilized: {dims}")
     order = list(dims)[-1]
-    kern, col_of = kernels[order]
+    kernel = _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
+    col_of = {
+        (ci, val, k): j * (order + 1) + k
+        for j, (ci, val) in enumerate(germ_keys)
+        for k in range(order + 1)
+    }
 
     # project kernel vectors to slot-jet coordinates at the primary point and
     # quotient by the span of proper-sub-equation solution jets there
     slot_cols = _jet_columns(n, order)
     projected = []
-    for v in kern.basis:
+    for v in kernel:
         big = [0] * len(slot_cols)
         for s in slots:
             ci = pattern.class_of(s)
@@ -507,7 +498,7 @@ def constrained_rank(
         "dim_mod_subsolutions": len(genuine),
         "order": order,
         "aux_points": [(str(a), str(b)) for a, b in aux_pts],
-        "kernel": KernelBasis(kern.basis, order, col_of),
+        "kernel": KernelBasis(kernel, order, col_of),
         "genuine_jets": genuine,
         "slot_columns": slot_cols,
     }

@@ -32,6 +32,16 @@ Exponent = Tuple[int, int]
 Terms = Dict[Exponent, int]
 
 
+def _homogeneous_powers(a: int, d: int, top: int):
+    """[a^i d^(top-i) for i = 0..top]."""
+    num = [1]
+    den = [1]
+    for _ in range(top):
+        num.append(num[-1] * a)
+        den.append(den[-1] * d)
+    return [n * m for n, m in zip(num, reversed(den))]
+
+
 class BivarPoly:
     """Sparse bivariate polynomial with integer coefficients."""
 
@@ -170,12 +180,19 @@ class BivarPoly:
         return BivarPoly._of(out)
 
     def evaluate(self, x, y) -> Fraction:
+        """The value at x = a/d, y = b/e, summed over the integers as
+        sum c a^i d^(X-i) b^j e^(Y-j) over d^X e^Y, with X and Y the top
+        degrees in x and y: one Fraction normalization per call."""
+        if not self.terms:
+            return Fraction(0)
         x = Fraction(x)
         y = Fraction(y)
-        total = Fraction(0)
-        for (ex, ey), c in self.terms.items():
-            total += c * x**ex * y**ey
-        return total
+        top_x = max(ex for ex, _ in self.terms)
+        top_y = max(ey for _, ey in self.terms)
+        xs = _homogeneous_powers(x.numerator, x.denominator, top_x)
+        ys = _homogeneous_powers(y.numerator, y.denominator, top_y)
+        total = sum(c * xs[ex] * ys[ey] for (ex, ey), c in self.terms.items())
+        return Fraction(total, x.denominator**top_x * y.denominator**top_y)
 
     # -- normalization ------------------------------------------------
 

@@ -288,15 +288,16 @@ class BasePoint:
     once per order, however many subwebs and orders read it.
 
     It also holds the rungs of its web's rank ladder: `kernels[K]` is the
-    certified kernel of the order-K jet system, filled by `jets.jet_kernel`.
-    A subweb's base point has its own ladder."""
+    certified kernel of the order-K jet system, filled from order 0 (no
+    columns, empty basis) a degree at a time by `jets.jet_kernel`.  A
+    subweb's base point has its own ladder."""
 
     def __init__(self, web: Web, point: Tuple[Fraction, Fraction]):
         self.point = (Fraction(point[0]), Fraction(point[1]))
         self.web = web
         self.images: List[Fraction] = [u.evaluate(*self.point) for u in web.integrals()]
         self._jets = [_JetPowers(u, v, self.point) for u, v in zip(web.integrals(), self.images)]
-        self.kernels: Dict[int, List[List[int]]] = {}
+        self.kernels: List[List[List[int]]] = []
 
     def jet_powers(self, i: int, order: int):
         """(den_powers, powers) of integral i (0-based): v^k = powers[k] /
@@ -314,7 +315,7 @@ class BasePoint:
         sub.web = self.web.subweb(idx)
         sub.images = [self.images[i - 1] for i in idx]
         sub._jets = [self._jets[i - 1] for i in idx]
-        sub.kernels = {}
+        sub.kernels = []
         return sub
 
     def __repr__(self):

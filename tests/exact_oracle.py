@@ -1,12 +1,20 @@
-"""Plain Fraction span reducer: a test oracle independent of planarweb.linalg.
+"""Test oracles.
 
-Membership and greedy selection by incremental Gauss elimination over Q,
-with no modular arithmetic, so it shares no code path with the certified
+A plain Fraction span reducer, independent of planarweb.linalg: membership
+and greedy selection by incremental Gauss elimination over Q, with no
+modular arithmetic, so it shares no code path with the certified
 multi-modular engine it checks.
+
+The full truncated jet systems, web and multi-point pattern, built in one
+piece at one order and solved by one certified nullspace: the systems that
+the rank ladders of planarweb.jets prolong a degree at a time.
 """
 
 from fractions import Fraction
 from math import gcd
+
+from planarweb.jets import _jet_columns, _jet_rows
+from planarweb.linalg import exact_nullspace
 
 
 class FractionSpan:
@@ -51,6 +59,15 @@ def greedy_independent(vectors):
     return [i for i, v in enumerate(vectors) if span.add(v)]
 
 
+def assert_primitive(basis):
+    """Check that every vector of a basis holds Python ints only and has gcd
+    1, as the rank ladders of planarweb.jets give them.  A prolonged basis
+    need not be in echelon form."""
+    for v in basis:
+        assert all(type(x) is int for x in v), v
+        assert gcd(*v) == 1, v
+
+
 def free_columns(basis):
     """Check that a kernel basis is in the integer contract of
     planarweb.linalg.exact_nullspace and return its free columns.  Every
@@ -58,13 +75,41 @@ def free_columns(basis):
     positive, and every other vector is zero there.  In the canonical basis
     that entry is the vector's free column, since a vector is zero right of
     it."""
+    assert_primitive(basis)
     free = []
     for v in basis:
-        assert all(type(x) is int for x in v), v
-        assert gcd(*v) == 1, v
         last = max(c for c, x in enumerate(v) if x)
         assert v[last] > 0, v
         free.append(last)
     for i, f in enumerate(free):
         assert all(w[f] == 0 for j, w in enumerate(basis) if j != i), f
     return free
+
+
+class JetSystem:
+    """Exact truncated linear system of a web at a base point, all degrees
+    1..order at once, as primitive integer rows built from the base point's
+    jet table, in the columns of jets._jet_columns."""
+
+    def __init__(self, web, base, order):
+        self.web = web
+        self.base = base
+        self.order = order
+        self.unknown_index = _jet_columns(web.size, order)
+        terms = [(i, 1, i * order - 1) for i in range(web.size)]
+        self.rows = _jet_rows(base, terms, order, len(self.unknown_index), 1)
+
+    def nullspace(self):
+        return exact_nullspace(self.rows, n_cols=len(self.unknown_index))
+
+
+def pattern_system(systems, n_blocks, order):
+    """Rows and certified kernel of a multi-point pattern system at one
+    order, all degrees 0..order at once: the (base point, terms) systems of
+    jets._pattern_systems stacked, block j holding the columns k = 0..order."""
+    n_cols = n_blocks * (order + 1)
+    rows = []
+    for base, terms in systems:
+        cols = [(i, m, b * (order + 1)) for i, m, b in terms]
+        rows.extend(_jet_rows(base, cols, order, n_cols, 0))
+    return rows, exact_nullspace(rows, n_cols=n_cols)

@@ -190,7 +190,8 @@ def test_abel_ode_annihilates_the_rank_kernel(name, target):
     zero: constants solve the ODE, which has no g term."""
     from conftest import fixture_path
 
-    from planarweb.jets import JetSystem, abelian_rank
+    from exact_oracle import JetSystem
+    from planarweb.jets import abelian_rank
     from planarweb.web import DEFAULT_POINT, load_web, pick_generic_point
 
     web = load_web(fixture_path(f"{name}.web"))

@@ -174,6 +174,12 @@ def test_bad_sample_or_precision_is_usage_error(command, afe, option):
     assert "Traceback" not in proc.stderr
 
 
+def test_constant_on_one_sample_is_usage_error():
+    # constancy cannot fail on one sample, so a pass there would be vacuous
+    rc, doc, _ = run_cli("constant", fixture_path("rogers_d.afe"), "--samples", "1")
+    assert rc == 2 and doc["type"] == "InvalidParameter" and "2 samples" in doc["error"]
+
+
 @pytest.mark.parametrize("target", ["0", "6"])
 def test_abel_ode_target_out_of_range_is_usage_error(target):
     proc = subprocess.run(
@@ -211,11 +217,15 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
         ("config-web", "a.cfg", "1 0 0\n0 1 0\n0 0 1\n1 1\n", [], "'1 1'"),
         ("config-web", "a.cfg", "1 0 0\n0 1 0\n0 0 1\n2 0 0\n", [], "[1:0:0]"),
         ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;0"], "factor 2"),
+        ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;(y"], "factor 2 '(y'"),
+        ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;;y"], "factor 2 ''"),
+        ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", ""], "factor 1 ''"),
         ("verify-num", "a.afe", "name: empty\n", [], "no component"),
         ("constant", "a.afe", "name: empty\n", [], "no component"),
     ],
     ids=[
         "afe-unknown-line", "afe-multiplier", "cfg-coordinates", "cfg-duplicate", "sigma-zero-factor",
+        "sigma-unbalanced-factor", "sigma-empty-factor", "sigma-no-factor",
         "afe-no-component-verify-num", "afe-no-component-constant",
     ],
 )

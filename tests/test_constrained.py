@@ -9,12 +9,15 @@ surviving the quotient by sub-equation solution jets.
 """
 
 from fractions import Fraction
+from operator import mul
 
-from exact_oracle import FractionSpan, free_columns
+import pytest
+
+from exact_oracle import FractionSpan, JetSystem, assert_primitive, free_columns, pattern_system
 from planarweb.hyperlog.calculus import PrefactoredExpr
 from planarweb.hyperlog.registry import special
-from planarweb.jets import JetSystem, Pattern, constrained_rank
-from planarweb.web import BasePoint, pick_generic_point
+from planarweb.jets import Pattern, _ladder_kernel, _pattern_systems, constrained_rank
+from planarweb.web import BasePoint, Web, pick_generic_point
 
 
 class SymLin:
@@ -76,7 +79,7 @@ def test_prop11_dimension_and_d_direction(bol_web_indomain):
     col_of = rep["kernel"].unknown_index
     order = rep["order"]
     kernel = rep["kernel"].vectors
-    free_columns(kernel)  # primitive integer vectors, as exact_nullspace gives them
+    assert_primitive(kernel)  # prolonged from order -1, so not in echelon form
 
     # exact d-jets, split into log2 / log3 / rational parts
     values = sorted({v for (_, v, _) in col_of})
@@ -127,26 +130,56 @@ def test_prop11_dimension_and_d_direction(bol_web_indomain):
     assert grew == 1
 
 
+PROP13 = Pattern([[1, 2, 3, 4], [5]], {1: 1, 2: -1, 3: -1, 4: -1, 5: 1})
+SK_TRILOG = Pattern(
+    [[1, 2, 3, 4, 5, 6, 7, 8, 9]],
+    {1: 2, 2: 2, 3: -1, 4: 2, 5: 2, 6: -1, 7: 2, 8: 2, 9: -1},
+)
+
+
+def sk_belowone(sk_web):
+    """sk with its fifth integral inverted, so the trilogarithm pattern's
+    values stay below one."""
+    return Web.from_integrals(
+        [u if i != 4 else u.inverse() for i, u in enumerate(sk_web.integrals())],
+        name="sk-belowone",
+    )
+
+
 def test_prop13_dimension(bol_web_indomain):
-    pattern = Pattern([[1, 2, 3, 4], [5]], {1: 1, 2: -1, 3: -1, 4: -1, 5: 1})
     base = pick_generic_point(bol_web_indomain, preferred=(Fraction(1, 3), Fraction(1, 2)))
-    rep = constrained_rank(bol_web_indomain, pattern, base)
+    rep = constrained_rank(bol_web_indomain, PROP13, base)
     assert rep["dim_mod_subsolutions"] == 1
 
 
 def test_sk_pattern_dimension_matches_frozen_oracle(sk_web):
-    from planarweb.web import Web
-
-    sk_d = Web.from_integrals(
-        [u if i != 4 else u.inverse() for i, u in enumerate(sk_web.integrals())],
-        name="sk-belowone",
-    )
+    sk_d = sk_belowone(sk_web)
     base = pick_generic_point(sk_d, preferred=(Fraction(1, 3), Fraction(1, 2)))
-    pattern = Pattern(
-        [[1, 2, 3, 4, 5, 6, 7, 8, 9]],
-        {1: 2, 2: 2, 3: -1, 4: 2, 5: 2, 6: -1, 7: 2, 8: 2, 9: -1},
-    )
-    rep = constrained_rank(sk_d, pattern, base)
+    rep = constrained_rank(sk_d, SK_TRILOG, base)
     # frozen from the printed-basis oracle (tests/sk_oracle.py, orders 12/14)
     assert rep["dim_mod_constants"] == 21
     assert rep["dim_mod_subsolutions"] == 2
+
+
+@pytest.mark.parametrize("case", ["prop11", "prop13", "sk-trilog"])
+def test_pattern_ladder_equals_full_system(case, bol_web_indomain, sk_web):
+    # the pattern's ladder, climbed from order -1, spans at every order
+    # N..N+2 the kernel of the full multi-point system solved at that order:
+    # equal dimensions, every ladder vector annihilates the full rows, and
+    # the ladder vectors are independent
+    if case == "sk-trilog":
+        web, pattern = sk_belowone(sk_web), SK_TRILOG
+    else:
+        web = bol_web_indomain
+        pattern = pattern_prop11(web) if case == "prop11" else PROP13
+    base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    _, germ_keys, systems = _pattern_systems(web, pattern, base)
+    ladder = []
+    for order in range(web.size, web.size + 3):
+        vectors = _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
+        rows, kernel = pattern_system(systems, len(germ_keys), order)
+        free_columns(kernel.basis)
+        assert len(vectors) == kernel.dimension, order
+        assert_primitive(vectors)
+        assert all(sum(map(mul, r, v)) == 0 for v in vectors for r in rows), order
+        assert FractionSpan(vectors).rank == len(vectors), order

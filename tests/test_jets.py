@@ -7,7 +7,6 @@ import pytest
 
 from planarweb.errors import InvalidParameter, NotStabilized
 from planarweb.jets import (
-    JetSystem,
     Pattern,
     _stabilized_dims,
     abelian_rank,
@@ -23,7 +22,7 @@ from planarweb.parse import parse_ratfunc as P
 from planarweb.ratfunc import RatFunc, SeriesJet
 from planarweb.web import BasePoint, Web, pick_generic_point
 
-from exact_oracle import FractionSpan, free_columns
+from exact_oracle import FractionSpan, JetSystem, assert_primitive, free_columns
 
 
 def test_rank_cauchy(cauchy_web):
@@ -221,16 +220,21 @@ def test_integer_jet_rows_give_the_fraction_kernel(web_name, request):
 def test_kernel_bases_are_primitive_integer_vectors(web_name, request):
     web = request.getfixturevalue(web_name)
     base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
-    # the ladder's first order is a full system, whose basis exact_nullspace
-    # gives positive on its free columns
+    # the full system's basis is exact_nullspace's, positive on its free
+    # columns; the ladder's is prolonged from order 0, so its vectors are
+    # primitive integer vectors of the same kernel, but not in echelon form
     system = JetSystem(web, base, web.size)
-    pivots = system.nullspace().pivot_cols
-    free = [c for c in range(len(system.unknown_index)) if c not in pivots]
-    assert free_columns(jet_kernel(base, web.size)) == free
+    kernel = system.nullspace()
+    free = [c for c in range(len(system.unknown_index)) if c not in kernel.pivot_cols]
+    assert free_columns(kernel.basis) == free
+    vectors = jet_kernel(base, web.size)
+    assert_primitive(vectors)
+    assert len(vectors) == kernel.dimension
+    assert all(sum(map(mul, r, v)) == 0 for v in vectors for r in system.rows)
     # these webs stabilize at the first order, so the rank's basis is that one
     rank, basis = abelian_rank(web, base)
     assert basis.order == web.size
-    assert free_columns(basis.vectors) == free
+    assert basis.vectors == vectors
 
 
 def test_subweb_jet_rows_read_from_the_parent_table(bol_web):
@@ -303,34 +307,27 @@ def _truncated(v, n, order):
     return [c for i in range(n) for c in v[i * (order + 1) : i * (order + 1) + order]]
 
 
-def _ladders_match_direct_systems(base, top):
-    """From each first order 1..N, the ladder's kernels at every order up to
-    `top` span the kernel of the JetSystem of that order: the same
-    dimension, every vector annihilates the system's rows exactly, and the
-    vectors are independent on its free columns (a basis of the kernel
-    restricts to an invertible matrix there).  Each vector is a primitive
-    integer vector; a prolonged basis need not be in echelon form.  Returns
-    each ladder's kernels by order, keyed by its first order."""
+def _ladder_matches_direct_systems(base, top):
+    """The ladder's kernels at every order 1..`top`, climbed from order 0,
+    span the kernel of the JetSystem of that order: the same dimension,
+    every vector annihilates the system's rows exactly, and the vectors are
+    independent on its free columns (a basis of the kernel restricts to an
+    invertible matrix there).  Each vector is a primitive integer vector; a
+    prolonged basis need not be in echelon form.  Returns the ladder's
+    kernels by order."""
     web = base.web
-    direct = {}
-    for order in range(1, top + 1):
+    ladder = base.restrict(range(1, web.size + 1))  # the same table, a fresh ladder
+    kernels = {order: jet_kernel(ladder, order) for order in range(1, top + 1)}
+    for order, vectors in kernels.items():
         system = JetSystem(web, base, order)
-        direct[order] = (system.rows, system.nullspace())
-    ladders = {}
-    for first in range(1, web.size + 1):
-        ladder = base.restrict(range(1, web.size + 1))  # the same table, a fresh ladder
-        kernels = {order: jet_kernel(ladder, order) for order in range(first, top + 1)}
-        for order, vectors in kernels.items():
-            rows, kernel = direct[order]
-            assert len(vectors) == kernel.dimension, (web.name, first, order)
-            assert all(type(x) is int for v in vectors for x in v)
-            assert all(gcd(*v) == 1 for v in vectors), (web.name, first, order)
-            assert all(sum(map(mul, r, v)) == 0 for v in vectors for r in rows)
-            free = [c for c in range(web.size * order) if c not in kernel.pivot_cols]
-            span = FractionSpan([[v[c] for c in free] for v in vectors])
-            assert span.rank == kernel.dimension, (web.name, first, order)
-        ladders[first] = kernels
-    return ladders
+        kernel = system.nullspace()
+        assert len(vectors) == kernel.dimension, (web.name, order)
+        assert_primitive(vectors)
+        assert all(sum(map(mul, r, v)) == 0 for v in vectors for r in system.rows)
+        free = [c for c in range(web.size * order) if c not in kernel.pivot_cols]
+        span = FractionSpan([[v[c] for c in free] for v in vectors])
+        assert span.rank == kernel.dimension, (web.name, order)
+    return kernels
 
 
 @pytest.mark.parametrize(
@@ -339,48 +336,61 @@ def _ladders_match_direct_systems(base, top):
 def test_ladder_equals_jet_system(web_name, request):
     web = request.getfixturevalue(web_name)
     base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
-    ladders = _ladders_match_direct_systems(base, web.size + 3)
+    kernels = _ladder_matches_direct_systems(base, web.size + 3)
     if web_name == "configc_web":
         # a rising ladder: below order N - 2 the new columns add solutions
-        assert [len(ladders[1][k]) for k in (1, 2, 3)] == [6, 11, 15]
+        assert [len(kernels[k]) for k in (1, 2, 3)] == [6, 11, 15]
 
 
 def test_ladder_equals_jet_system_on_subwebs(bol_web, sk_web):
     base = pick_generic_point(bol_web, preferred=(Fraction(1, 3), Fraction(1, 2)))
     for p in (3, 4, 5):
         for subset in combinations(range(1, bol_web.size + 1), p):
-            _ladders_match_direct_systems(base.restrict(subset), p + 3)
+            _ladder_matches_direct_systems(base.restrict(subset), p + 3)
     sk_base = pick_generic_point(sk_web, preferred=(Fraction(1, 3), Fraction(1, 2)))
     # a falling ladder: the rank-0 triple's one solution of orders 1 and 2
     # does not extend to order 3
-    kernels = _ladders_match_direct_systems(sk_base.restrict((1, 3, 7)), 6)[1]
+    kernels = _ladder_matches_direct_systems(sk_base.restrict((1, 3, 7)), 6)
     assert [len(kernels[k]) for k in range(1, 7)] == [1, 1, 0, 0, 0, 0]
     # at order 4 this subweb's kernel holds a vector whose truncation to
     # order 3 combines several order-3 vectors, the general lift
-    kernels = _ladders_match_direct_systems(sk_base.restrict((1, 2, 3, 7)), 7)[1]
+    kernels = _ladder_matches_direct_systems(sk_base.restrict((1, 2, 3, 7)), 7)
     cut = [_truncated(v, 4, 3) for v in kernels[4]]
     assert any(all(not FractionSpan([v]).contains(c) for v in kernels[3]) for c in cut)
     # lifting this subweb's order-3 kernel to order 4 gives vectors with a
     # common factor 3, which the prolongation divides out
-    _ladders_match_direct_systems(sk_base.restrict((1, 2, 3, 8)), 5)
+    _ladder_matches_direct_systems(sk_base.restrict((1, 2, 3, 8)), 5)
 
 
-@pytest.mark.parametrize("web_name,jet_systems", [("sk_web", 84), ("bol_web", 17)])
-def test_each_ladder_solves_one_jet_system(web_name, jet_systems, request, monkeypatch):
-    # one full system at each ladder's first order, every later order a
-    # prolongation: one per triple of sk, and one per subweb plus one for
-    # the web in bol's filtration
+@pytest.mark.parametrize(
+    "web_name,rungs,nullspaces", [("sk_web", 420, 420), ("bol_web", 94, 97)], ids=["sk_web", "bol_web"]
+)
+def test_each_ladder_rung_is_one_prolongation(web_name, rungs, nullspaces, request, monkeypatch):
+    # every ladder climbs from order 0 by one _prolong per order, each
+    # solving one small system: sk's 84 triples stop at order 5 (84 * 5);
+    # bol's filtration climbs the web's ladder to order 7 and each
+    # p-subweb's to its stop order p + 2 (7 + 10 * 5 + 5 * 6 + 7), and
+    # ranks three spans
+    import planarweb.jets as jets
+    import planarweb.linalg as linalg
+
     web = request.getfixturevalue(web_name)
-    built = []
-    init = JetSystem.__init__
+    prolonged, solved = [], []
+    prolong, nullspace = jets._prolong, jets.exact_nullspace
 
-    def counted(self, *args):
-        built.append(args[2])
-        init(self, *args)
+    def counted_prolong(systems, n_blocks, first_power, vectors, order):
+        prolonged.append(order)
+        return prolong(systems, n_blocks, first_power, vectors, order)
 
-    monkeypatch.setattr(JetSystem, "__init__", counted)
+    def counted_nullspace(*args, **kwargs):
+        solved.append(1)
+        return nullspace(*args, **kwargs)
+
+    monkeypatch.setattr(jets, "_prolong", counted_prolong)
+    monkeypatch.setattr(jets, "exact_nullspace", counted_nullspace)
+    monkeypatch.setattr(linalg, "exact_nullspace", counted_nullspace)
     if web_name == "sk_web":
         hexagonality(web)
     else:
         filtration_dims(web)
-    assert len(built) == jet_systems
+    assert (len(prolonged), len(solved)) == (rungs, nullspaces)

@@ -44,6 +44,25 @@ def test_parser_roundtrip(f):
     assert parse_ratfunc(format_ratfunc(f)) == f
 
 
+# small integers and rationals of up to 40 digits over 40 digits
+rationals = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(st.just(BivarPoly({})), coeffs.map(BivarPoly.const), polys(max_terms=5, max_deg=4)),
+    rationals,
+    rationals,
+)
+def test_evaluate_matches_the_term_sum(p, x, y):
+    want = sum((c * x**ex * y**ey for (ex, ey), c in p.terms.items()), Fraction(0))
+    got = p.evaluate(x, y)
+    assert type(got) is Fraction and got == want
+
+
 @settings(max_examples=120, deadline=None)
 @given(ratfuncs(), ratfuncs())
 def test_leibniz(f, g):
@@ -221,7 +240,7 @@ def test_derivative_vs_finite_difference_100():
 
 
 def test_kernel_monotonic_random_small_webs():
-    from planarweb.jets import JetSystem
+    from exact_oracle import JetSystem
     from planarweb.web import Web, pick_generic_point
 
     rng = random.Random(13)
