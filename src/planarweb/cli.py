@@ -105,7 +105,7 @@ def cmd_sigma(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .jets import abelian_rank, filtration_dims, rank_report
+    from .jets import abelian_rank, bol_bound, filtration_dims, rank_report
     from .web import DEFAULT_POINT, load_web, pick_generic_point
 
     web = load_web(args.webfile)
@@ -121,7 +121,7 @@ def cmd_rank(args) -> int:
         "rank": rank,
         "solution_space_with_constants": rank + web.size - 1,
         "stabilized_order": basis.order,
-        "bol_bound": (web.size - 1) * (web.size - 2) // 2,
+        "bol_bound": bol_bound(web.size),
     }
     if args.filtration:
         report["filtration"] = {str(p): d for p, d in filtration_dims(web, base).items()}
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, InvalidParameter) else 1
     except (OSError, UnicodeDecodeError) as exc:
         # a missing or unreadable input file, a directory, a file not in UTF-8
-        _emit({"error": str(exc)})
+        _emit({"error": str(exc), "type": "InvalidParameter"})
         return 2
 
 

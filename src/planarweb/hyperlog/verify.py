@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import mpmath
 
-from ..errors import EvaluationFailure, InvalidParameter, NotConstant, UnknownName
+from ..errors import EvaluationFailure, InvalidParameter, NotConstant, PlanarWebError, UnknownName
 from ..parse import parse_ratfunc
 from ..ratfunc import RatFunc
 from .constants import SymConst
@@ -29,7 +29,7 @@ class AfeInstance:
     def __init__(
         self,
         inner: Sequence[RatFunc],
-        components: Sequence[Union[str, HyperlogExpr]],
+        components: Sequence[Union[str, SpecialFunction, HyperlogExpr]],
         multipliers: Sequence[int],
         rhs: Optional[str] = None,
         domain: str = "unit_order",
@@ -271,8 +271,7 @@ def parse_word_expr(text: str) -> HyperlogExpr:
             if not factor:
                 continue
             if factor.startswith("["):
-                letters = factor[1:-1].split()
-                word = tuple(letters)
+                word = HyperlogExpr.word(factor[1:-1].split())  # letters outside the alphabet raise
             elif factor in names:
                 coeff = coeff * names[factor]
             else:
@@ -280,11 +279,15 @@ def parse_word_expr(text: str) -> HyperlogExpr:
         if word is None:
             out = out + HyperlogExpr.constant(coeff)
         else:
-            out = out + HyperlogExpr({word: coeff})
+            out = out + word.scale(coeff)
     return out
 
 
 def afe_from_text(text: str) -> AfeInstance:
+    """The instance of a .afe file's text.  The names of its specials and
+    letters, its domain and its rhs are checked here, before any sample is
+    drawn; a malformed file, whatever the error, is an InvalidParameter
+    that names the culprit line where there is one."""
     name = None
     domain = "unit_order"
     rhs = None
@@ -293,14 +296,18 @@ def afe_from_text(text: str) -> AfeInstance:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("name:"):
-            name = line[5:].strip()
-        elif line.startswith("domain:"):
-            domain = line[7:].strip()
-        elif line.startswith("rhs:"):
-            rhs = line[4:].strip() or None
-        elif line.startswith("component:"):
-            try:
+        try:
+            if line.startswith("name:"):
+                name = line[5:].strip()
+            elif line.startswith("domain:"):
+                domain = line[7:].strip()
+                if domain not in ("unit_order", "xy_lt_1"):  # the domains of _sample_domain
+                    raise UnknownName(f"unknown sampling domain {domain!r}")
+            elif line.startswith("rhs:"):
+                rhs = line[4:].strip() or None
+                if rhs:
+                    rhs_function(rhs)
+            elif line.startswith("component:"):
                 first, rest = line[10:].split(None, 1)
                 mult = int(first)
                 if rest.startswith("{"):
@@ -308,14 +315,15 @@ def afe_from_text(text: str) -> AfeInstance:
                     comp = parse_word_expr(rest[: close + 1])
                     expr_text = rest[close + 1 :]
                 else:
-                    comp, expr_text = rest.split(None, 1)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise InvalidParameter(f"bad component line {line!r}: {exc}") from None
-            comps.append(comp)
-            inner.append(parse_ratfunc(expr_text.strip()))
-            mults.append(mult)
-        else:
-            raise InvalidParameter(f"unrecognized afe line: {line!r}")
+                    fn_name, expr_text = rest.split(None, 1)
+                    comp = special(fn_name)
+                inner.append(parse_ratfunc(expr_text.strip()))
+                comps.append(comp)
+                mults.append(mult)
+            else:
+                raise UnknownName("not a name:, domain:, rhs: or component: line")
+        except (PlanarWebError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidParameter(f"bad afe line {line!r}: {type(exc).__name__}: {exc}") from None
     if not comps:
         raise InvalidParameter("the .afe file has no component: line")
     return AfeInstance(inner, comps, mults, rhs=rhs, domain=domain, name=name)

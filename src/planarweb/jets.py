@@ -19,7 +19,7 @@ so c = 0 and, by induction, every F_i is constant.
 Every kernel at order K + 1 is prolonged from the certified kernel at
 order K, never solved at one order in one piece, and it is certified as
 well.  v^k has no terms below degree k, and the table's coefficients of
-degree <= K do not depend on the order it was expanded to, so the rows of
+degree <= K do not depend on how far it has grown, so the rows of
 degree <= K of the order-(K + 1) system are the order-K rows with zeros in
 the new columns (i, K + 1).  Hence ker_{K+1} = {(x, y) : x in ker_K,
 B x + C y = 0}, where [B | C] are the rows of degree K + 1.  With
@@ -54,19 +54,16 @@ columns, and at an order where the dimension stays each old vector v_j
 extends by itself, with z the j-th unit vector.
 
 The jet table.  Rows are built from one table per (web, point), held by
-its BasePoint: the powers v_i^k of v_i = U_i - U_i(base) as dicts of
-integer coefficients over den_i^k.  It grows lazily: an integral asked for
-a higher order is expanded again at that order, and a lower order reads the
-entries by truncation.  Every ladder, whether the web's rank, a table of
-subweb ranks or a pattern's rank at several base points, first asks the
-table once for the N + stabilize - 1 orders its stop rule reads at least
-(`_expand_jet_tables`, over the largest N of a subweb table), so each
-integral is expanded once per base point unless a ladder climbs past
-them.  A subweb's base point at the parent's point (BasePoint.restrict)
-shares the parent's entries, so the web, every subweb and every order read
-one table.  Each row is scaled to the primitive integer row of the rational
-system: multiplied by the lcm of the den_i^k it touches and divided by its
-gcd.
+its BasePoint: for each integral the degree-n part of each power v_i^k,
+v_i = U_i - U_i(base), as integers over d0_i^(k + n), where N/D is
+U_i(base + (s, t)) over Z and d0_i = D(0, 0).  That denominator does not
+depend on the order, so a table grows a degree at a time, as far as a
+ladder reads it, and never recomputes an entry; no ladder has to ask
+ahead for the orders its stop rule may read.  A subweb's base point at
+the parent's point (BasePoint.restrict) shares the parent's tables, so
+the web, every subweb and every order read one table.  Each row is scaled
+to the primitive integer row of the rational system: multiplied by the
+lcm of the d0_i^(k + n) it touches and divided by its gcd.
 """
 
 from __future__ import annotations
@@ -97,9 +94,10 @@ def _jet_rows(
     """Rows of sum over terms (i, m, col) of m * sum_k c_{col+k} v_i^k,
     k = first_power..order, v_i^k read from the base point's jet table: one
     row per monomial of total degree lowest..order with a nonzero
-    coefficient.  Each row is multiplied by the lcm of the den^k it touches
-    and divided by its gcd: the primitive integer row proportional to the
-    rational one, whatever denominators the table holds."""
+    coefficient.  The coefficient of a degree-n monomial in v_i^k is
+    powers[k][n] over d0_i^(k + n), so each row is multiplied by the lcm
+    of the d0_i^(k + n) it touches and divided by its gcd: the primitive
+    integer row proportional to the rational one."""
     tables = [(base.jet_powers(i, order), m, col) for i, m, col in terms]
     rows = []
     for total in range(lowest, order + 1):
@@ -107,15 +105,16 @@ def _jet_rows(
             e = (a, total - a)
             hits = []
             scale = 1
-            for (den_powers, powers), m, col in tables:
-                top = 0
+            for (d0, powers), m, col in tables:
+                den, top = d0 ** (first_power + total), 0
                 for k in range(first_power, total + 1):  # v^k starts at degree k
-                    c = powers[k].get(e)
+                    c = powers[k][total].get(e)
                     if c:
-                        hits.append((col + k, m * c, den_powers[k]))
-                        top = k
+                        hits.append((col + k, m * c, den))
+                        top = den
+                    den *= d0
                 if top:
-                    scale = lcm(scale, den_powers[top])
+                    scale = lcm(scale, top)
             row = [0] * n_cols
             for j, c, d in hits:
                 row[j] += c * (scale // d)
@@ -203,29 +202,13 @@ def bol_bound(n: int) -> int:
     return (n - 1) * (n - 2) // 2
 
 
-def _order_cap(n: int, max_order: Optional[int]) -> int:
-    return max_order if max_order is not None else n * (n - 1) // 2 + 3
-
-
-def _expand_jet_tables(bases, slots, sizes, stabilize=3, max_order=None) -> None:
-    """Expand the jet table entries of the given integrals (0-based) at each
-    base point once, to the last order that the stop rule of a ladder of any
-    of the given web sizes reads at least: N + stabilize - 1, capped.  The
-    lower orders read these entries by truncation, so a ladder that stops
-    at its first chance expands each integral once, not once per order."""
-    top = max(min(n + stabilize - 1, _order_cap(n, max_order)) for n in sizes)
-    for bp in bases:
-        for i in slots:
-            bp.jet_powers(i, top)
-
-
 def _stabilized_dims(n, dim_at, failure, stabilize=3, max_order=None) -> Dict[int, int]:
     """dim_at(K) for K = N, N + 1, .. until the last `stabilize` dims are
     equal, capped at max_order (default N(N-1)/2 + 3).  Returns the dims by
     order; at the cap raises NotStabilized with the message `failure`,
     formatted with the cap and the dims.  A ladder with fewer than
     `stabilize` orders can never stop, so it is an InvalidParameter."""
-    cap = _order_cap(n, max_order)
+    cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
     if stabilize > cap - n + 1:
         raise InvalidParameter(f"orders {n}..{cap} are too few to stabilize over {stabilize}")
     dims: Dict[int, int] = {}
@@ -250,8 +233,6 @@ def abelian_rank(
     n = web.size
 
     def dim_at(order):
-        if order == n:
-            _expand_jet_tables([base], range(n), [n], stabilize, max_order)
         dim = len(jet_kernel(base, order))
         if order > n and dim > len(jet_kernel(base, order - 1)):
             raise AssertionError("kernel dimension increased with the truncation order")
@@ -333,12 +314,8 @@ def rank_report(web: Web, subweb_sizes: Sequence[int], base: Optional[BasePoint]
     web's base point."""
     if base is None:
         base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
-    sizes = sorted(set(subweb_sizes))
-    tabulated = [size for size in sizes if size <= web.size]
-    if tabulated:
-        _expand_jet_tables([base], range(web.size), tabulated)
     entries = []
-    for size in sizes:
+    for size in sorted(set(subweb_sizes)):
         for subset in combinations(range(1, web.size + 1), size):
             sub_base = base.restrict(subset)
             r = rank_only(sub_base.web, sub_base)
@@ -445,7 +422,6 @@ def constrained_rank(
     slots = pattern.slots()
     n = web.size
     aux_pts, germ_keys, systems = _pattern_systems(web, pattern, base)
-    _expand_jet_tables([bp for bp, _ in systems], [s - 1 for s in slots], [n])
     # columns c_{class, value, k}, k = 0..K: constants are kept in the system
     # and quotiented out of the kernel, so its ladder starts at order -1
     ladder: List[List[List[int]]] = []

@@ -7,7 +7,8 @@ leading (graded-lex) coefficient, so equality of rational functions is plain
 equality of the pairs.  A rational constant p/q is the pair (p, q).
 
 SeriesJet is the truncated Taylor expansion of a RatFunc at a rational
-center, exact in Q, used by the jet-rank linear algebra.
+center, exact in Q: the reference for the integer jet tables that the
+jet-rank linear algebra reads (web.BasePoint).
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ import random
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
-from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -39,6 +38,7 @@ from .errors import (
     ExprSyntaxError,
     InvalidParameter,
     PlanarWebError,
+    PoleAtCenter,
     SearchExhausted,
     TooFewFoliations,
 )
@@ -237,55 +237,67 @@ def pick_generic_point(
 
 
 class _JetPowers:
-    """Powers v^0..v^K of v = U - U(point), one integral minus its value, as
-    integer coefficient dicts over den^k: v^k = powers[k] / den_powers[k] to
-    total degree K.  Asked for a higher order, the entry is recomputed at
-    that order; a lower order K' reads it as it is, because v^k has no terms
-    below degree k, so its part of degree <= K' is v^k at order K'."""
+    """The jets at a point of the powers v^k of v = U - U(point), over the
+    integers, grown a degree at a time.
 
-    __slots__ = ("u", "value", "point", "order", "den_powers", "powers")
+    With N/D = U(point + (s, t)) over Z and d0 = D(0, 0), the coefficient
+    of s^a t^b in v^k is an integer over d0^(k + a + b), which does not
+    depend on the order: `powers[k][n]` maps each (a, b) of total degree n
+    to that integer, for k, n = 0..K, and a higher order only appends
+    degrees.  U's coefficients u_e over d0^(|e| + 1) follow from N = D U
+    without a division: u_e = N_e d0^|e| - sum_{0 < f <= e} D_f
+    d0^(|f| - 1) u_(e - f).  d0 = 0 is a pole at the point."""
 
-    def __init__(self, u: RatFunc, value: Fraction, point: Tuple[Fraction, Fraction]):
-        self.u, self.value, self.point = u, value, point
-        self.order = -1
+    __slots__ = ("num", "dens", "d0", "coeffs", "value", "powers")
+
+    def __init__(self, u: RatFunc, point: Tuple[Fraction, Fraction]):
+        px, py = point
+        shifted = u.substitute(RatFunc.var("x") + RatFunc.const(px), RatFunc.var("y") + RatFunc.const(py))
+        self.num = shifted.num.terms
+        d0 = self.d0 = shifted.den.terms.get((0, 0), 0)
+        if d0 == 0:
+            raise PoleAtCenter(f"pole at ({px}, {py})")
+        self.dens = [(f, c * d0 ** (f[0] + f[1] - 1)) for f, c in shifted.den.terms.items() if f != (0, 0)]
+        self.coeffs = {(0, 0): self.num.get((0, 0), 0)}  # the u_e
+        self.value = Fraction(self.coeffs[(0, 0)], d0)
+        self.powers: List[List[Dict[Tuple[int, int], int]]] = [[{(0, 0): 1}]]
 
     def at(self, order: int):
-        """(den_powers, powers), valid to total degree `order`."""
-        if order > self.order:
-            jet = self.u.taylor(self.point, order).coeffs
-            assert jet.get((0, 0), 0) == self.value, "jet constant term must equal the value"
-            terms = {e: c for e, c in jet.items() if e != (0, 0) and c}
-            den = lcm(*(c.denominator for c in terms.values()))
-            # by total degree, so a product stops at the first term too high
-            v = sorted(
-                ((e, c.numerator * (den // c.denominator)) for e, c in terms.items()),
-                key=lambda t: t[0][0] + t[0][1],
-            )
-            powers = [{(0, 0): 1}]
-            for _ in range(order):
+        """(d0, powers), holding the degrees 0..K of v^0..v^K, K >= order."""
+        powers, u = self.powers, self.coeffs
+        for n in range(len(powers), order + 1):
+            v = {}  # the degree-n part of v
+            scale = self.d0**n
+            for a in range(n + 1):
+                c = self.num.get((a, n - a), 0) * scale
+                c -= sum(df * u.get((a - fa, n - a - fb), 0) for (fa, fb), df in self.dens)
+                if c:
+                    u[(a, n - a)] = v[(a, n - a)] = c
+            new = [{}, v]
+            for k in range(2, n + 1):  # v^k = v^(k-1) v, from degrees k - 1 and 1
                 out: Dict[Tuple[int, int], int] = {}
-                for (a1, b1), c1 in powers[-1].items():
-                    rem = order - a1 - b1
-                    for (a2, b2), c2 in v:
-                        if a2 + b2 > rem:
-                            break
-                        e = (a1 + a2, b1 + b2)
-                        out[e] = out.get(e, 0) + c1 * c2
-                powers.append({e: c for e, c in out.items() if c})
-            self.order = order
-            self.powers = powers
-            self.den_powers = [den**k for k in range(order + 1)]
-        return self.den_powers, self.powers
+                for m in range(1, n - k + 2):
+                    for (a2, b2), c2 in powers[1][m].items():
+                        for (a1, b1), c1 in powers[k - 1][n - m].items():
+                            e = (a1 + a2, b1 + b2)
+                            out[e] = out.get(e, 0) + c1 * c2
+                new.append({e: c for e, c in out.items() if c})
+            for k in range(n):
+                powers[k].append(new[k])
+            powers.append([{} for _ in range(n)] + [new[n]])
+        return self.d0, powers
 
 
 class BasePoint:
     """A point off the web's singular locus, where every integral is finite,
     with the integral values.
 
-    It holds the point's jet table: the integer jet powers of each integral,
-    grown lazily by order (see `jet_powers`).  A subweb's base point from
-    `restrict` shares the parent's entries, so each integral is expanded
-    once per order, however many subwebs and orders read it.
+    It holds the point's jet table, one `_JetPowers` per integral, which
+    gives the values too.  A table grows a degree at a time, as far as a
+    ladder reads it, and never recomputes an entry (see `jet_powers`).  A
+    subweb's base point from `restrict` shares the parent's tables, so each
+    degree of each integral is computed once, however many subwebs and
+    orders read it.
 
     It also holds the rungs of its web's rank ladder: `kernels[K]` is the
     certified kernel of the order-K jet system, filled from order 0 (no
@@ -295,14 +307,14 @@ class BasePoint:
     def __init__(self, web: Web, point: Tuple[Fraction, Fraction]):
         self.point = (Fraction(point[0]), Fraction(point[1]))
         self.web = web
-        self.images: List[Fraction] = [u.evaluate(*self.point) for u in web.integrals()]
-        self._jets = [_JetPowers(u, v, self.point) for u, v in zip(web.integrals(), self.images)]
+        self._jets = [_JetPowers(u, self.point) for u in web.integrals()]
+        self.images: List[Fraction] = [jet.value for jet in self._jets]
         self.kernels: List[List[List[int]]] = []
 
     def jet_powers(self, i: int, order: int):
-        """(den_powers, powers) of integral i (0-based): v^k = powers[k] /
-        den_powers[k], v = U_i - U_i(point), for k = 0..K, K >= order, exact
-        to total degree `order` (higher terms are to be ignored)."""
+        """(d0, powers) of integral i (0-based), grown to `order` at least:
+        the degree-n part of v^k, v = U_i - U_i(point), is powers[k][n]
+        over d0^(k + n)."""
         return self._jets[i].at(order)
 
     def restrict(self, indices: Sequence[int]) -> "BasePoint":

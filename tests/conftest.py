@@ -1,13 +1,14 @@
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 from planarweb.abel import depends_only_on
-from planarweb.ratfunc import RatFunc, cleared_jacobian
-from planarweb.web import Foliation, Web, same_foliation
+from planarweb.ratfunc import RatFunc, SeriesJet, cleared_jacobian
+from planarweb.web import Foliation, Web, _JetPowers, same_foliation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "planarweb", "fixtures")
 
@@ -30,6 +31,28 @@ def assert_jacobian_matches_reference(f, g):
     assert RatFunc.from_poly(w) == ref * RatFunc.from_poly(f.den**2 * g.den**2)
     assert same_foliation(Foliation(f), Foliation(g)) == ref.is_zero() == w.is_zero()
     assert depends_only_on(f, g) == depends_only_on(g, f) == ref.is_zero()
+
+
+def assert_table_matches_taylor(u, point, top):
+    """powers[k][n][e] / d0^(k + n) of u's table at `point` is the
+    coefficient of e in v^k, v = u - u(point), from RatFunc.taylor, for
+    every k, n <= top: powers[k][n] holds degree n only, and is empty for
+    n < k.  Returns d0."""
+    table = _JetPowers(u, point)
+    d0, powers = table.at(top)
+    jet = u.taylor(point, top)
+    assert table.value == jet.coefficient(0, 0) == u.evaluate(*point)
+    v = SeriesJet(jet.center, top, {e: c for e, c in jet.coeffs.items() if e != (0, 0)})
+    ref = SeriesJet(jet.center, top, {(0, 0): Fraction(1)})
+    for k in range(top + 1):
+        for n in range(top + 1):
+            assert all(a + b == n for a, b in powers[k][n]), (k, n)
+            if n < k:
+                assert not powers[k][n], (k, n)
+            got = {e: Fraction(c, d0 ** (k + n)) for e, c in powers[k][n].items()}
+            assert got == {e: c for e, c in ref.coeffs.items() if sum(e) == n}, (u, point, k, n)
+        ref = ref * v
+    return d0
 
 
 @pytest.fixture(scope="session")

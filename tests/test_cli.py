@@ -222,11 +222,17 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
         ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", ""], "factor 1 ''"),
         ("verify-num", "a.afe", "name: empty\n", [], "no component"),
         ("constant", "a.afe", "name: empty\n", [], "no component"),
+        ("verify-num", "a.afe", "component: 1 {[x0 x7]} x\n", [], "'x7' not in the alphabet"),
+        ("verify-num", "a.afe", "component: 1 Foo x\n", [], "unknown special function 'Foo'"),
+        ("verify-num", "a.afe", "domain: bogus\ncomponent: 1 atan x\n", [], "'domain: bogus'"),
+        ("verify-num", "a.afe", "rhs: bogus\ncomponent: 1 atan x\n", [], "'rhs: bogus'"),
+        ("constant", "a.afe", "component: 1 Li2 x+\n", [], "'component: 1 Li2 x+': ExprSyntaxError"),
     ],
     ids=[
         "afe-unknown-line", "afe-multiplier", "cfg-coordinates", "cfg-duplicate", "sigma-zero-factor",
         "sigma-unbalanced-factor", "sigma-empty-factor", "sigma-no-factor",
-        "afe-no-component-verify-num", "afe-no-component-constant",
+        "afe-no-component-verify-num", "afe-no-component-constant", "afe-unknown-letter",
+        "afe-unknown-special", "afe-unknown-domain", "afe-unknown-rhs", "afe-bad-inner",
     ],
 )
 def test_bad_input_file_or_factor_reports_the_culprit(tmp_path, command, name, text, extra, culprit):
@@ -275,7 +281,7 @@ def test_malformed_web_file_is_usage_error(tmp_path, capsys, text, culprit):
     assert doc["type"] == "InvalidParameter" and culprit in doc["error"]
 
 
-@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8", "missing"])
 def test_unreadable_web_file_is_usage_error(tmp_path, capsys, kind):
     from planarweb.cli import main
 
@@ -283,8 +289,11 @@ def test_unreadable_web_file_is_usage_error(tmp_path, capsys, kind):
     if kind == "not-utf8":
         path = tmp_path / "latin1.web"
         path.write_bytes("x\ny\nx/y # caf\u00e9\n".encode("latin-1"))
+    elif kind == "missing":
+        path = tmp_path / "missing.web"
     assert main(["rank", str(path)]) == 2
-    assert "error" in json.loads(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out)
+    assert "error" in doc and doc["type"] == "InvalidParameter"
 
 
 def run_with_closed_stdout(*args):

@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from planarweb.errors import InvalidParameter, NotStabilized
+from planarweb.errors import InvalidParameter, NotStabilized, PoleAtCenter
 from planarweb.jets import (
     Pattern,
     _stabilized_dims,
@@ -20,8 +20,9 @@ from planarweb.jets import (
 )
 from planarweb.parse import parse_ratfunc as P
 from planarweb.ratfunc import RatFunc, SeriesJet
-from planarweb.web import BasePoint, Web, pick_generic_point
+from planarweb.web import BasePoint, Web, _JetPowers, pick_generic_point
 
+from conftest import assert_table_matches_taylor
 from exact_oracle import FractionSpan, JetSystem, assert_primitive, free_columns
 
 
@@ -248,58 +249,87 @@ def test_subweb_jet_rows_read_from_the_parent_table(bol_web):
             assert got == want, (subset, order)
 
 
+def watch_tables(monkeypatch):
+    """The jet tables read from now on, each with the highest order asked
+    of it.  RatFunc.taylor raises: no ladder expands an integral by it."""
+
+    def no_taylor(self, center, order):
+        raise AssertionError("RatFunc.taylor called")
+
+    monkeypatch.setattr(RatFunc, "taylor", no_taylor)
+    asked = {}
+    at = _JetPowers.at
+
+    def watched(table, order):
+        asked[table] = max(order, asked.get(table, order))
+        return at(table, order)
+
+    monkeypatch.setattr(_JetPowers, "at", watched)
+    return asked
+
+
+def assert_append_only(asked, n_tables, order):
+    """n_tables tables were read, each to `order`, and each ends there; a
+    higher read appends degrees and keeps every lower-degree dict, the same
+    object with the same entries."""
+    assert len(asked) == n_tables and set(asked.values()) == {order}
+    for table in list(asked):
+        assert len(table.powers) == order + 1
+        assert all(len(row) == order + 1 for row in table.powers)
+        before = [list(row) for row in table.powers]
+        entries = [[dict(d) for d in row] for row in table.powers]
+        table.at(order + 2)
+        assert len(table.powers) == order + 3
+        for row, old, old_entries in zip(table.powers, before, entries):
+            assert all(d is o for d, o in zip(row, old)) and row[: order + 1] == old_entries
+
+
 def test_hexagonality_expands_each_integral_once_per_order(sk_web, monkeypatch):
-    # the triples share the web's jet table, and each triple's ladder asks
-    # it for the three orders its stop rule reads at once: every triple of
-    # sk stops at order 5, so each integral is expanded once, not once per
-    # triple or order
-    expanded = []
-    taylor = RatFunc.taylor
-
-    def counted(self, center, order):
-        expanded.append(self)
-        return taylor(self, center, order)
-
-    monkeypatch.setattr(RatFunc, "taylor", counted)
+    # the triples share the web's jet table, and every triple of sk stops
+    # at order 5, so each of the 9 integrals has one table, grown to order 5
+    asked = watch_tables(monkeypatch)
     hexagonality(sk_web)
-    assert sorted(map(id, expanded)) == sorted(map(id, sk_web.integrals()))
-
-
-def count_expansions(monkeypatch):
-    """(integral, center) of every Taylor expansion made from now on."""
-    expanded = []
-    taylor = RatFunc.taylor
-
-    def counted(self, center, order):
-        expanded.append((id(self), tuple(center)))
-        return taylor(self, center, order)
-
-    monkeypatch.setattr(RatFunc, "taylor", counted)
-    return expanded
+    assert_append_only(asked, sk_web.size, 5)
 
 
 def test_rank_report_expands_each_integral_once(bol_web, monkeypatch):
-    # the ladders of sizes 3, 4 and 5 read orders up to 5, 6 and 7 at least:
-    # a fresh table is expanded once to order 7, not once per size
+    # the ladders of sizes 3, 4 and 5 read orders up to 5, 6 and 7: one
+    # table per integral, grown to order 7 and no further
     base = pick_generic_point(bol_web, preferred=(Fraction(1, 2), Fraction(3, 4)))
-    expanded = count_expansions(monkeypatch)
+    asked = watch_tables(monkeypatch)
     report = rank_report(bol_web, [3, 4, 5], base)
     assert [e["rank"] for e in report["subwebs"] if e["size"] == 5] == [6]
-    assert sorted(expanded) == sorted((id(u), base.point) for u in bol_web.integrals())
+    assert set(asked) == set(base._jets)
+    assert_append_only(asked, bol_web.size, 7)
 
 
 def test_constrained_rank_expands_each_integral_once_per_base_point(
     bol_web_indomain, monkeypatch
 ):
     # the pattern's ladder reads orders 5, 6 and 7 at the base point and at
-    # each auxiliary point; every table is expanded once, to order 7
+    # each auxiliary point: one table per integral and point, grown to order 7
     web = bol_web_indomain
     base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
-    expanded = count_expansions(monkeypatch)
+    asked = watch_tables(monkeypatch)
     rep = constrained_rank(web, Pattern([[1, 2, 3, 4, 5]], {1: 1, 2: -1, 3: -1, 4: -1, 5: 1}), base)
     assert rep["order"] == 7 and len(rep["aux_points"]) == 2
-    points = [base.point] + [(Fraction(a), Fraction(b)) for a, b in rep["aux_points"]]
-    assert sorted(expanded) == sorted((id(u), pt) for u in web.integrals() for pt in points)
+    assert set(base._jets) <= set(asked)
+    assert_append_only(asked, web.size * 3, 7)
+
+
+@pytest.mark.parametrize("web_name", ["bol_web", "cauchy_web", "configc_web", "sk_web"])
+@pytest.mark.parametrize("point", [(Fraction(1, 3), Fraction(1, 2)), (Fraction(-2, 3), Fraction(-5, 7))])
+def test_jet_table_matches_the_fraction_taylor_powers(web_name, point, request):
+    for u in request.getfixturevalue(web_name).integrals():
+        assert_table_matches_taylor(u, point, 6)
+
+
+def test_jet_table_with_a_negative_d0():
+    # x/(1 - x) at x = 1/3 is (3s + 1)/(2 - 3s), which is -(3s + 1)/(3s - 2)
+    # with a positive leading denominator coefficient: d0 = -2
+    assert assert_table_matches_taylor(P("x/(1-x)"), (Fraction(1, 3), Fraction(1, 2)), 6) == -2
+    with pytest.raises(PoleAtCenter):
+        _JetPowers(P("x/(1-x)"), (Fraction(1), Fraction(0)))
 
 
 def _truncated(v, n, order):

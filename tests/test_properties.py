@@ -4,15 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_jacobian_matches_reference, fixture_path
+from conftest import assert_jacobian_matches_reference, assert_table_matches_taylor, fixture_path
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpf
 
-from planarweb.errors import DegenerateMap
+from planarweb.errors import DegenerateMap, PoleAtCenter
 from planarweb.parse import format_ratfunc, parse_ratfunc
 from planarweb.poly import BivarPoly, coprime_split, squarefree_part
 from planarweb.ratfunc import RatFunc, cleared_jacobian
-from planarweb.web import Web, load_web, singular_locus
+from planarweb.web import Web, _JetPowers, load_web, singular_locus
 
 
 # --- random algebra objects -------------------------------------------------
@@ -79,6 +79,20 @@ def test_jet_product_truncation(f, g, order):
     lhs = (f * g).taylor(c, order)
     rhs = (f.taylor(c, order) * g.taylor(c, order)).truncate(order)
     assert lhs == rhs
+
+
+small_rationals = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 7))
+
+
+@settings(max_examples=120, deadline=None)
+@given(ratfuncs(), small_rationals, small_rationals, st.integers(0, 4))
+def test_integer_jet_table_matches_taylor(f, px, py, top):
+    point = (px, py)
+    if f.den.evaluate(px, py) == 0:
+        with pytest.raises(PoleAtCenter):
+            _JetPowers(f, point)
+        return
+    assert_table_matches_taylor(f, point, top)
 
 
 @settings(max_examples=120, deadline=None)
