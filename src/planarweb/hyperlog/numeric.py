@@ -19,7 +19,18 @@ so each term is O(theta**n) with theta <= 1/2 however far p lies from the
 alphabet, and the value at q is the plain sum of the terms.  Unscaled
 coefficients of (z - p)**n grow like |p|**n and would leave no correct bit
 of a fixed-point sum far from the alphabet.  The guard bits absorb the
-rounding of the ~n_terms operations per word and step.
+rounding of the ~n_terms operations per word and step.  A word's series
+stops exactly where every later term is 0: past its tail's last nonzero
+coefficient, once the accumulator is 0.
+
+Each evaluator keeps the fixed-point values it reaches at every waypoint,
+keyed by the subdivided path prefix from the anchor (the exact _mpc_ of each
+point), never by the point alone: a loop comes back to its start with other
+values.  A later path resumes from its longest transported prefix, so the
+samples and components of one evaluation share their common first steps;
+the subdivision depends only on where a step starts and where it heads, so
+routes to targets in one direction share waypoints.  The cache lives and
+dies with the evaluator.
 
 Default paths stay inside the cut plane: vertical cuts leave each real
 ramification point downward except at 1, where the cut goes upward (so the
@@ -168,43 +179,55 @@ def _to_fixed(z, prec):
     return to_fixed(re, prec), to_fixed(im, prec)
 
 
-def _transport(alphabet: Alphabet, closure, values, pts, n_terms, mp):
-    """Taylor-transport all word values along the points pts.
+def _transport(alphabet: Alphabet, closure, vals, p, q, n_terms, mp):
+    """Taylor-transport the fixed-point word values vals from p to q.
 
     Fixed point: every number is a pair of ints (re, im) scaled by 2**prec,
-    prec = mp.prec + GUARD_BITS.  A step p -> q carries the coefficients of
+    prec = mp.prec + GUARD_BITS.  The step carries the coefficients of
     h**n, h = q - p, so with u = h/(p - a) the kernel sign/(z - a) becomes
-    sign*u * sum (-u)**n and every term is O(theta**n) whatever |p|."""
+    sign*u * sum (-u)**n and every term is O(theta**n) whatever |p|.
+
+    A word's series stops exactly: past the last stored coefficient of its
+    tail, a zero accumulator makes every later coefficient 0.  Coefficient
+    lists are stored without trailing zeros (the empty word's unit is
+    ([1 << prec], [0])), so a word's tail runs out as soon as it can.  The
+    values at q are exactly those of a loop over all n_terms terms, which is
+    what lets WordEvaluator.values_along keep them as the waypoint q of its
+    prefix cache and call this only for the steps past a cached prefix."""
     prec = mp.prec + GUARD_BITS
-    vals = {w: _to_fixed(values[w], prec) for w in closure}
     letters = {a: mp.mpf(pt.numerator) / pt.denominator for a, pt in alphabet.points.items()}
-    unit = ([1 << prec] + [0] * (n_terms - 1), [0] * n_terms)
-    for p, q in zip(pts, pts[1:]):
-        with mp.workprec(prec):
-            ratio = {a: _to_fixed((q - p) / (p - pt), prec) for a, pt in letters.items()}
-        coeffs = {(): unit}
-        for w in closure:
-            if not w:
-                continue
-            ur, ui = ratio[w[0]]
-            sign = alphabet.signs[w[0]]
-            tr, ti = coeffs[w[1:]]
-            cr, ci = [vals[w][0]], [vals[w][1]]
-            ar, ai = tr[0], ti[0]
-            for n in range(1, n_terms):
-                # m = u * acc_{n-1};  c_n = sign * m / n;  acc_n = tail_n - m
-                mr = (ar * ur - ai * ui) >> prec
-                mi = (ar * ui + ai * ur) >> prec
-                cr.append(sign * mr // n)
-                ci.append(sign * mi // n)
+    with mp.workprec(prec):
+        ratio = {a: _to_fixed((q - p) / (p - pt), prec) for a, pt in letters.items()}
+    coeffs = {(): ([1 << prec], [0])}
+    out = {(): vals[()]}
+    for w in closure:
+        if not w:
+            continue
+        ur, ui = ratio[w[0]]
+        sign = alphabet.signs[w[0]]
+        tr, ti = coeffs[w[1:]]
+        size = len(tr)
+        cr, ci = [vals[w][0]], [vals[w][1]]
+        ar, ai = tr[0], ti[0]
+        for n in range(1, n_terms):
+            # m = u * acc_{n-1};  c_n = sign * m / n;  acc_n = tail_n - m
+            mr = (ar * ur - ai * ui) >> prec
+            mi = (ar * ui + ai * ur) >> prec
+            cr.append(sign * mr // n)
+            ci.append(sign * mi // n)
+            if n < size:
                 ar = tr[n] - mr
                 ai = ti[n] - mi
-            coeffs[w] = (cr, ci)
-            vals[w] = (sum(cr), sum(ci))
-    return {
-        w: mp.make_mpc((from_man_exp(re, -prec, mp.prec, "n"), from_man_exp(im, -prec, mp.prec, "n")))
-        for w, (re, im) in vals.items()
-    }
+            elif mr or mi:
+                ar, ai = -mr, -mi
+            else:
+                break
+        while len(cr) > 1 and not (cr[-1] or ci[-1]):
+            cr.pop()
+            ci.pop()
+        coeffs[w] = (cr, ci)
+        out[w] = (sum(cr), sum(ci))
+    return out
 
 
 def _nearest_letter_distance(alphabet: Alphabet, z, mp):
@@ -262,7 +285,12 @@ def _anchor_values(alphabet: Alphabet, closure, dps: int, n_terms: int) -> Dict[
 
 
 class WordEvaluator:
-    """Evaluate a family of words at points of the cut plane."""
+    """Evaluate a family of words at points of the cut plane.
+
+    The values at every waypoint reached are kept for the evaluator's
+    lifetime in a trie keyed by the subdivided path from the anchor, so a
+    path is transported only past its longest known prefix; the results are
+    exactly those of a fresh evaluator."""
 
     def __init__(self, alphabet: Alphabet = STANDARD, words: Iterable[Word] = (), dps: int = 50):
         self.alphabet = alphabet
@@ -275,6 +303,9 @@ class WordEvaluator:
         self._anchor_values = _anchor_values(
             alphabet, tuple(self.closure), self.mp.dps, self.n_terms
         )
+        # fixed-point values by subdivided path prefix: a trie of waypoints,
+        # each node (values, children keyed by the next point's _mpc_)
+        self._waypoints: Dict[tuple, tuple] = {}
 
     # -- paths ---------------------------------------------------------
 
@@ -329,12 +360,30 @@ class WordEvaluator:
     # -- evaluation ------------------------------------------------------
 
     def values_along(self, path: Sequence) -> Dict[Word, object]:
-        """Transport all closure words from the anchor along the polyline."""
+        """Transport all closure words from the anchor along the polyline,
+        resuming from the longest already transported prefix of its
+        subdivision and keeping every new waypoint's values."""
         mp = self.mp
+        prec = mp.prec + GUARD_BITS
         pts = _subdivide(self.alphabet, [mp.mpc(p) for p in path], mp)
-        return _transport(
-            self.alphabet, self.closure, self._anchor_values, pts, self.n_terms, mp
-        )
+        vals, children = None, self._waypoints
+        for i, q in enumerate(pts):
+            node = children.get(q._mpc_)
+            if node is None:
+                if i == 0:
+                    vals = {w: _to_fixed(self._anchor_values[w], prec) for w in self.closure}
+                else:
+                    vals = _transport(
+                        self.alphabet, self.closure, vals, pts[i - 1], q, self.n_terms, mp
+                    )
+                node = children[q._mpc_] = (vals, {})
+            vals, children = node
+        return {
+            w: mp.make_mpc(
+                (from_man_exp(re, -prec, mp.prec, "n"), from_man_exp(im, -prec, mp.prec, "n"))
+            )
+            for w, (re, im) in vals.items()
+        }
 
     def value_vector(self, z, strict_words: Optional[Iterable[Word]] = None) -> Dict[Word, object]:
         """Values of all closure words at z.  At a ramification point itself,

@@ -5,7 +5,7 @@ expressions or named specials), integer multipliers, an optional right-hand
 side and a sampling domain.  verify_afe_numeric draws seeded rational
 samples, evaluates sum_i m_i comp_i(U_i(x, y)) - rhs(x, y) at the requested
 precision and reports the residuals; constancy_check instead reports the
-empirical constant of the left-hand side and matches candidate closed forms.
+empirical constant of that difference and matches candidate closed forms.
 """
 
 from __future__ import annotations
@@ -147,13 +147,14 @@ def constancy_check(
     tolerance: Fraction = Fraction(1, 10**30),
     seed: int = 0,
 ) -> dict:
-    """The left-hand side must be constant across samples; the empirical
-    constant is matched against the supplied candidate closed forms.  One
-    sample cannot show a varying left-hand side, so at least two are
-    needed."""
+    """The left-hand side, minus the instance's rhs when it has one, must be
+    constant across samples; the empirical constant is matched against the
+    supplied candidate closed forms.  One sample cannot show a varying
+    left-hand side, so at least two are needed."""
     if samples < 2:
         raise InvalidParameter(f"a constancy check needs at least 2 samples, got {samples}")
-    mp, sampled = _sample_values(instance, samples, dps, seed)
+    rhs = rhs_function(instance.rhs) if instance.rhs else None
+    mp, sampled = _sample_values(instance, samples, dps, seed, rhs)
     tol = mp.mpf(tolerance.numerator) / tolerance.denominator
     values = [total for _, _, total in sampled]
     mean = sum(values) / len(values)

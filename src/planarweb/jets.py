@@ -373,23 +373,26 @@ def _value_closed_points(web: Web, pattern: Pattern, base: BasePoint):
     function)."""
     slots = pattern.slots()
     values = sorted({base.images[s - 1] for s in slots})
-    candidates = values + list(base.point)
-    integrals = web.integrals()
+    candidates = list(dict.fromkeys(values + list(base.point)))
+    integrals = [web.integrals()[s - 1] for s in slots]
     locus = singular_locus(web)
+
+    def value_closed(px, py):
+        for u in integrals:
+            den = u.den.evaluate(px, py)
+            if den == 0 or u.num.evaluate(px, py) / den not in values:
+                return False
+        return True
+
     pts = []
-    seen = {base.point}
     for px in candidates:
         for py in candidates:
-            if (px, py) in seen:
-                continue
-            # generic (off the singular locus, so every integral is finite)
-            if not locus.vanishes_at(px, py) and all(
-                integrals[s - 1].evaluate(px, py) in values for s in slots
-            ):
+            # the cheap value test first (it rejects the poles too); then
+            # genericity, off the singular locus
+            if (px, py) != base.point and value_closed(px, py) and not locus.vanishes_at(px, py):
                 pts.append((px, py))
-                seen.add((px, py))
-            if len(pts) >= AUX_POINT_BUDGET:
-                return pts
+                if len(pts) >= AUX_POINT_BUDGET:
+                    return pts
     return pts
 
 

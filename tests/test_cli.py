@@ -91,6 +91,12 @@ def test_constant_command():
     assert rc == 0 and doc["matched"] and doc["best_match"] == "0"
 
 
+def test_constant_subtracts_the_rhs():
+    # sk_r3's left-hand side equals its rhs R3, so the difference is 0
+    rc, doc, _ = run_cli("constant", fixture_path("sk_r3.afe"), "--samples", "3", "--precision", "30")
+    assert rc == 0 and doc["matched"] and doc["best_match"] == "0"
+
+
 def test_prop7_command():
     rc, doc, _ = run_cli("prop7", fixture_path("sk.web"))
     assert rc == 0 and doc["match"]

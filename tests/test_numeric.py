@@ -3,9 +3,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp
 
 from planarweb.errors import OnCut
-from planarweb.hyperlog.numeric import WordEvaluator, eval_word
+from planarweb.hyperlog.numeric import (
+    GUARD_BITS,
+    WordEvaluator,
+    _subdivide,
+    _to_fixed,
+    _transport,
+    eval_word,
+)
 from planarweb.hyperlog.words import STANDARD
 
 
@@ -213,3 +221,112 @@ def test_anchor_values_against_mpmath():
     assert abs(vals[LI3] - mpl.polylog(3, anchor)) < mpf(10) ** -40
     assert abs(vals[LI2] - mpl.polylog(2, anchor)) < mpf(10) ** -40
     assert abs(vals[X1] + mpl.log(mpl.mpf(3) / 5)) < mpf(10) ** -40
+
+
+def _transport_all_terms(alphabet, closure, vals, p, q, n_terms, mp):
+    """Reference for _transport: every word's loop runs all n_terms terms
+    over full-length coefficient lists, with no early stop."""
+    prec = mp.prec + GUARD_BITS
+    letters = {a: mp.mpf(pt.numerator) / pt.denominator for a, pt in alphabet.points.items()}
+    with mp.workprec(prec):
+        ratio = {a: _to_fixed((q - p) / (p - pt), prec) for a, pt in letters.items()}
+    coeffs = {(): ([1 << prec] + [0] * (n_terms - 1), [0] * n_terms)}
+    out = {(): vals[()]}
+    for w in closure:
+        if not w:
+            continue
+        ur, ui = ratio[w[0]]
+        sign = alphabet.signs[w[0]]
+        tr, ti = coeffs[w[1:]]
+        cr, ci = [vals[w][0]], [vals[w][1]]
+        ar, ai = tr[0], ti[0]
+        for n in range(1, n_terms):
+            mr = (ar * ur - ai * ui) >> prec
+            mi = (ar * ui + ai * ur) >> prec
+            cr.append(sign * mr // n)
+            ci.append(sign * mi // n)
+            ar = tr[n] - mr
+            ai = ti[n] - mi
+        coeffs[w] = (cr, ci)
+        out[w] = (sum(cr), sum(ci))
+    return out
+
+
+# routes next to a letter, far from the alphabet, beyond 1 below its cut and
+# off the axis: short and long steps, zero and nonzero accumulators
+TRANSPORT_TARGETS = [
+    Fraction(1, 9973), Fraction(9972, 9973), Fraction(-9000, 17), Fraction(5, 2),
+    0.3 + 0.7j, -2 - 0.5j,
+]
+
+
+@pytest.mark.parametrize("z", TRANSPORT_TARGETS)
+def test_transport_stops_exactly(z):
+    ev = WordEvaluator(STANDARD, WEIGHT3 + [LI3, LI2, XM1], dps=30)
+    mpl = ev.mp
+    prec = mpl.prec + GUARD_BITS
+    pts = _subdivide(ev.alphabet, [mpl.mpc(p) for p in ev.route(z)], mpl)
+    vals = {w: _to_fixed(ev._anchor_values[w], prec) for w in ev.closure}
+    for p, q in zip(pts, pts[1:]):
+        got = _transport(ev.alphabet, ev.closure, vals, p, q, ev.n_terms, mpl)
+        ref = _transport_all_terms(ev.alphabet, ev.closure, vals, p, q, ev.n_terms, mpl)
+        assert got == ref, (z, p, q)
+        vals = ref
+    got = ev.value_vector(z)
+    for w in ev.closure:
+        re, im = vals[w]
+        ref = (from_man_exp(re, -prec, mpl.prec, "n"), from_man_exp(im, -prec, mpl.prec, "n"))
+        assert got[w]._mpc_ == ref, (z, w)
+
+
+def _loop_round(ev, center, radius):
+    """A based loop from the anchor once round center, counterclockwise."""
+    mpl = ev.mp
+    c = mpl.mpc(center)
+    approach = c + radius if center <= 0.4 else c - radius
+    eta = ev.route(approach)
+    circle = [c + (approach - c) * mpl.exp(2j * mpl.pi * k / 8) for k in range(1, 8)]
+    return list(eta) + circle + [approach] + list(reversed(eta))
+
+
+def _waypoint_count(children):
+    return sum(1 + _waypoint_count(node[1]) for node in children.values())
+
+
+def test_warm_evaluator_matches_a_fresh_one_exactly():
+    # targets on one side share the first steps of their subdivided routes;
+    # the loops end at the anchor with other values than the anchor's own, so
+    # a cache keyed by the point alone would return the wrong branch there
+    words = WEIGHT3 + [LI3, XM1]
+    targets = [
+        Fraction(1, 3), Fraction(1, 5), Fraction(2, 3), Fraction(-1, 2), Fraction(-3, 2),
+        Fraction(5, 2), 0.3 + 0.7j, 0.3 + 0.9j, -2 - 0.5j,
+    ]
+    warm = WordEvaluator(STANDARD, words, dps=30)
+    mpl = warm.mp
+    steps = 0
+    for path in [warm.route(z) for z in targets] + [_loop_round(warm, c, 0.3) for c in (0, 1)]:
+        steps += len(_subdivide(warm.alphabet, [mpl.mpc(p) for p in path], mpl)) - 1
+        warm.values_along(path)
+    assert _waypoint_count(warm._waypoints) - 1 < steps  # some prefixes were shared
+    loop = _loop_round(warm, 1, 0.3)
+    assert warm.values_along(loop)[LI3] != warm.value_vector(warm.anchor)[LI3]
+    for z in targets + [warm.anchor]:
+        fresh = WordEvaluator(STANDARD, words, dps=30).value_vector(z)
+        got = warm.value_vector(z)
+        assert {w: v._mpc_ for w, v in got.items()} == {w: v._mpc_ for w, v in fresh.items()}, z
+    fresh_loop = WordEvaluator(STANDARD, words, dps=30).values_along(loop)
+    got_loop = warm.values_along(loop)
+    assert {w: v._mpc_ for w, v in got_loop.items()} == {w: v._mpc_ for w, v in fresh_loop.items()}
+
+
+def test_evaluators_share_no_waypoints():
+    first = WordEvaluator(STANDARD, [LI3], dps=30)
+    second = WordEvaluator(STANDARD, [LI3], dps=30)
+    first.value_vector(Fraction(1, 3))
+    assert first._waypoints and not second._waypoints
+    second.value_vector(Fraction(1, 3))
+    assert first._waypoints is not second._waypoints
+    (first_root,) = first._waypoints.values()
+    (second_root,) = second._waypoints.values()
+    assert first_root is not second_root
