@@ -205,10 +205,20 @@ def cmd_verify_num(args) -> int:
     return 0 if report["pass"] else 1
 
 
+# `constant` compares samples and candidates at the tolerance 10^-CONSTANT_DIGITS,
+# which a lower working precision cannot deliver
+CONSTANT_DIGITS = 30
+
+
 def cmd_constant(args) -> int:
     from .hyperlog.constants import SymConst
     from .hyperlog.verify import constancy_check, load_afe
 
+    if args.precision < CONSTANT_DIGITS:
+        raise InvalidParameter(
+            f"constant compares at the tolerance 1e-{CONSTANT_DIGITS}, so --precision must be "
+            f"at least {CONSTANT_DIGITS}, got {args.precision}"
+        )
     instance = load_afe(args.afefile)
     half = Fraction(1, 2)
     candidates = {
@@ -224,7 +234,7 @@ def cmd_constant(args) -> int:
         samples=args.samples,
         dps=args.precision,
         candidates=candidates,
-        tolerance=Fraction(1, 10**30),
+        tolerance=Fraction(1, 10**CONSTANT_DIGITS),
         seed=args.seed,
     )
     _emit(report, args.output)

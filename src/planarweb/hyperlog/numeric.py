@@ -11,26 +11,35 @@ One log-series routine gives the expansion at the base point 0 (every
 integration constant 0) and at every ramification point (each word's
 constant fixed from its value transported to a nearby point).
 
-Transport runs in fixed point on plain Python ints, real and imaginary parts
-apart, scaled by 2**(mp.prec + GUARD_BITS); only the anchor values going in
+Transport runs on plain Python ints from start to finish.  Word values are
+fixed point, real and imaginary parts apart, scaled by 2**prec, prec =
+mp.prec + GUARD_BITS; waypoints are exact grid pairs on the coordinate scale
+2**(2 * prec), fine enough that every corner of a route at the working
+precision, its target too, lies on the grid (a corner off it raises
+PrecisionNotReached and is never rounded).  Only the anchor values going in
 and the word values coming out are mpmath numbers.  The recurrence of a step
 p -> q is scaled by the step: it carries the coefficients of h**n, h = q - p,
-so each term is O(theta**n) with theta <= 1/2 however far p lies from the
-alphabet, and the value at q is the plain sum of the terms.  Unscaled
+so each term is O(|u|**n), u = h/(p - a), |u| <= 1/2 however far p lies from
+the alphabet, and the value at q is the plain sum of the terms.  Unscaled
 coefficients of (z - p)**n grow like |p|**n and would leave no correct bit
-of a fixed-point sum far from the alphabet.  The guard bits absorb the
-rounding of the ~n_terms operations per word and step.  A word's series
-stops exactly where every later term is 0: past its tail's last nonzero
-coefficient, once the accumulator is 0.
+of a fixed-point sum far from the alphabet.  The products are rounded toward
+zero, and the guard bits absorb that rounding over the ~n_terms operations
+per word and step.  A word's series stops exactly where every later term is
+0: past its tail's last nonzero coefficient, once the accumulator is 0,
+which rounding toward zero makes every accumulator there reach.
 
 Each evaluator keeps the fixed-point values it reaches at every waypoint,
-keyed by the subdivided path prefix from the anchor (the exact _mpc_ of each
+keyed by the subdivided path prefix from the anchor (the grid pair of each
 point), never by the point alone: a loop comes back to its start with other
 values.  A later path resumes from its longest transported prefix, so the
-samples and components of one evaluation share their common first steps;
-the subdivision depends only on where a step starts and where it heads, so
-routes to targets in one direction share waypoints.  The cache lives and
-dies with the evaluator.
+samples and components of one evaluation share their common first steps.
+The subdivision is integral too, and on the horizontal and vertical legs of
+a route each step is exactly half the distance to the nearest letter
+(rounded down), so a waypoint depends only on where its leg starts and which
+way it heads: routes that head the same way share every waypoint up to the
+nearer target.  The cache lives and dies with the evaluator.  Values differ
+from those of a transport with mpmath step ratios and floored products only
+inside the guard bits, so they are not bit for bit the same.
 
 Default paths stay inside the cut plane: vertical cuts leave each real
 ramification point downward except at 1, where the cut goes upward (so the
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import mpmath
@@ -179,25 +189,55 @@ def _to_fixed(z, prec):
     return to_fixed(re, prec), to_fixed(im, prec)
 
 
-def _transport(alphabet: Alphabet, closure, vals, p, q, n_terms, mp):
+def _to_grid(z, bits):
+    """(re, im) of an mpc as exact ints on the coordinate scale 2**bits.  A
+    part that is not a multiple of 2**-bits, or not finite, raises
+    PrecisionNotReached: a corner is never rounded."""
+    out = []
+    for sign, man, exp, _ in z._mpc_:
+        if not man:
+            if exp:  # inf or nan
+                raise PrecisionNotReached(f"{z} is not a finite point")
+            out.append(0)
+        elif exp + bits < 0:
+            raise PrecisionNotReached(f"{z} does not lie on the coordinate grid 2**-{bits}")
+        else:
+            n = int(man) << (exp + bits)
+            out.append(-n if sign else n)
+    return tuple(out)
+
+
+def _step_ratio(h, d, prec):
+    """u = h/d for grid pairs h and d != 0, a fixed-point pair scaled by
+    2**prec and rounded down: (h * conj(d) << prec) // |d|**2."""
+    hx, hy = h
+    dx, dy = d
+    dd = dx * dx + dy * dy
+    return ((hx * dx + hy * dy) << prec) // dd, ((hy * dx - hx * dy) << prec) // dd
+
+
+def _transport(alphabet: Alphabet, letters, closure, vals, p, q, n_terms, prec):
     """Taylor-transport the fixed-point word values vals from p to q.
 
-    Fixed point: every number is a pair of ints (re, im) scaled by 2**prec,
-    prec = mp.prec + GUARD_BITS.  The step carries the coefficients of
-    h**n, h = q - p, so with u = h/(p - a) the kernel sign/(z - a) becomes
-    sign*u * sum (-u)**n and every term is O(theta**n) whatever |p|.
+    p and q are grid pairs (coordinate scale 2**(2 * prec)), letters maps
+    each letter to its real grid coordinate.  Fixed point: every value is a
+    pair of ints (re, im) scaled by 2**prec, prec = mp.prec + GUARD_BITS.
+    The step carries the coefficients of h**n, h = q - p, so with u = h/(p -
+    a), computed from the ints by _step_ratio, the kernel sign/(z - a)
+    becomes sign*u * sum (-u)**n and every term is O(|u|**n) whatever |p|.
 
-    A word's series stops exactly: past the last stored coefficient of its
-    tail, a zero accumulator makes every later coefficient 0.  Coefficient
+    The products m = u * acc are rounded toward zero, so |m| <= |u| |acc|:
+    past its tail's stored coefficients an accumulator (acc = -m there)
+    shrinks by |u| <= 1/2 per term down to exactly 0, and the word's series
+    stops there, every later coefficient being 0.  At |u| close to 1/2 that
+    takes about prec terms, which may be more than n_terms.  Coefficient
     lists are stored without trailing zeros (the empty word's unit is
     ([1 << prec], [0])), so a word's tail runs out as soon as it can.  The
     values at q are exactly those of a loop over all n_terms terms, which is
     what lets WordEvaluator.values_along keep them as the waypoint q of its
-    prefix cache and call this only for the steps past a cached prefix."""
-    prec = mp.prec + GUARD_BITS
-    letters = {a: mp.mpf(pt.numerator) / pt.denominator for a, pt in alphabet.points.items()}
-    with mp.workprec(prec):
-        ratio = {a: _to_fixed((q - p) / (p - pt), prec) for a, pt in letters.items()}
+    prefix trie and call this only for the steps past a known prefix."""
+    h = (q[0] - p[0], q[1] - p[1])
+    ratio = {a: _step_ratio(h, (p[0] - x, p[1]), prec) for a, x in letters.items()}
     coeffs = {(): ([1 << prec], [0])}
     out = {(): vals[()]}
     for w in closure:
@@ -210,9 +250,11 @@ def _transport(alphabet: Alphabet, closure, vals, p, q, n_terms, mp):
         cr, ci = [vals[w][0]], [vals[w][1]]
         ar, ai = tr[0], ti[0]
         for n in range(1, n_terms):
-            # m = u * acc_{n-1};  c_n = sign * m / n;  acc_n = tail_n - m
-            mr = (ar * ur - ai * ui) >> prec
-            mi = (ar * ui + ai * ur) >> prec
+            # m = u * acc_{n-1} toward zero;  c_n = sign * m / n;  acc_n = tail_n - m
+            mr = ar * ur - ai * ui
+            mr = mr >> prec if mr >= 0 else -(-mr >> prec)
+            mi = ar * ui + ai * ur
+            mi = mi >> prec if mi >= 0 else -(-mi >> prec)
             cr.append(sign * mr // n)
             ci.append(sign * mi // n)
             if n < size:
@@ -230,32 +272,32 @@ def _transport(alphabet: Alphabet, closure, vals, p, q, n_terms, mp):
     return out
 
 
-def _nearest_letter_distance(alphabet: Alphabet, z, mp):
-    return min(
-        abs(z - mp.mpf(pt.numerator) / pt.denominator)
-        for pt in alphabet.points.values()
-    )
+def _subdivide(letters, corners):
+    """Insert grid points into a polyline of grid pairs so that each step is
+    at most half the distance from its start to the nearest letter (letters:
+    real grid coordinates), up to a grid unit on a slanted leg.
 
-
-def _subdivide(alphabet: Alphabet, path, mp, theta=0.5):
-    """Insert intermediate points so each step <= theta * distance to the
-    nearest ramification point at the step's start."""
-    out = [path[0]]
-    for target in path[1:]:
-        guard = 0
-        while True:
-            p = out[-1]
-            rho = _nearest_letter_distance(alphabet, p, mp)
-            if rho == 0:
+    On integers: the nearest letter by squared distance rho2, the target
+    taken once 4 d2 <= rho2, and otherwise the point p + (t - p) * s //
+    isqrt(d2), s = isqrt(rho2) // 2.  On a horizontal or vertical leg that
+    step is exactly +-s, so a waypoint depends only on where its leg starts
+    and which way it heads, not on how far the leg goes."""
+    out = [corners[0]]
+    for tx, ty in corners[1:]:
+        for _ in range(4000):
+            px, py = out[-1]
+            rho2 = min((px - x) ** 2 for x in letters) + py * py
+            if rho2 == 0:
                 raise OnCut("path touches a ramification point")
-            d = abs(target - p)
-            if d <= theta * rho:
-                out.append(target)
+            dx, dy = tx - px, ty - py
+            d2 = dx * dx + dy * dy
+            if 4 * d2 <= rho2:
+                out.append((tx, ty))
                 break
-            out.append(p + (target - p) * (theta * rho / d))
-            guard += 1
-            if guard > 4000:
-                raise PrecisionNotReached("path subdivision did not converge")
+            s, r = isqrt(rho2) // 2, isqrt(d2)
+            out.append((px + dx * s // r, py + dy * s // r))
+        else:
+            raise PrecisionNotReached("path subdivision did not converge")
     return out
 
 
@@ -288,9 +330,9 @@ class WordEvaluator:
     """Evaluate a family of words at points of the cut plane.
 
     The values at every waypoint reached are kept for the evaluator's
-    lifetime in a trie keyed by the subdivided path from the anchor, so a
-    path is transported only past its longest known prefix; the results are
-    exactly those of a fresh evaluator."""
+    lifetime in a trie keyed by the grid pairs of the subdivided path from
+    the anchor, so a path is transported only past its longest known prefix;
+    the results are exactly those of a fresh evaluator."""
 
     def __init__(self, alphabet: Alphabet = STANDARD, words: Iterable[Word] = (), dps: int = 50):
         self.alphabet = alphabet
@@ -303,8 +345,14 @@ class WordEvaluator:
         self._anchor_values = _anchor_values(
             alphabet, tuple(self.closure), self.mp.dps, self.n_terms
         )
+        self.prec = self.mp.prec + GUARD_BITS  # fixed-point value scale
+        self.grid_bits = 2 * self.prec  # coordinate scale of the waypoints
+        # real letters on the grid; a letter off it would move by < 2**-grid_bits
+        self.letters = {
+            a: round(pt * 2**self.grid_bits) for a, pt in alphabet.points.items()
+        }
         # fixed-point values by subdivided path prefix: a trie of waypoints,
-        # each node (values, children keyed by the next point's _mpc_)
+        # each node (values, children keyed by the next grid pair)
         self._waypoints: Dict[tuple, tuple] = {}
 
     # -- paths ---------------------------------------------------------
@@ -359,24 +407,37 @@ class WordEvaluator:
 
     # -- evaluation ------------------------------------------------------
 
+    def subdivide(self, path: Sequence) -> List[tuple]:
+        """The polyline's corners as exact grid pairs, subdivided into the
+        steps of the transport (_subdivide)."""
+        mp, bits = self.mp, self.grid_bits
+        return _subdivide(self.letters.values(), [_to_grid(mp.mpc(p), bits) for p in path])
+
     def values_along(self, path: Sequence) -> Dict[Word, object]:
         """Transport all closure words from the anchor along the polyline,
         resuming from the longest already transported prefix of its
-        subdivision and keeping every new waypoint's values."""
-        mp = self.mp
-        prec = mp.prec + GUARD_BITS
-        pts = _subdivide(self.alphabet, [mp.mpc(p) for p in path], mp)
+        subdivision and keeping every new waypoint's values.
+
+        The corners are taken exactly onto the coordinate grid 2**-grid_bits,
+        grid_bits = 2 * prec, which is fine enough for every corner at the
+        working precision, down to arguments far below 2**-prec; a corner
+        off the grid raises PrecisionNotReached.  The trie is keyed by the
+        waypoints' grid pairs, so routes that head the same way from a common
+        corner share every waypoint up to the shorter one's last step."""
+        mp, prec = self.mp, self.prec
+        pts = self.subdivide(path)
         vals, children = None, self._waypoints
         for i, q in enumerate(pts):
-            node = children.get(q._mpc_)
+            node = children.get(q)
             if node is None:
                 if i == 0:
                     vals = {w: _to_fixed(self._anchor_values[w], prec) for w in self.closure}
                 else:
                     vals = _transport(
-                        self.alphabet, self.closure, vals, pts[i - 1], q, self.n_terms, mp
+                        self.alphabet, self.letters, self.closure, vals, pts[i - 1], q,
+                        self.n_terms, prec,
                     )
-                node = children[q._mpc_] = (vals, {})
+                node = children[q] = (vals, {})
             vals, children = node
         return {
             w: mp.make_mpc(

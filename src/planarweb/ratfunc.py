@@ -14,11 +14,11 @@ jet-rank linear algebra reads (web.BasePoint).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Dict, Tuple
 
 from .errors import IdenticallySingular, PoleAtCenter, ZeroDenominator
-from .poly import BivarPoly, poly_gcd, poly_quo
+from .poly import BivarPoly, _homogeneous_powers, poly_gcd, poly_quo
 
 
 class RatFunc:
@@ -148,6 +148,24 @@ class RatFunc:
             raise ZeroDenominator("composed denominator vanishes identically")
         return RatFunc(new_num, new_den)
 
+    def translate(self, px: Fraction, py: Fraction) -> "RatFunc":
+        """self(x + px, y + py), canonical without a gcd: the integer Taylor
+        shifts of num and den, cleared jointly, over their joint content.  A
+        translation keeps the pair coprime and keeps its top-degree terms
+        (so the denominator's leading sign), so this is the canonical pair
+        that `substitute` reaches through `poly_gcd`."""
+        px, py = Fraction(px), Fraction(py)
+        nx = max(self.num.degree_in("x"), self.den.degree_in("x"), 0)
+        ny = max(self.num.degree_in("y"), self.den.degree_in("y"), 0)
+        num = _taylor_shift(self.num, px, nx, py, ny)
+        den = _taylor_shift(self.den, px, nx, py, ny)
+        c = gcd(*num.values(), *den.values())
+        return RatFunc(
+            BivarPoly._of({e: v // c for e, v in num.items()}),
+            BivarPoly._of({e: v // c for e, v in den.items()}),
+            _canonical=True,
+        )
+
     def taylor(self, center: Tuple[Fraction, Fraction], order: int) -> "SeriesJet":
         """Exact truncated Taylor expansion at a non-pole rational center."""
         cx, cy = Fraction(center[0]), Fraction(center[1])
@@ -166,6 +184,22 @@ class RatFunc:
         from .parse import format_ratfunc
 
         return format_ratfunc(self)
+
+
+def _taylor_shift(p: BivarPoly, px: Fraction, nx: int, py: Fraction, ny: int):
+    """The terms of b^nx e^ny p(x + a/b, y + c/e) over Z, px = a/b and py =
+    c/e, for nx and ny at least p's degrees in x and y: a term t x^ex y^ey
+    adds t C(ex, i) a^(ex-i) b^(nx-ex+i) C(ey, j) c^(ey-j) e^(ny-ey+j) to
+    the coefficient of x^i y^j."""
+    xs = _homogeneous_powers(px.numerator, px.denominator, nx)
+    ys = _homogeneous_powers(py.numerator, py.denominator, ny)
+    out: Dict[Tuple[int, int], int] = {}
+    for (ex, ey), t in p.terms.items():
+        for i in range(ex + 1):
+            ti = t * comb(ex, i) * xs[ex - i]
+            for j in range(ey + 1):
+                out[(i, j)] = out.get((i, j), 0) + ti * comb(ey, j) * ys[ey - j]
+    return {e: c for e, c in out.items() if c}
 
 
 def cleared_jacobian(f: RatFunc, g: RatFunc) -> BivarPoly:

@@ -240,9 +240,10 @@ class _JetPowers:
     """The jets at a point of the powers v^k of v = U - U(point), over the
     integers, grown a degree at a time.
 
-    With N/D = U(point + (s, t)) over Z and d0 = D(0, 0), the coefficient
-    of s^a t^b in v^k is an integer over d0^(k + a + b), which does not
-    depend on the order: `powers[k][n]` maps each (a, b) of total degree n
+    With N/D = U(point + (s, t)) over Z (`RatFunc.translate`, no gcd) and
+    d0 = D(0, 0), the coefficient of s^a t^b in v^k is an integer over
+    d0^(k + a + b), which does not depend on the order: `powers[k][n]` maps
+    each (a, b) of total degree n
     to that integer, for k, n = 0..K, and a higher order only appends
     degrees.  U's coefficients u_e over d0^(|e| + 1) follow from N = D U
     without a division: u_e = N_e d0^|e| - sum_{0 < f <= e} D_f
@@ -252,7 +253,7 @@ class _JetPowers:
 
     def __init__(self, u: RatFunc, point: Tuple[Fraction, Fraction]):
         px, py = point
-        shifted = u.substitute(RatFunc.var("x") + RatFunc.const(px), RatFunc.var("y") + RatFunc.const(py))
+        shifted = u.translate(px, py)
         self.num = shifted.num.terms
         d0 = self.d0 = shifted.den.terms.get((0, 0), 0)
         if d0 == 0:

@@ -116,6 +116,10 @@ def test_determinism_byte_identical():
     _, _, out4 = run_cli("verify-num", fixture_path("arctan.afe"), "--samples", "3",
                          "--precision", "40", "--seed", "5")
     assert out3 == out4
+    # a transported file: word values carried through the waypoint trie
+    _, _, out5 = run_cli("verify-num", fixture_path("sk_r3.afe"), "--samples", "2", "--seed", "5")
+    _, _, out6 = run_cli("verify-num", fixture_path("sk_r3.afe"), "--samples", "2", "--seed", "5")
+    assert json.loads(out5)["pass"] and out5 == out6
 
 
 
@@ -184,6 +188,15 @@ def test_constant_on_one_sample_is_usage_error():
     # constancy cannot fail on one sample, so a pass there would be vacuous
     rc, doc, _ = run_cli("constant", fixture_path("rogers_d.afe"), "--samples", "1")
     assert rc == 2 and doc["type"] == "InvalidParameter" and "2 samples" in doc["error"]
+
+
+@pytest.mark.parametrize("afe,precision", [("g21.afe", "8"), ("rogers_d.afe", "5"), ("g21.afe", "29")])
+def test_constant_below_its_tolerance_is_usage_error(afe, precision):
+    # constant compares at 1e-30, which a lower precision cannot deliver: g21
+    # at 8 digits varied by 4.8e-28 and exited 1 as a mathematical FAIL
+    rc, doc, _ = run_cli("constant", fixture_path(afe), "--samples", "3", "--precision", precision)
+    assert rc == 2 and doc["type"] == "InvalidParameter"
+    assert "1e-30" in doc["error"] and f"got {precision}" in doc["error"]
 
 
 @pytest.mark.parametrize("target", ["0", "6"])

@@ -324,6 +324,32 @@ def test_jet_table_matches_the_fraction_taylor_powers(web_name, point, request):
         assert_table_matches_taylor(u, point, 6)
 
 
+@pytest.mark.parametrize("web_name", ["arctan_web", "bol_web", "cauchy_web", "configc_web", "sk_web"])
+def test_base_point_tables_need_no_gcd(web_name, request, monkeypatch):
+    # a translation keeps a reduced pair coprime, so the tables reach
+    # substitute's canonical pairs with no bivariate gcd at all
+    web = request.getfixturevalue(web_name)
+    points = [pick_generic_point(web, seed=seed).point for seed in (0, 1)]
+    points.append((Fraction(-2, 3), Fraction(-5, 7)))
+
+    def no_gcd(*args):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr("planarweb.ratfunc.poly_gcd", no_gcd)
+    bases = [BasePoint(web, point) for point in points]
+    monkeypatch.undo()
+    for base in bases:
+        px, py = base.point
+        for u, table in zip(web.integrals(), base._jets):
+            ref = u.substitute(RatFunc.var("x") + RatFunc.const(px), RatFunc.var("y") + RatFunc.const(py))
+            d0 = ref.den.terms[(0, 0)]
+            assert table.num == ref.num.terms, (web.name, base.point, u)
+            assert table.d0 == d0
+            assert dict(table.dens) == {
+                f: c * d0 ** (f[0] + f[1] - 1) for f, c in ref.den.terms.items() if f != (0, 0)
+            }
+
+
 def test_jet_table_with_a_negative_d0():
     # x/(1 - x) at x = 1/3 is (3s + 1)/(2 - 3s), which is -(3s + 1)/(3s - 2)
     # with a positive leading denominator coefficient: d0 = -2

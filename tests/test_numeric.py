@@ -5,11 +5,10 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
-from planarweb.errors import OnCut
+from planarweb.errors import OnCut, PrecisionNotReached
 from planarweb.hyperlog.numeric import (
-    GUARD_BITS,
     WordEvaluator,
-    _subdivide,
+    _step_ratio,
     _to_fixed,
     _transport,
     eval_word,
@@ -223,13 +222,15 @@ def test_anchor_values_against_mpmath():
     assert abs(vals[X1] + mpl.log(mpl.mpf(3) / 5)) < mpf(10) ** -40
 
 
-def _transport_all_terms(alphabet, closure, vals, p, q, n_terms, mp):
+def _toward_zero(x, prec):
+    return x >> prec if x >= 0 else -(-x >> prec)
+
+
+def _transport_all_terms(alphabet, letters, closure, vals, p, q, n_terms, prec):
     """Reference for _transport: every word's loop runs all n_terms terms
     over full-length coefficient lists, with no early stop."""
-    prec = mp.prec + GUARD_BITS
-    letters = {a: mp.mpf(pt.numerator) / pt.denominator for a, pt in alphabet.points.items()}
-    with mp.workprec(prec):
-        ratio = {a: _to_fixed((q - p) / (p - pt), prec) for a, pt in letters.items()}
+    h = (q[0] - p[0], q[1] - p[1])
+    ratio = {a: _step_ratio(h, (p[0] - x, p[1]), prec) for a, x in letters.items()}
     coeffs = {(): ([1 << prec] + [0] * (n_terms - 1), [0] * n_terms)}
     out = {(): vals[()]}
     for w in closure:
@@ -241,8 +242,8 @@ def _transport_all_terms(alphabet, closure, vals, p, q, n_terms, mp):
         cr, ci = [vals[w][0]], [vals[w][1]]
         ar, ai = tr[0], ti[0]
         for n in range(1, n_terms):
-            mr = (ar * ur - ai * ui) >> prec
-            mi = (ar * ui + ai * ur) >> prec
+            mr = _toward_zero(ar * ur - ai * ui, prec)
+            mi = _toward_zero(ar * ui + ai * ur, prec)
             cr.append(sign * mr // n)
             ci.append(sign * mi // n)
             ar = tr[n] - mr
@@ -250,6 +251,10 @@ def _transport_all_terms(alphabet, closure, vals, p, q, n_terms, mp):
         coeffs[w] = (cr, ci)
         out[w] = (sum(cr), sum(ci))
     return out
+
+
+def _fixed_anchor_values(ev):
+    return {w: _to_fixed(ev._anchor_values[w], ev.prec) for w in ev.closure}
 
 
 # routes next to a letter, far from the alphabet, beyond 1 below its cut and
@@ -263,13 +268,13 @@ TRANSPORT_TARGETS = [
 @pytest.mark.parametrize("z", TRANSPORT_TARGETS)
 def test_transport_stops_exactly(z):
     ev = WordEvaluator(STANDARD, WEIGHT3 + [LI3, LI2, XM1], dps=30)
-    mpl = ev.mp
-    prec = mpl.prec + GUARD_BITS
-    pts = _subdivide(ev.alphabet, [mpl.mpc(p) for p in ev.route(z)], mpl)
-    vals = {w: _to_fixed(ev._anchor_values[w], prec) for w in ev.closure}
+    mpl, prec = ev.mp, ev.prec
+    pts = ev.subdivide(ev.route(z))
+    vals = _fixed_anchor_values(ev)
     for p, q in zip(pts, pts[1:]):
-        got = _transport(ev.alphabet, ev.closure, vals, p, q, ev.n_terms, mpl)
-        ref = _transport_all_terms(ev.alphabet, ev.closure, vals, p, q, ev.n_terms, mpl)
+        args = (ev.alphabet, ev.letters, ev.closure, vals, p, q, ev.n_terms, prec)
+        got = _transport(*args)
+        ref = _transport_all_terms(*args)
         assert got == ref, (z, p, q)
         vals = ref
     got = ev.value_vector(z)
@@ -277,6 +282,73 @@ def test_transport_stops_exactly(z):
         re, im = vals[w]
         ref = (from_man_exp(re, -prec, mpl.prec, "n"), from_man_exp(im, -prec, mpl.prec, "n"))
         assert got[w]._mpc_ == ref, (z, w)
+
+
+def test_every_series_stops_before_n_terms():
+    # steps of at most a quarter of the distance to the nearest letter, so
+    # |u| <= 1/4 and each accumulator past its tail reaches exactly 0 in about
+    # prec/2 terms: four times the terms must give the very same values
+    ev = WordEvaluator(STANDARD, WEIGHT3 + [LI3, XM1], dps=30)
+    mpl = ev.mp
+    a, step = ev.anchor, mpl.mpf("0.05")
+    path = [
+        a, a - step, a - 2 * step, mpl.mpc(a - 2 * step, step), mpl.mpc(a - 3 * step, step),
+        a - 3 * step,
+    ]
+    pts = ev.subdivide(path)
+    assert len(pts) == len(path)  # no step needed subdividing
+    vals = _fixed_anchor_values(ev)
+    for p, q in zip(pts, pts[1:]):
+        got, more = (
+            _transport(ev.alphabet, ev.letters, ev.closure, vals, p, q, n_terms, ev.prec)
+            for n_terms in (ev.n_terms, 4 * ev.n_terms)
+        )
+        assert got == more, (p, q)
+        vals = got
+
+
+@pytest.mark.parametrize(
+    "near,far",
+    [
+        (Fraction(7, 100), Fraction(3, 100)),  # left of the anchor, toward 0
+        (Fraction(7, 10), Fraction(19, 20)),  # right of the anchor, toward 1
+        (0.25 + 0.05j, 0.25 - 0.2j),  # down one vertical leg below one horizontal leg
+        (0.1 - 0.1j, 0.1 - 0.3j),  # across the axis between the letters 0 and 1
+    ],
+)
+def test_routes_heading_the_same_way_share_waypoints(near, far):
+    # a waypoint depends only on where its leg starts and which way it heads,
+    # so the nearer target's route, but for its own last step, is a prefix of
+    # the farther one's, and the farther route resumes from the trie there
+    ev = WordEvaluator(STANDARD, [LI2], dps=30)
+    near_pts, far_pts = ev.subdivide(ev.route(near)), ev.subdivide(ev.route(far))
+    assert len(near_pts) >= 3 and len(far_pts) > len(near_pts)
+    assert far_pts[: len(near_pts) - 1] == near_pts[:-1]
+    ev.value_vector(near)
+    node = ev._waypoints
+    for q in near_pts[:-1]:
+        node = node[q][1]
+    assert set(node) == {near_pts[-1]}  # the near target's own last step only
+    ev.value_vector(far)
+    assert set(node) == {near_pts[-1], far_pts[len(near_pts) - 1]}
+
+
+@pytest.mark.parametrize("exponent", [45, 70])
+def test_log_and_li2_at_tiny_arguments(exponent):
+    # about 3.3 * exponent halving steps toward 0, to a target far below
+    # 2**-prec: the waypoints' grid must be finer than the values' scale
+    ev = WordEvaluator(STANDARD, [("x0",), LI2], dps=50)
+    mpl = ev.mp
+    z = mpl.mpf(10) ** -exponent
+    vals = ev.value_vector(z)
+    assert abs(vals[("x0",)] - mpl.log(z)) < mpf(10) ** -60
+    assert abs(vals[LI2] - mpl.polylog(2, z)) < mpf(10) ** -60
+
+
+def test_a_corner_off_the_grid_is_refused():
+    ev = WordEvaluator(STANDARD, [LI2], dps=30)
+    with pytest.raises(PrecisionNotReached):
+        ev.values_along([ev.anchor, ev.mp.ldexp(1, -ev.grid_bits - 1)])
 
 
 def _loop_round(ev, center, radius):
@@ -303,10 +375,9 @@ def test_warm_evaluator_matches_a_fresh_one_exactly():
         Fraction(5, 2), 0.3 + 0.7j, 0.3 + 0.9j, -2 - 0.5j,
     ]
     warm = WordEvaluator(STANDARD, words, dps=30)
-    mpl = warm.mp
     steps = 0
     for path in [warm.route(z) for z in targets] + [_loop_round(warm, c, 0.3) for c in (0, 1)]:
-        steps += len(_subdivide(warm.alphabet, [mpl.mpc(p) for p in path], mpl)) - 1
+        steps += len(warm.subdivide(path)) - 1
         warm.values_along(path)
     assert _waypoint_count(warm._waypoints) - 1 < steps  # some prefixes were shared
     loop = _loop_round(warm, 1, 0.3)

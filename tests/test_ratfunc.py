@@ -8,7 +8,7 @@ from planarweb.abel import depends_only_on
 from planarweb.errors import ConstantInput, PoleAtCenter
 from planarweb.parse import parse_ratfunc as P
 from planarweb.poly import squarefree_part
-from planarweb.ratfunc import cleared_jacobian
+from planarweb.ratfunc import RatFunc, cleared_jacobian
 from planarweb.web import Foliation, same_foliation
 
 
@@ -105,6 +105,17 @@ def test_substitute_oracle_random_points():
         px = Fraction(rng.randrange(2, 30), 7)
         py = Fraction(rng.randrange(2, 30), 11)
         assert g.evaluate(px, py) == f.evaluate(mx.evaluate(px, py), my.evaluate(px, py))
+
+
+@pytest.mark.parametrize(
+    "expr", ["0", "3/7", "x/(1-x)", "(x^2-y)/(x+y+1)", "y*(1-x)/(x*(1-y))", "-(2*x*y^3-5)/(3*y^2-x)"]
+)
+@pytest.mark.parametrize("point", [(0, 0), (Fraction(1, 3), Fraction(-1, 2)), (Fraction(-5, 4), 2)])
+def test_translate_is_the_canonical_substitution(expr, point):
+    px, py = map(Fraction, point)
+    got = P(expr).translate(px, py)
+    ref = P(expr).substitute(P("x") + RatFunc.const(px), P("y") + RatFunc.const(py))
+    assert (got.num, got.den) == (ref.num, ref.den)
 
 
 def test_jet_product_truncation():
