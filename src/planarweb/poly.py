@@ -438,11 +438,15 @@ def squarefree_part(p: BivarPoly) -> BivarPoly:
     return poly_quo(p, g).primitive_z()[1]
 
 
-def coprime_split(polys: Iterable[BivarPoly]):
+def coprime_split(polys: Iterable[BivarPoly], basis: Iterable[BivarPoly] = ()):
     """Split squarefree polynomials into a pairwise-coprime list whose product
-    equals the squarefree part of the input product (up to constants)."""
+    equals the squarefree part of the input product (up to constants).
+
+    basis, an earlier output (squarefree, primitive with positive leading
+    coefficient and pairwise coprime), is the starting point: only polys are
+    split against it, and the result is coprime_split(basis + polys)."""
     work = [squarefree_part(p) for p in polys if not p.is_constant()]
-    out: list[BivarPoly] = []
+    out: list[BivarPoly] = list(basis)
     while work:
         p = work.pop()
         if p.is_constant():

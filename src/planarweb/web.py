@@ -144,7 +144,7 @@ class SingularLocus:
     def curve_components(self) -> List[BivarPoly]:
         # the gcd-free basis of the Jacobians and the poles: irreducible
         # factors grouped by which inputs they divide
-        return coprime_split(self.tangency_components + self.poles)
+        return coprime_split(self.poles, basis=self.tangency_components)
 
     def product(self) -> BivarPoly:
         out = BivarPoly.const(1)

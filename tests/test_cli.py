@@ -120,7 +120,10 @@ def test_determinism_byte_identical():
     _, _, out5 = run_cli("verify-num", fixture_path("sk_r3.afe"), "--samples", "2", "--seed", "5")
     _, _, out6 = run_cli("verify-num", fixture_path("sk_r3.afe"), "--samples", "2", "--seed", "5")
     assert json.loads(out5)["pass"] and out5 == out6
-
+    # constant prints residual digits that depend on the anchor values
+    _, _, out7 = run_cli("constant", fixture_path("rogers_d.afe"), "--samples", "2", "--seed", "5")
+    _, _, out8 = run_cli("constant", fixture_path("rogers_d.afe"), "--samples", "2", "--seed", "5")
+    assert json.loads(out7)["matched"] and out7 == out8
 
 
 def test_verify_num_keeps_the_given_tolerance():

@@ -8,12 +8,18 @@ from mpmath.libmp import from_man_exp
 from planarweb.errors import OnCut, PrecisionNotReached
 from planarweb.hyperlog.numeric import (
     WordEvaluator,
+    _anchor_values,
+    _exact,
+    _from_fixed,
     _step_ratio,
-    _to_fixed,
     _transport,
     eval_word,
 )
+from planarweb.hyperlog.verify import load_afe
 from planarweb.hyperlog.words import STANDARD
+
+from conftest import fixture_path
+from series_oracle import _eval_log_series, _log_series
 
 
 def test_li2_half_against_direct_series():
@@ -216,10 +222,74 @@ def test_anchor_values_against_mpmath():
     mpl = ev.mp
     anchor = ev.anchor
     assert anchor == mpl.mpf(2) / 5
-    vals = ev._anchor_values
+    vals = {w: _from_fixed(z, ev.prec, mpl) for w, z in ev._anchor_values.items()}
     assert abs(vals[LI3] - mpl.polylog(3, anchor)) < mpf(10) ** -40
     assert abs(vals[LI2] - mpl.polylog(2, anchor)) < mpf(10) ** -40
     assert abs(vals[X1] + mpl.log(mpl.mpf(3) / 5)) < mpf(10) ** -40
+
+
+AFE_FIXTURES = ["arctan", "g21", "l2_schaffer", "newman", "rogers_d", "sk_r3"]
+POOLS = {name: load_afe(fixture_path(f"{name}.afe")).word_pool() for name in AFE_FIXTURES}
+POOLS["weight3"] = WEIGHT3
+
+
+def _oracle_context(ev):
+    """An mpmath context 40 digits finer than ev's, and the oracle's n_terms
+    there, chosen as WordEvaluator chooses its own."""
+    hi = mpmath.mp.clone()
+    hi.dps = ev.mp.dps + 40
+    return hi, int(hi.dps * 3.4) + 24
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_anchor_values_match_the_mpmath_oracle(pool):
+    # the integer expansion at 0, summed at the anchor, against the mpmath
+    # series at 40 more digits: within 2 units of 2**-mp.prec
+    ev = WordEvaluator(STANDARD, POOLS[pool], dps=50)
+    hi, n_terms = _oracle_context(ev)
+    anchor = hi.mpf(ev.anchor)
+    series = _log_series(STANDARD, ev.closure, Fraction(0), n_terms, hi)
+    unit = hi.ldexp(1, -ev.mp.prec)
+    for w in ev.closure:
+        ref = _eval_log_series(series[w], hi.mpc(anchor), hi.log(anchor), hi)
+        got = _from_fixed(ev._anchor_values[w], ev.prec, hi)
+        assert abs(got - ref) <= 2 * unit, (pool, w)
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+@pytest.mark.parametrize("center", [-1, 0, 1])
+def test_local_constants_match_the_mpmath_oracle(pool, center):
+    # every constant term of the local expansions, against the mpmath series
+    # whose constants are fixed from values transported at 40 more digits to
+    # the same point; the terms come out as mpc rounded to mp.prec bits, so
+    # the 2 units are relative to values above 1
+    ev = WordEvaluator(STANDARD, POOLS[pool], dps=50)
+    hi, n_terms = _oracle_context(ev)
+    exps = ev.local_expansions_at(center)
+    direction = 1 if ev.anchor >= center else -1
+    p = Fraction(center) + Fraction(direction, 2)  # half the distance to the next letter
+    vals = WordEvaluator(STANDARD, POOLS[pool], dps=ev.dps + 40).value_vector(p)
+    h_p = hi.mpc(hi.mpf(direction) / 2)
+    at = (h_p, hi.log(direction * h_p), vals)
+    series = _log_series(STANDARD, ev.closure, Fraction(center), n_terms, hi, at)
+    unit = hi.ldexp(1, -ev.mp.prec)
+    for w in ev.closure:
+        ref = [slice_k[0] for slice_k in series[w]]
+        got = [slice_k[0] for slice_k in exps[w]]
+        size = max(len(got), len(ref))
+        for k, (g, r) in enumerate(zip(got + [0] * size, ref + [0] * size)):
+            assert abs(g - r) <= 2 * unit * max(1, abs(r)), (pool, center, w, k)
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_anchor_series_stop_before_n_terms(pool):
+    # |u| <= 2/5 at the anchor, so every slice reaches its exact stop within
+    # n_terms: four times the terms give the very same ints
+    ev = WordEvaluator(STANDARD, POOLS[pool], dps=50)
+    args = (STANDARD, tuple(ev.closure), _exact(ev.anchor))
+    more = _anchor_values(*args, 4 * ev.n_terms, ev.prec)
+    assert more == _anchor_values(*args, ev.n_terms, ev.prec)
+    assert more == ev._anchor_values
 
 
 def _toward_zero(x, prec):
@@ -254,7 +324,7 @@ def _transport_all_terms(alphabet, letters, closure, vals, p, q, n_terms, prec):
 
 
 def _fixed_anchor_values(ev):
-    return {w: _to_fixed(ev._anchor_values[w], ev.prec) for w in ev.closure}
+    return dict(ev._anchor_values)
 
 
 # routes next to a letter, far from the alphabet, beyond 1 below its cut and

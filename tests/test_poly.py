@@ -82,6 +82,16 @@ def test_coprime_split():
     assert poly_divides(poly("1-x"), product)
 
 
+def test_coprime_split_from_a_basis():
+    # splitting only the new inputs against an earlier output gives the same
+    # basis as splitting everything at once
+    first = [poly("x*y*(x+y)"), poly("y*(1-x)*(x-y)"), poly("(x+y)*(x-y)^2")]
+    more = [poly("x*(x+y)"), poly("(1-x)*(x+2*y)"), poly("y^2*(x+2*y)"), poly("3")]
+    basis = coprime_split(first)
+    assert coprime_split(more, basis=basis) == coprime_split(first + more)
+    assert coprime_split([], basis=basis) == basis
+
+
 def test_canonical_leading_sign():
     _, prim = poly("-2*x-2*y").primitive_z()
     assert prim == poly("x+y")
