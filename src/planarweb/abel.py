@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import exact_nullspace
 from .parse import format_ratfunc
-from .poly import BivarPoly, poly_gcd, poly_quo
+from .poly import BivarPoly, poly_gcd, poly_gcd_cofactors, poly_quo
 from .ratfunc import RatFunc, cleared_jacobian
 from .web import Web
 
@@ -54,8 +54,7 @@ def _apply(field: Field, p: BivarPoly) -> BivarPoly:
 
 def _coprime(p: BivarPoly, q: BivarPoly) -> Tuple[BivarPoly, BivarPoly]:
     """p / h and q / h for h = gcd(p, q)."""
-    h = poly_gcd(p, q)
-    return poly_quo(p, h), poly_quo(q, h)
+    return poly_gcd_cofactors(p, q)[1:]
 
 
 def _speed(field: Field, v: RatFunc) -> Tuple[BivarPoly, BivarPoly]:
@@ -127,7 +126,7 @@ def reduce_step(eq: Adfe, pivot: int) -> Adfe:
     speeds = {i: _speed(field, eq.inner[i]) for i in eq.active_unknowns()}
     lcm_den = BivarPoly.const(1)
     for _, den in speeds.values():
-        lcm_den = lcm_den * poly_quo(den, poly_gcd(lcm_den, den))
+        lcm_den = lcm_den * poly_gcd_cofactors(lcm_den, den)[2]
     # t L X(V_i), a polynomial; zero for the pivot
     raised = {i: t * num * poly_quo(lcm_den, den) for i, (num, den) in speeds.items()}
     new_coeffs: Dict[Tuple[int, int], BivarPoly] = defaultdict(BivarPoly)

@@ -193,6 +193,19 @@ def cmd_config_web(args) -> int:
 def cmd_verify_num(args) -> int:
     from .hyperlog.verify import load_afe, verify_afe_numeric
 
+    # residuals below 10^-precision are noise, so a tolerance under it is
+    # out of reach and a FAIL there would say nothing about the identity.
+    # needed is the least n with 10^-n <= tolerance: the digit counts give
+    # it or one less
+    tol = args.tolerance
+    needed = max(0, len(str(tol.denominator)) - len(str(tol.numerator)))
+    if tol.numerator * 10**needed < tol.denominator:
+        needed += 1
+    if args.precision < needed:
+        raise InvalidParameter(
+            f"verify-num compares at the tolerance {float(tol):g}, so --precision must be "
+            f"at least {needed}, got {args.precision}"
+        )
     instance = load_afe(args.afefile)
     report = verify_afe_numeric(
         instance,

@@ -10,15 +10,33 @@ integers.
 The monomial order used everywhere (leading term, canonical sign, printing)
 is graded lexicographic: first total degree, then ex, then ey.
 
-gcd is the classical content / primitive-part recursion with y as the main
-variable, on one dense routine set for both levels: a polynomial is read
-as a list, ascending in y, of Z[x] coefficients (`_ZX`, ascending int
-lists).  The same pseudo-remainder, primitive pseudo-remainder sequence and
-content routines run on int coefficients (gcds in Z[x]) and on `_ZX`
-coefficients (gcds in Z[x][y]); a content stops as soon as the running gcd
-is a unit.  The result is made primitive, with a positive leading
-coefficient, once.  This covers the degrees produced by planar-web
-computations without any factorization machinery.
+gcd is two-level GCDHEU (B. W. Char, K. O. Geddes and G. H. Gonnet,
+J. Symbolic Comput. 7 (1989)).  p and q are evaluated at y = 2^s by shifts,
+one Z[x] coefficient per x-degree, and GCDHEU runs again on those images A
+and B at x = 2^t: one integer gcd, its balanced base-2^t digits, their
+primitive part checked by exact division of the primitive parts of A and B,
+times the gcd of the integer contents of A and B: the exact gcd in Z[x].
+The balanced base-2^s digits of its coefficients, made primitive, are the
+candidate.  Digits are read off `to_bytes` slices (H.-C. Liao and
+R. Fateman, ISSAC 1995), so s and t are multiples of 8.
+
+The candidate is certified by trial division (K. O. Geddes, S. R. Czapor
+and G. Labahn, Algorithms for Computer Algebra, Thm 7.7).  With
+2^s > 2 min(|p|, |q|) + 2 for the largest coefficients |.|, every root of
+a common factor lies below 1 + min(|p|, |q|) < 2^s / 2; so a candidate
+that divides p and q exactly is their gcd, and its quotients are the
+cofactors that `poly_gcd_cofactors` returns.  A constant candidate proves
+gcd 1 with no division.  The same holds at x = 2^t in Z[x].  Both levels
+take the point above twice the larger norm, so that no coefficient
+overflows its digit.  After GCDHEU_TRIES failed points at either level,
+each retried at twice the bits, the gcd falls back to the classical
+primitive PRS with y as the main variable, on one dense routine set for
+both levels: a polynomial is read as a list, ascending in y, of Z[x]
+coefficients (`_ZX`, ascending int lists), and the same pseudo-remainder
+and content routines run on int and on `_ZX` coefficients.  The PRS result
+is made primitive, with a positive leading coefficient, once.  This covers
+the degrees produced by planar-web computations without any factorization
+machinery.
 """
 
 from __future__ import annotations
@@ -238,7 +256,7 @@ class BivarPoly:
 
 
 # ---------------------------------------------------------------------------
-# gcd: one dense routine set for Z[x] and for Z[x][y]
+# the PRS fallback: one dense routine set for Z[x] and for Z[x][y]
 # ---------------------------------------------------------------------------
 
 # a content that reaches one of these (an int, or a _ZX) is a unit
@@ -352,15 +370,117 @@ def _y_rows(p: BivarPoly):
     return rows
 
 
+# ---------------------------------------------------------------------------
+# gcd: GCDHEU at y = 2^s over GCDHEU at x = 2^t
+# ---------------------------------------------------------------------------
+
+# failed evaluation points at either level before the PRS takes over; 0 sends
+# every gcd to the PRS
+GCDHEU_TRIES = 4
+
+
+def _slot_bits(norm: int) -> int:
+    """The least multiple s of 8 with 2^s > 2 norm + 2."""
+    return ((2 * norm + 2).bit_length() + 7) & -8
+
+
+def _value(a: list, s: int) -> int:
+    """Dense a at 2^s, by Horner's rule in shifts.  Each shift copies the
+    partial value, but at the sizes met here that costs less than laying
+    out byte slots, and the integer gcd that follows is quadratic anyway."""
+    v = 0
+    for c in reversed(a):
+        v = (v << s) + c
+    return v
+
+
+def _digits(n: int, s: int) -> list:
+    """The balanced base-2^s digits of n != 0, for s a multiple of 8, each in
+    [-2^(s-1), 2^(s-1)), ascending without trailing zeros: the digits of n
+    plus 2^(s-1) in each of m places, read as byte slices of one `to_bytes`,
+    each less 2^(s-1).  Linear in the size."""
+    half = 1 << (s - 1)
+    if -half <= n < half:
+        return [n]
+    k = s >> 3
+    m = abs(n).bit_length() // s + 2
+    raw = (n + int.from_bytes(half.to_bytes(k, "little") * m, "little")).to_bytes(k * m, "little")
+    return _trim([int.from_bytes(raw[i : i + k], "little") - half for i in range(0, k * m, k)])
+
+
+def _heu_zx(a: list, b: list):
+    """The gcd in Z[x] of dense nonzero a and b, exactly: the gcd of their
+    contents times the gcd of their primitive parts, up to sign.  None when
+    GCDHEU_TRIES evaluation points fail."""
+    ca, cb = int_gcd(*a), int_gcd(*b)
+    c = int_gcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return [c]
+    a = _ZX(a if ca == 1 else [v // ca for v in a])
+    b = _ZX(b if cb == 1 else [v // cb for v in b])
+    s = _slot_bits(max(max(a), -min(a), max(b), -min(b)))
+    for _ in range(GCDHEU_TRIES):
+        g = _digits(int_gcd(_value(a, s), _value(b, s)), s)
+        if len(g) == 1:
+            return [c]
+        h = int_gcd(*g)
+        g = _ZX([v // h for v in g])
+        try:
+            a // g, b // g
+        except ValueError:
+            s *= 2
+            continue
+        return [c * v for v in g]
+    return None
+
+
+def _image(p: BivarPoly, s: int) -> list:
+    """p at y = 2^s as a dense list ascending in x, by shifts."""
+    a = [0] * (max(p.terms)[0] + 1)
+    for (ex, ey), c in p.terms.items():
+        a[ex] += c << (s * ey)
+    return a
+
+
+def poly_gcd_cofactors(p: BivarPoly, q: BivarPoly):
+    """(g, p / g, q / g) for g = poly_gcd(p, q); (0, 0, 0) when both are
+    zero."""
+    if p.is_zero() or q.is_zero():
+        c, g = (p + q).primitive_z()
+        unit = BivarPoly.const(c)
+        return g, (p if p.is_zero() else unit), (q if q.is_zero() else unit)
+    if p.is_constant() or q.is_constant():
+        return BivarPoly._of({(0, 0): 1}), p, q
+    s = _slot_bits(max(max(map(abs, p.terms.values())), max(map(abs, q.terms.values()))))
+    for _ in range(GCDHEU_TRIES):
+        gx = _heu_zx(_image(p, s), _image(q, s))
+        if gx is None:
+            break
+        g = BivarPoly._of(
+            {(ex, ey): d for ex, c in enumerate(gx) if c for ey, d in enumerate(_digits(c, s)) if d}
+        )
+        if g.is_constant():
+            return BivarPoly._of({(0, 0): 1}), p, q
+        g = g.primitive_z()[1]
+        ok, p_bar = poly_divmod_exact(p, g)
+        if ok:
+            ok, q_bar = poly_divmod_exact(q, g)
+            if ok:
+                return g, p_bar, q_bar
+        s *= 2
+    rows = _prs_gcd(_y_rows(p), _y_rows(q))
+    g = BivarPoly._of({(ex, ey): c for ey, row in enumerate(rows) for ex, c in enumerate(row) if c})
+    g = g.primitive_z()[1]
+    return g, poly_quo(p, g), poly_quo(q, g)
+
+
 def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
     """gcd over Z[x, y] (and so over Q[x, y] up to a constant), normalized
     primitive with positive leading coeff.
 
     Constant (nonzero) results are returned as 1.
     """
-    rows = _prs_gcd(_y_rows(p), _y_rows(q))
-    g = BivarPoly._of({(ex, ey): c for ey, row in enumerate(rows) for ex, c in enumerate(row) if c})
-    return g.primitive_z()[1]
+    return poly_gcd_cofactors(p, q)[0]
 
 
 def poly_divides(d: BivarPoly, p: BivarPoly) -> bool:
@@ -434,8 +554,7 @@ def squarefree_part(p: BivarPoly) -> BivarPoly:
     _, p = p.primitive_z()
     if p.is_constant():
         return BivarPoly.const(1)
-    g = poly_gcd(poly_gcd(p, p.diff("x")), p.diff("y"))
-    return poly_quo(p, g).primitive_z()[1]
+    return poly_gcd_cofactors(p, poly_gcd(p.diff("x"), p.diff("y")))[1]
 
 
 def coprime_split(polys: Iterable[BivarPoly], basis: Iterable[BivarPoly] = ()):
@@ -453,11 +572,10 @@ def coprime_split(polys: Iterable[BivarPoly], basis: Iterable[BivarPoly] = ()):
             continue
         fresh = True
         for i, q in enumerate(out):
-            g = poly_gcd(p, q)
+            g, p1, q1 = poly_gcd_cofactors(p, q)
             if g.is_constant():
                 continue
             fresh = False
-            q1, p1 = poly_quo(q, g), poly_quo(p, g)
             out.pop(i)
             for h in (g, q1.primitive_z()[1]):
                 if not h.is_constant():

@@ -18,7 +18,7 @@ from math import comb, gcd
 from typing import Dict, Tuple
 
 from .errors import IdenticallySingular, PoleAtCenter, ZeroDenominator
-from .poly import BivarPoly, _homogeneous_powers, poly_gcd, poly_quo
+from .poly import BivarPoly, _homogeneous_powers, poly_gcd_cofactors, poly_quo
 
 
 class RatFunc:
@@ -39,8 +39,9 @@ class RatFunc:
         # the gcd is primitive (Gauss's lemma), so the reduced pair's joint
         # content is the gcd c of all input coefficients
         c = gcd(*num.terms.values(), *den.terms.values())
-        g = poly_gcd(num, den).scale(c if den.leading_coeff() > 0 else -c)
-        self.num, self.den = poly_quo(num, g), poly_quo(den, g)
+        c = BivarPoly.const(c if den.leading_coeff() > 0 else -c)
+        _, num, den = poly_gcd_cofactors(num, den)
+        self.num, self.den = poly_quo(num, c), poly_quo(den, c)
 
     # -- constructors -------------------------------------------------
 

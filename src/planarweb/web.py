@@ -183,6 +183,9 @@ def verify_sigma_factors(web: Web, candidates: Sequence[RatFunc]) -> dict:
     for k, f in enumerate(candidates, 1):
         if f.is_zero():
             raise InvalidParameter(f"candidate factor {k} is zero")
+        if f.num.is_constant():
+            # a constant divides every locus, so its "divides" would be vacuous
+            raise InvalidParameter(f"candidate factor {k} has the constant numerator {f.num}")
         c = f.num
         divides = poly_divides(squarefree_part(c), product)
         all_divide = all_divide and divides

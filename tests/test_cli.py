@@ -202,6 +202,19 @@ def test_constant_below_its_tolerance_is_usage_error(afe, precision):
     assert "1e-30" in doc["error"] and f"got {precision}" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "precision,extra,tolerance,needed",
+    [("5", [], "1e-40", 40), ("39", [], "1e-40", 40), ("24", ["--tolerance", "1e-25"], "1e-25", 25)],
+)
+def test_verify_num_below_its_tolerance_is_usage_error(precision, extra, tolerance, needed):
+    # residuals below 10^-precision are noise: arctan at 5 digits gave
+    # "pass": false with exit 1, a mathematical FAIL, against 1e-40
+    rc, doc, _ = run_cli("verify-num", fixture_path("arctan.afe"), "--samples", "1", "--precision", precision, *extra)
+    assert rc == 2 and doc["type"] == "InvalidParameter"
+    assert f"tolerance {tolerance}" in doc["error"]
+    assert f"at least {needed}, got {precision}" in doc["error"]
+
+
 @pytest.mark.parametrize("target", ["0", "6"])
 def test_abel_ode_target_out_of_range_is_usage_error(target):
     proc = subprocess.run(
@@ -239,6 +252,9 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
         ("config-web", "a.cfg", "1 0 0\n0 1 0\n0 0 1\n1 1\n", [], "'1 1'"),
         ("config-web", "a.cfg", "1 0 0\n0 1 0\n0 0 1\n2 0 0\n", [], "[1:0:0]"),
         ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;0"], "factor 2"),
+        ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "1"], "factor 1 has the constant numerator 1"),
+        ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;3"], "factor 2 has the constant numerator 3"),
+        ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "1/x"], "factor 1 has the constant numerator 1"),
         ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;(y"], "factor 2 '(y'"),
         ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", "x;;y"], "factor 2 ''"),
         ("sigma", "a.web", "x\ny\nx/y\n", ["--factors", ""], "factor 1 ''"),
@@ -252,6 +268,7 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
     ],
     ids=[
         "afe-unknown-line", "afe-multiplier", "cfg-coordinates", "cfg-duplicate", "sigma-zero-factor",
+        "sigma-unit-factor", "sigma-constant-factor", "sigma-reciprocal-factor",
         "sigma-unbalanced-factor", "sigma-empty-factor", "sigma-no-factor",
         "afe-no-component-verify-num", "afe-no-component-constant", "afe-unknown-letter",
         "afe-unknown-special", "afe-unknown-domain", "afe-unknown-rhs", "afe-bad-inner",

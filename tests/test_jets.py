@@ -333,9 +333,9 @@ def test_base_point_tables_need_no_gcd(web_name, request, monkeypatch):
     points.append((Fraction(-2, 3), Fraction(-5, 7)))
 
     def no_gcd(*args):
-        raise AssertionError("poly_gcd called")
+        raise AssertionError("poly_gcd_cofactors called")
 
-    monkeypatch.setattr("planarweb.ratfunc.poly_gcd", no_gcd)
+    monkeypatch.setattr("planarweb.ratfunc.poly_gcd_cofactors", no_gcd)
     bases = [BasePoint(web, point) for point in points]
     monkeypatch.undo()
     for base in bases:

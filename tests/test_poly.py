@@ -1,7 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import fixture_path
+from planarweb import poly as poly_module
+from planarweb.cli import main
 from planarweb.parse import parse_ratfunc as P
 from planarweb.poly import (
     BivarPoly,
@@ -9,6 +13,7 @@ from planarweb.poly import (
     poly_divides,
     poly_divmod_exact,
     poly_gcd,
+    poly_gcd_cofactors,
     squarefree_part,
 )
 
@@ -19,26 +24,121 @@ def poly(text):
     return f.num
 
 
-@pytest.mark.parametrize(
-    "a, b, expected",
-    [
-        pytest.param("(x+y)^2*(x-y)", "(x+y)*(x+2*y)", "x+y", id="basic"),
-        # 6y(x-y)(x+y) and 4y(x+y)
-        pytest.param("6*x^2*y - 6*y^3", "4*x*y + 4*y^2", "x*y + y^2", id="content"),
-        pytest.param("(x-1)*(y^2+x)", "3*(x-1)*(y+1)", "x-1", id="factor-in-x"),
-        pytest.param("(2*y+1)*(x^2+y)", "(2*y+1)*(x+1)", "2*y+1", id="factor-in-y"),
-        pytest.param("(x-1)*(x+y)", "(x-1)*(x+y)*(y+3)", "(x-1)*(x+y)", id="factor-in-x-and-y"),
-        pytest.param("6*(x+y)", "4*(x-y)", "1", id="integer-content"),
-        pytest.param("0", "-2*x-4*y", "x+2*y", id="zero"),
-    ],
-)
+GCD_CASES = [
+    pytest.param("(x+y)^2*(x-y)", "(x+y)*(x+2*y)", "x+y", id="basic"),
+    # 6y(x-y)(x+y) and 4y(x+y)
+    pytest.param("6*x^2*y - 6*y^3", "4*x*y + 4*y^2", "x*y + y^2", id="content"),
+    pytest.param("(x-1)*(y^2+x)", "3*(x-1)*(y+1)", "x-1", id="factor-in-x"),
+    pytest.param("(2*y+1)*(x^2+y)", "(2*y+1)*(x+1)", "2*y+1", id="factor-in-y"),
+    pytest.param("(x-1)*(x+y)", "(x-1)*(x+y)*(y+3)", "(x-1)*(x+y)", id="factor-in-x-and-y"),
+    pytest.param("6*(x+y)", "4*(x-y)", "1", id="integer-content"),
+    pytest.param("0", "-2*x-4*y", "x+2*y", id="zero"),
+]
+
+
+@pytest.mark.parametrize("a, b, expected", GCD_CASES)
 def test_gcd(a, b, expected):
     assert poly_gcd(poly(a), poly(b)) == poly(expected)
     assert poly_gcd(poly(b), poly(a)) == poly(expected)
 
 
+@pytest.mark.parametrize("a, b, expected", GCD_CASES)
+def test_gcd_by_the_prs_alone(a, b, expected, monkeypatch):
+    monkeypatch.setattr(poly_module, "GCDHEU_TRIES", 0)
+    test_gcd(a, b, expected)
+
+
 def test_gcd_coprime_is_constant():
     assert poly_gcd(poly("x+1"), poly("y+1")).is_constant()
+
+
+@pytest.mark.parametrize("tries", [poly_module.GCDHEU_TRIES, 0], ids=["gcdheu", "prs"])
+@pytest.mark.parametrize("a, b", [("x", "y"), ("x-1", "y-1"), ("x^2+1", "y^2+1")])
+def test_single_integer_traps_are_coprime(a, b, tries, monkeypatch):
+    # x -> t^m, y -> t would give each pair a common factor
+    monkeypatch.setattr(poly_module, "GCDHEU_TRIES", tries)
+    g, a_bar, b_bar = poly_gcd_cofactors(poly(a), poly(b))
+    assert g == BivarPoly.const(1) and a_bar == poly(a) and b_bar == poly(b)
+
+
+def prs_gcd_cofactors(p, q):
+    """poly_gcd_cofactors by the PRS fallback alone."""
+    tries, poly_module.GCDHEU_TRIES = poly_module.GCDHEU_TRIES, 0
+    try:
+        return poly_gcd_cofactors(p, q)
+    finally:
+        poly_module.GCDHEU_TRIES = tries
+
+
+coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
+
+
+@st.composite
+def polys(draw, variables="xy", max_terms=4, max_deg=2):
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        ex = draw(st.integers(0, max_deg)) if "x" in variables else 0
+        ey = draw(st.integers(0, max_deg)) if "y" in variables else 0
+        terms[(ex, ey)] = terms.get((ex, ey), 0) + draw(coeffs)
+    return BivarPoly(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polys(), polys(), polys(variables="x"), polys(variables="y"), polys(max_terms=3),
+    st.integers(1, 2**70), st.integers(1, 2**70),
+)
+def test_gcdheu_equals_the_prs(a, b, in_x, in_y, common, ca, cb):
+    # a common factor in x alone, one in y alone and a mixed one, under
+    # integer contents of their own
+    factor = in_x * in_y * common
+    p, q = (a * factor).scale(ca), (b * factor).scale(cb)
+    g, p_bar, q_bar = poly_gcd_cofactors(p, q)
+    assert (g, p_bar, q_bar) == prs_gcd_cofactors(p, q)
+    assert g * p_bar == p and g * q_bar == q
+    if not g.is_zero():
+        assert g.primitive_z() == (1, g)
+
+
+def no_prs(*args):
+    raise AssertionError("the PRS fallback was reached")
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # at y = 2^8 the primitive images x - x^2 and 2^16 - x take values at
+        # x = 2^24 that share 2^16 (2^8 - 1), whose digits are no Z[x] divisor
+        pytest.param("2*x*y^3*(1-x)", "3*y^2*(y^2-x)", id="x-level"),
+        # at y = 2^8 the images' Z[x] gcd is 81 2^17 x^3, whose digits in y
+        # give x^3 y^2 (y - 94)
+        pytest.param("-9*x^3*y^3*(2*y+1)", "9*x^4*y^2*(y^2+2)", id="y-level"),
+        # 126 y + 2 at y = 2^8 is a multiple of 2^8 - 2, so the first
+        # candidate (x + y)(y - 2) divides only the second input
+        pytest.param("(x+y)*(126*y+2)", "(x+y)*(y-2)", id="y-level-divides-one"),
+        pytest.param("(x+y)*(y-2)", "(x+y)*(126*y+2)", id="y-level-divides-other"),
+    ],
+)
+def test_a_failed_evaluation_point_is_retried(a, b, monkeypatch):
+    p, q = poly(a), poly(b)
+    expected = prs_gcd_cofactors(p, q)
+    monkeypatch.setattr(poly_module, "_prs_gcd", no_prs)
+    monkeypatch.setattr(poly_module, "GCDHEU_TRIES", 2)
+    assert poly_gcd_cofactors(p, q) == expected
+    monkeypatch.setattr(poly_module, "GCDHEU_TRIES", 1)
+    with pytest.raises(AssertionError, match="PRS"):
+        poly_gcd_cofactors(p, q)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sigma", f"{w}.web"] for w in ("arctan", "bol", "cauchy", "configc", "sk")]
+    + [["abel-ode", f"{w}.web", "--target", "1"] for w in ("bol", "cauchy", "arctan")],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_fixture_gcds_never_reach_the_prs(argv, monkeypatch):
+    monkeypatch.setattr(poly_module, "_prs_gcd", no_prs)
+    assert main([argv[0], fixture_path(argv[1]), *argv[2:]]) == 0
 
 
 def test_exact_division():
