@@ -564,12 +564,6 @@ class WordEvaluator:
             out[w] = slices
         return out
 
-    def regularized_values_at(self, letter_point) -> Dict[Word, object]:
-        """Shuffle-regularized values (constant terms of the local
-        log-expansions) at a ramification point."""
-        exps = self.local_expansions_at(letter_point)
-        return {w: exps[w][0][0] for w in self.closure}
-
 
 def eval_word(
     word: Sequence[str],

@@ -311,6 +311,8 @@ def afe_from_text(text: str) -> AfeInstance:
             elif line.startswith("component:"):
                 first, rest = line[10:].split(None, 1)
                 mult = int(first)
+                if mult == 0:
+                    raise InvalidParameter("multiplier 0: the component drops out of the sum")
                 if rest.startswith("{"):
                     close = rest.index("}")
                     comp = parse_word_expr(rest[: close + 1])

@@ -8,13 +8,22 @@ multi-modular engine it checks.
 The full truncated jet systems, web and multi-point pattern, built in one
 piece at one order and solved by one certified nullspace: the systems that
 the rank ladders of planarweb.jets prolong a degree at a time.
+
+The truncated Taylor expansion of a RatFunc at a rational center, exact in
+Q: a Fraction jet by binomial expansion of numerator and denominator and one
+series division, the reference for the integer jet tables that the jet-rank
+linear algebra reads (planarweb.web.BasePoint, built on RatFunc.translate).
 """
 
 from fractions import Fraction
 from math import gcd
+from typing import Dict, Tuple
 
+from planarweb.errors import PoleAtCenter
 from planarweb.jets import _jet_columns, _jet_rows
 from planarweb.linalg import exact_nullspace
+from planarweb.poly import BivarPoly
+from planarweb.ratfunc import RatFunc
 
 
 class FractionSpan:
@@ -113,3 +122,120 @@ def pattern_system(systems, n_blocks, order):
         cols = [(i, m, b * (order + 1)) for i, m, b in terms]
         rows.extend(_jet_rows(base, cols, order, n_cols, 0))
     return rows, exact_nullspace(rows, n_cols=n_cols)
+
+
+# ---------------------------------------------------------------------------
+# jets
+# ---------------------------------------------------------------------------
+
+JetTerms = Dict[Tuple[int, int], Fraction]
+
+
+def taylor(f: RatFunc, center: Tuple[Fraction, Fraction], order: int) -> "SeriesJet":
+    """Exact truncated Taylor expansion at a non-pole rational center."""
+    cx, cy = Fraction(center[0]), Fraction(center[1])
+    if f.den.evaluate(cx, cy) == 0:
+        raise PoleAtCenter(f"denominator vanishes at ({cx}, {cy})")
+    num_j = _poly_jet(f.num, cx, cy, order)
+    den_j = _poly_jet(f.den, cx, cy, order)
+    return SeriesJet((cx, cy), order, _jet_div(num_j, den_j, order))
+
+
+class SeriesJet:
+    """Truncated power series at a center, coefficients indexed by (i, j)
+    with i + j <= order; absent keys are zero."""
+
+    __slots__ = ("center", "order", "coeffs")
+
+    def __init__(self, center, order: int, coeffs: JetTerms):
+        self.center = (Fraction(center[0]), Fraction(center[1]))
+        self.order = order
+        self.coeffs = {e: c for e, c in coeffs.items() if c and e[0] + e[1] <= order}
+
+    def coefficient(self, i: int, j: int) -> Fraction:
+        return self.coeffs.get((i, j), Fraction(0))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SeriesJet)
+            and self.center == other.center
+            and self.order == other.order
+            and self.coeffs == other.coeffs
+        )
+
+    def truncate(self, order: int) -> "SeriesJet":
+        return SeriesJet(
+            self.center,
+            order,
+            {e: c for e, c in self.coeffs.items() if e[0] + e[1] <= order},
+        )
+
+    def __mul__(self, other: "SeriesJet") -> "SeriesJet":
+        assert self.center == other.center
+        order = min(self.order, other.order)
+        return SeriesJet(self.center, order, _jet_mul(self.coeffs, other.coeffs, order))
+
+    def __repr__(self):
+        return f"SeriesJet(center={self.center}, order={self.order}, {len(self.coeffs)} terms)"
+
+
+def _jet_mul(a: JetTerms, b: JetTerms, order: int) -> JetTerms:
+    out: JetTerms = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            i, j = i1 + i2, j1 + j2
+            if i + j > order:
+                continue
+            e = (i, j)
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _jet_div(a: JetTerms, b: JetTerms, order: int) -> JetTerms:
+    """a / b as jets; b must have nonzero constant term."""
+    b0 = b.get((0, 0), Fraction(0))
+    if b0 == 0:
+        raise PoleAtCenter("jet division by a series vanishing at the center")
+    # invert b by the graded recurrence inv_n = -(1/b0) * sum b_k inv_{n-k}
+    inv: JetTerms = {(0, 0): 1 / b0}
+    for n in range(1, order + 1):
+        for i in range(n + 1):
+            j = n - i
+            s = Fraction(0)
+            for (bi, bj), bc in b.items():
+                if (bi, bj) == (0, 0) or bi > i or bj > j:
+                    continue
+                c = inv.get((i - bi, j - bj))
+                if c:
+                    s += bc * c
+            if s:
+                inv[(i, j)] = -s / b0
+    return _jet_mul(a, inv, order)
+
+
+def _poly_jet(p: BivarPoly, cx: Fraction, cy: Fraction, order: int) -> JetTerms:
+    """Jet of a polynomial at (cx, cy): expand each monomial by binomials."""
+    from math import comb
+
+    out: JetTerms = {}
+    for (ex, ey), c in p.terms.items():
+        # (cx + u)^ex (cy + v)^ey
+        for i in range(min(ex, order) + 1):
+            pa = comb(ex, i) * cx ** (ex - i)
+            if pa == 0 and ex - i > 0:
+                continue
+            for j in range(min(ey, order - i) + 1):
+                pb = comb(ey, j) * cy ** (ey - j)
+                if pb == 0 and ey - j > 0:
+                    continue
+                e = (i, j)
+                s = out.get(e, 0) + c * pa * pb
+                if s:
+                    out[e] = s
+                else:
+                    out.pop(e, None)
+    return out

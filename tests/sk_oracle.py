@@ -14,7 +14,7 @@ is numeric-rank arithmetic at two precisions with a wide threshold window,
 so the integer outputs are robust.
 
 The powers (U_i - U_i(base))^k, k = 0..K, depend only on the slot and the
-order: they are expanded once per oracle, exactly, from RatFunc.taylor, and
+order: they are expanded once per oracle, exactly, by exact_oracle.taylor, and
 each coefficient is converted to mpc once.  A component's bivariate jet is
 then one linear combination of its slot's powers.
 """
@@ -31,7 +31,8 @@ from planarweb.hyperlog.constants import SymConst
 from planarweb.hyperlog.numeric import WordEvaluator
 from planarweb.hyperlog.words import HyperlogExpr, STANDARD
 from planarweb.parse import parse_ratfunc
-from planarweb.ratfunc import SeriesJet
+
+from exact_oracle import SeriesJet, taylor
 
 
 def _w(*letters):
@@ -139,7 +140,7 @@ class SkOracle:
         """[v^0, .., v^K] for v = u - u(base), as dicts of mpc coefficients
         keyed by the monomial exponents at the base point."""
         K, mp = self.order, self.mp
-        jet = u.taylor(BASE, K)
+        jet = taylor(u, BASE, K)
         v = SeriesJet(BASE, K, {e: c for e, c in jet.coeffs.items() if e != (0, 0)})
         exact = [SeriesJet(BASE, K, {(0, 0): Fraction(1)})]
         for _ in range(K):

@@ -95,7 +95,7 @@ def test_lde_solution_preservation(bol_web):
 
 def _adfe_annihilates(eq, comp_jets, base, order):
     """Apply the Adfe operator to truncated component series, exactly."""
-    from planarweb.ratfunc import SeriesJet
+    from exact_oracle import taylor
 
     total = {}
     max_j = max(j for (_, j) in eq.coeffs)
@@ -104,7 +104,7 @@ def _adfe_annihilates(eq, comp_jets, base, order):
         a = RatFunc.from_poly(coeff)
         u = eq.inner[i]
         val = u.evaluate(*base.point)
-        ujet = u.taylor(base.point, usable)
+        ujet = taylor(u, base.point, usable)
         shifted = dict(ujet.coeffs)
         shifted.pop((0, 0), None)
         # j-th derivative series of component i, recentred coefficients
@@ -120,7 +120,7 @@ def _adfe_annihilates(eq, comp_jets, base, order):
                     comp[e] = comp.get(e, Fraction(0)) + dcoef[k] * c
         if a.den.evaluate(*base.point) == 0:
             return True  # coefficient has a pole at the base point; skip stage
-        ajet = a.taylor(base.point, usable).coeffs
+        ajet = taylor(a, base.point, usable).coeffs
         term = _mul_trunc(ajet, comp, usable)
         for e, c in term.items():
             total[e] = total.get(e, Fraction(0)) + c
@@ -190,7 +190,7 @@ def test_abel_ode_annihilates_the_rank_kernel(name, target):
     zero: constants solve the ODE, which has no g term."""
     from conftest import fixture_path
 
-    from exact_oracle import JetSystem
+    from exact_oracle import JetSystem, taylor
     from planarweb.jets import abelian_rank
     from planarweb.web import DEFAULT_POINT, load_web, pick_generic_point
 
@@ -206,7 +206,7 @@ def test_abel_ode_annihilates_the_rank_kernel(name, target):
     u0 = base.images[target - 1]
     depth = K - ode.order - 1
     assert depth >= 5
-    expanded = [[c.taylor((u0, 0), depth).coefficient(n, 0) for n in range(depth + 1)] for c in ode.coeffs]
+    expanded = [[taylor(c, (u0, 0), depth).coefficient(n, 0) for n in range(depth + 1)] for c in ode.coeffs]
     columns = [system.unknown_index[(target - 1, k)] for k in range(1, K + 1)]
     assert any(vec[c] for vec in kernel for c in columns)
     for vec in kernel:

@@ -1,4 +1,5 @@
-"""The package imports no numpy, at import time or while it eliminates."""
+"""The package imports no numpy, at import time or while it eliminates, and
+no module that only the tests use."""
 
 import json
 import os
@@ -19,6 +20,8 @@ from planarweb.web import Web
 assert rank_only(Web.from_expressions(["x", "y", "x+y"])) == 1
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("planarweb."))))
 print("numpy" in sys.modules)
+test_only = ("sympy", "hypothesis", "exact_oracle", "series_oracle", "sk_oracle")
+print(json.dumps([m for m in test_only if m in sys.modules]))
 """
 
 
@@ -30,3 +33,4 @@ def test_no_module_imports_numpy():
     modules = json.loads(out[0])
     assert {"planarweb.cli", "planarweb.linalg", "planarweb.hyperlog.verify"} <= set(modules)
     assert out[1] == "False"
+    assert json.loads(out[2]) == []

@@ -95,13 +95,13 @@ def test_precision_doubling_validation():
 def test_regularized_values_weight_two():
     words = [("x0",), ("x1",), ("x-1",), ("x0", "x1"), ("x1", "x0"), ("x-1", "x1")]
     ev = WordEvaluator(STANDARD, words, dps=45)
-    reg1 = ev.regularized_values_at(1)
+    reg1 = ev.value_vector(1)
     mpl = ev.mp
     assert abs(reg1[("x1",)]) < mpf(10) ** -40
     assert abs(reg1[("x0", "x1")] - mpl.pi**2 / 6) < mpf(10) ** -40
     assert abs(reg1[("x1", "x0")] + mpl.pi**2 / 6) < mpf(10) ** -40
     assert abs(reg1[("x-1", "x1")] - (mpl.pi**2 / 12 - mpl.log(2) ** 2 / 2)) < mpf(10) ** -40
-    regm1 = ev.regularized_values_at(-1)
+    regm1 = ev.value_vector(-1)
     assert abs(regm1[("x0",)] - mpl.mpc(0, 1) * mpl.pi) < mpf(10) ** -40
     assert abs(regm1[("x1",)] + mpl.log(2)) < mpf(10) ** -40
 
