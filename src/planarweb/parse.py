@@ -30,6 +30,8 @@ class _Parser:
         self.vars = tuple(variables)
         if len(self.vars) != 2:
             raise ValueError("exactly two variable names required")
+        if self.vars[0] == self.vars[1]:
+            raise ValueError(f"the two variable names are both {self.vars[0]!r}")
 
     def error(self, msg: str):
         raise ExprSyntaxError(msg, self.pos)

@@ -28,15 +28,20 @@ that divides p and q exactly is their gcd, and its quotients are the
 cofactors that `poly_gcd_cofactors` returns.  A constant candidate proves
 gcd 1 with no division.  The same holds at x = 2^t in Z[x].  Both levels
 take the point above twice the larger norm, so that no coefficient
-overflows its digit.  After GCDHEU_TRIES failed points at either level,
-each retried at twice the bits, the gcd falls back to the classical
-primitive PRS with y as the main variable, on one dense routine set for
-both levels: a polynomial is read as a list, ascending in y, of Z[x]
-coefficients (`_ZX`, ascending int lists), and the same pseudo-remainder
-and content routines run on int and on `_ZX` coefficients.  The PRS result
-is made primitive, with a positive leading coefficient, once.  This covers
-the degrees produced by planar-web computations without any factorization
-machinery.
+overflows its digit, and retry a failed point at twice the bits until the
+trial divisions accept a candidate.
+
+That always happens.  Write p = g p' and q = g q' with g their gcd.  The
+Z[x] gcd of the images at y = xi is g(x, xi) k(x), k = gcd(p'(x, xi),
+q'(x, xi)).  The coprime curves p' = 0 and q' = 0 meet in finitely many
+points, so for all but finitely many xi, k is an integer; and
+a p' + b q' = res_y(p', q') != 0 with a, b in Z[x, y], so k divides the
+content of that resultant.  Once 2^(s-1) > k max|g|, the balanced digits
+are k g, their primitive part is g, and the trial divisions accept it.
+The same argument at x = 2^t bounds the integer gcd of the values of the
+coprime primitive parts by their resultant in Z.  Doubling the bits
+reaches either bound after O(log) points.  This covers the degrees
+produced by planar-web computations without any factorization machinery.
 """
 
 from __future__ import annotations
@@ -256,128 +261,8 @@ class BivarPoly:
 
 
 # ---------------------------------------------------------------------------
-# the PRS fallback: one dense routine set for Z[x] and for Z[x][y]
-# ---------------------------------------------------------------------------
-
-# a content that reaches one of these (an int, or a _ZX) is a unit
-_UNITS = (1, -1, [1], [-1])
-
-
-def _trim(f):
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-class _ZX(list):
-    """Dense polynomial in Z[x], ascending, without trailing zeros: the
-    coefficient type of Z[x][y].  `//` is exact division."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        if not self or not other:
-            return _ZX()
-        out = [0] * (len(self) + len(other) - 1)
-        for i, a in enumerate(self):
-            if a:
-                for j, b in enumerate(other):
-                    out[i + j] += a * b
-        return _ZX(out)
-
-    def __sub__(self, other):
-        out = _ZX(self)
-        out.extend([0] * (len(other) - len(out)))
-        for i, b in enumerate(other):
-            out[i] -= b
-        return _trim(out)
-
-    def __floordiv__(self, d):
-        """The quotient self / d; raises ValueError unless it is exact."""
-        r, n = list(self), len(d) - 1
-        q = [0] * max(len(r) - n, 0)
-        for i in range(len(q) - 1, -1, -1):
-            c, m = divmod(r[i + n], d[-1])
-            if m:
-                raise ValueError("inexact division")
-            q[i] = c
-            for j in range(n):
-                r[i + j] -= c * d[j]
-        if any(r[:n]):
-            raise ValueError("inexact division")
-        return _ZX(q)
-
-
-def _gcd(a, b):
-    """gcd of two coefficients, ints or _ZX, up to a unit."""
-    return int_gcd(a, b) if type(a) is int else _ZX(_prs_gcd(a, b))
-
-
-def _content(f):
-    """gcd of the coefficients of a dense f != 0; stops at a unit."""
-    g = f[-1]
-    for a in f[:-1]:
-        if g in _UNITS:
-            break
-        g = _gcd(g, a)
-    return g
-
-
-def _primitive(f):
-    """(content, primitive part) of a dense f != 0."""
-    c = _content(f)
-    return c, (f if c in _UNITS else [a // c for a in f])
-
-
-def _prem(f, g):
-    """Pseudo-remainder of dense f by dense g != 0."""
-    f, n, lc = list(f), len(g) - 1, g[-1]
-    while len(f) > n:
-        c = f.pop()
-        shift = len(f) - n
-        f = [a * lc for a in f]
-        for j in range(n):
-            f[shift + j] -= c * g[j]
-        _trim(f)
-    return f
-
-
-def _prs_gcd(f, g):
-    """gcd, up to a unit, of dense f and g over ints (in Z[x]) or over _ZX
-    (in Z[x][y]): gcd of the contents times the last primitive
-    pseudo-remainder."""
-    if not f or not g:
-        return f or g
-    (cf, a), (cg, b) = _primitive(f), _primitive(g)
-    if len(a) < len(b):
-        a, b = b, a
-    while len(b) > 1:
-        r = _prem(a, b)
-        a, b = b, (_primitive(r)[1] if r else r)
-    c = _gcd(cf, cg)
-    # a primitive b of degree 0 is a unit
-    return [c] if b else [c * x for x in a]
-
-
-def _y_rows(p: BivarPoly):
-    """p as a dense list ascending in y of _ZX coefficients."""
-    rows = [_ZX() for _ in range(p.degree_in("y") + 1)]
-    for (ex, ey), c in p.terms.items():
-        row = rows[ey]
-        if len(row) <= ex:
-            row.extend([0] * (ex + 1 - len(row)))
-        row[ex] = c
-    return rows
-
-
-# ---------------------------------------------------------------------------
 # gcd: GCDHEU at y = 2^s over GCDHEU at x = 2^t
 # ---------------------------------------------------------------------------
-
-# failed evaluation points at either level before the PRS takes over; 0 sends
-# every gcd to the PRS
-GCDHEU_TRIES = 4
-
 
 def _slot_bits(norm: int) -> int:
     """The least multiple s of 8 with 2^s > 2 norm + 2."""
@@ -394,6 +279,12 @@ def _value(a: list, s: int) -> int:
     return v
 
 
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
 def _digits(n: int, s: int) -> list:
     """The balanced base-2^s digits of n != 0, for s a multiple of 8, each in
     [-2^(s-1), 2^(s-1)), ascending without trailing zeros: the digits of n
@@ -408,30 +299,37 @@ def _digits(n: int, s: int) -> list:
     return _trim([int.from_bytes(raw[i : i + k], "little") - half for i in range(0, k * m, k)])
 
 
-def _heu_zx(a: list, b: list):
+def _divides_zx(d: list, a: list) -> bool:
+    """True iff dense d divides dense a exactly in Z[x]."""
+    r, n = list(a), len(d) - 1
+    for i in range(len(r) - n - 1, -1, -1):
+        c, m = divmod(r[i + n], d[-1])
+        if m:
+            return False
+        for j in range(n):
+            r[i + j] -= c * d[j]
+    return not any(r[:n])
+
+
+def _heu_zx(a: list, b: list) -> list:
     """The gcd in Z[x] of dense nonzero a and b, exactly: the gcd of their
-    contents times the gcd of their primitive parts, up to sign.  None when
-    GCDHEU_TRIES evaluation points fail."""
+    contents times the gcd of their primitive parts, up to sign."""
     ca, cb = int_gcd(*a), int_gcd(*b)
     c = int_gcd(ca, cb)
     if len(a) == 1 or len(b) == 1:
         return [c]
-    a = _ZX(a if ca == 1 else [v // ca for v in a])
-    b = _ZX(b if cb == 1 else [v // cb for v in b])
+    a = a if ca == 1 else [v // ca for v in a]
+    b = b if cb == 1 else [v // cb for v in b]
     s = _slot_bits(max(max(a), -min(a), max(b), -min(b)))
-    for _ in range(GCDHEU_TRIES):
+    while True:
         g = _digits(int_gcd(_value(a, s), _value(b, s)), s)
         if len(g) == 1:
             return [c]
         h = int_gcd(*g)
-        g = _ZX([v // h for v in g])
-        try:
-            a // g, b // g
-        except ValueError:
-            s *= 2
-            continue
-        return [c * v for v in g]
-    return None
+        g = [v // h for v in g]
+        if _divides_zx(g, a) and _divides_zx(g, b):
+            return [c * v for v in g]
+        s *= 2
 
 
 def _image(p: BivarPoly, s: int) -> list:
@@ -452,10 +350,8 @@ def poly_gcd_cofactors(p: BivarPoly, q: BivarPoly):
     if p.is_constant() or q.is_constant():
         return BivarPoly._of({(0, 0): 1}), p, q
     s = _slot_bits(max(max(map(abs, p.terms.values())), max(map(abs, q.terms.values()))))
-    for _ in range(GCDHEU_TRIES):
+    while True:
         gx = _heu_zx(_image(p, s), _image(q, s))
-        if gx is None:
-            break
         g = BivarPoly._of(
             {(ex, ey): d for ex, c in enumerate(gx) if c for ey, d in enumerate(_digits(c, s)) if d}
         )
@@ -468,10 +364,6 @@ def poly_gcd_cofactors(p: BivarPoly, q: BivarPoly):
             if ok:
                 return g, p_bar, q_bar
         s *= 2
-    rows = _prs_gcd(_y_rows(p), _y_rows(q))
-    g = BivarPoly._of({(ex, ey): c for ey, row in enumerate(rows) for ex, c in enumerate(row) if c})
-    g = g.primitive_z()[1]
-    return g, poly_quo(p, g), poly_quo(q, g)
 
 
 def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:

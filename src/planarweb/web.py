@@ -400,6 +400,8 @@ def web_from_text(text: str) -> Web:
                 parts = line[10:].split()
                 if len(parts) != 2:
                     raise ExprSyntaxError("variables line must list exactly two names", 10)
+                if parts[0] == parts[1]:
+                    raise ExprSyntaxError("variables line must list two different names", 10)
                 variables = (parts[0], parts[1])
             elif line:
                 fols.append(Foliation(parse_ratfunc(line, variables)))

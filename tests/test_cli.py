@@ -267,6 +267,7 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
         ("constant", "a.afe", "component: 1 Li2 x+\n", [], "'component: 1 Li2 x+': ExprSyntaxError"),
         ("verify-num", "a.afe", "component: 0 Li2 x\ncomponent: 0 Li2 y\n", [], "'component: 0 Li2 x'"),
         ("constant", "a.afe", "component: 0 Li2 x\ncomponent: 0 Li2 y\n", [], "'component: 0 Li2 x'"),
+        ("rank", "a.web", "variables: u u\nu\nu+1\nu^2\n", [], "'variables: u u': ExprSyntaxError"),
     ],
     ids=[
         "afe-unknown-line", "afe-multiplier", "cfg-coordinates", "cfg-duplicate", "sigma-zero-factor",
@@ -274,7 +275,7 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
         "sigma-unbalanced-factor", "sigma-empty-factor", "sigma-no-factor",
         "afe-no-component-verify-num", "afe-no-component-constant", "afe-unknown-letter",
         "afe-unknown-special", "afe-unknown-domain", "afe-unknown-rhs", "afe-bad-inner",
-        "afe-zero-multiplier-verify-num", "afe-zero-multiplier-constant",
+        "afe-zero-multiplier-verify-num", "afe-zero-multiplier-constant", "web-equal-variables",
     ],
 )
 def test_bad_input_file_or_factor_reports_the_culprit(tmp_path, command, name, text, extra, culprit):

@@ -20,7 +20,7 @@ from planarweb.web import Web
 assert rank_only(Web.from_expressions(["x", "y", "x+y"])) == 1
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("planarweb."))))
 print("numpy" in sys.modules)
-test_only = ("sympy", "hypothesis", "exact_oracle", "series_oracle", "sk_oracle")
+test_only = ("sympy", "hypothesis", "exact_oracle", "gcd_oracle", "series_oracle", "sk_oracle")
 print(json.dumps([m for m in test_only if m in sys.modules]))
 """
 

@@ -45,6 +45,12 @@ def test_variable_names():
     assert f == parse_ratfunc("x/(1-y)")
 
 
+def test_equal_variable_names_are_refused():
+    # both names would read as x
+    with pytest.raises(ValueError, match="both 'u'"):
+        parse_ratfunc("u + 1", ("u", "u"))
+
+
 def test_syntax_error_position():
     with pytest.raises(ExprSyntaxError) as err:
         parse_ratfunc("x + @")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import fixture_path
+from gcd_oracle import _prs_gcd, prs_gcd_cofactors
 from planarweb import poly as poly_module
 from planarweb.cli import main
 from planarweb.parse import parse_ratfunc as P
@@ -43,31 +44,21 @@ def test_gcd(a, b, expected):
 
 
 @pytest.mark.parametrize("a, b, expected", GCD_CASES)
-def test_gcd_by_the_prs_alone(a, b, expected, monkeypatch):
-    monkeypatch.setattr(poly_module, "GCDHEU_TRIES", 0)
-    test_gcd(a, b, expected)
+def test_gcd_by_the_prs_alone(a, b, expected):
+    assert prs_gcd_cofactors(poly(a), poly(b))[0] == poly(expected)
+    assert prs_gcd_cofactors(poly(b), poly(a))[0] == poly(expected)
 
 
 def test_gcd_coprime_is_constant():
     assert poly_gcd(poly("x+1"), poly("y+1")).is_constant()
 
 
-@pytest.mark.parametrize("tries", [poly_module.GCDHEU_TRIES, 0], ids=["gcdheu", "prs"])
+@pytest.mark.parametrize("cofactors", [poly_gcd_cofactors, prs_gcd_cofactors], ids=["gcdheu", "prs"])
 @pytest.mark.parametrize("a, b", [("x", "y"), ("x-1", "y-1"), ("x^2+1", "y^2+1")])
-def test_single_integer_traps_are_coprime(a, b, tries, monkeypatch):
+def test_single_integer_traps_are_coprime(a, b, cofactors):
     # x -> t^m, y -> t would give each pair a common factor
-    monkeypatch.setattr(poly_module, "GCDHEU_TRIES", tries)
-    g, a_bar, b_bar = poly_gcd_cofactors(poly(a), poly(b))
+    g, a_bar, b_bar = cofactors(poly(a), poly(b))
     assert g == BivarPoly.const(1) and a_bar == poly(a) and b_bar == poly(b)
-
-
-def prs_gcd_cofactors(p, q):
-    """poly_gcd_cofactors by the PRS fallback alone."""
-    tries, poly_module.GCDHEU_TRIES = poly_module.GCDHEU_TRIES, 0
-    try:
-        return poly_gcd_cofactors(p, q)
-    finally:
-        poly_module.GCDHEU_TRIES = tries
 
 
 coeffs = st.one_of(st.integers(-9, 9), st.integers(-(2**200), 2**200))
@@ -100,34 +91,76 @@ def test_gcdheu_equals_the_prs(a, b, in_x, in_y, common, ca, cb):
         assert g.primitive_z() == (1, g)
 
 
-def no_prs(*args):
-    raise AssertionError("the PRS fallback was reached")
+def watch_points(monkeypatch):
+    """Wrap _image and _value, each called once per input at every
+    evaluation point, and list the points of each level by their multiple of
+    the first point's bits: 1 for the first point of a gcd, 2 for the
+    second, 4 for the third."""
+    points = {"y": [], "x": []}
+
+    def watch(level, name, norm):
+        helper, pending = getattr(poly_module, name), []
+
+        def wrapper(a, s):
+            pending.append(norm(a))
+            if len(pending) == 2:
+                points[level].append(s // poly_module._slot_bits(max(pending)))
+                pending.clear()
+            return helper(a, s)
+
+        monkeypatch.setattr(poly_module, name, wrapper)
+
+    watch("y", "_image", lambda p: max(map(abs, p.terms.values())))
+    watch("x", "_value", lambda a: max(map(abs, a)))
+    return points
+
+
+@pytest.mark.parametrize(
+    "level, a, b",
+    [
+        # at y = 2^8 the primitive images x - x^2 and 2^16 - x take values at
+        # x = 2^24 that share 2^16 (2^8 - 1), whose digits are no Z[x] divisor
+        pytest.param("x", "2*x*y^3*(1-x)", "3*y^2*(y^2-x)", id="x-level"),
+        # at y = 2^8 the images' Z[x] gcd is 81 2^17 x^3, whose digits in y
+        # give x^3 y^2 (y - 94)
+        pytest.param("y", "-9*x^3*y^3*(2*y+1)", "9*x^4*y^2*(y^2+2)", id="y-level"),
+        # 126 y + 2 at y = 2^8 is a multiple of 2^8 - 2, so the first
+        # candidate (x + y)(y - 2) divides only the second input
+        pytest.param("y", "(x+y)*(126*y+2)", "(x+y)*(y-2)", id="y-level-divides-one"),
+        pytest.param("y", "(x+y)*(y-2)", "(x+y)*(126*y+2)", id="y-level-divides-other"),
+        # the curves meet at (2^16, 2^24), on the first point's line y = 2^24,
+        # so both images contain x - 65536, which divides only the second input
+        pytest.param("y", "256*x-y", "x-65536", id="y-level-shared-factor"),
+        pytest.param("y", "(256*x-y)*(x+y+1)", "(x-65536)*(x+y+1)", id="y-level-shared-factor-common"),
+    ],
+)
+def test_a_failed_evaluation_point_is_retried(level, a, b, monkeypatch):
+    p, q = poly(a), poly(b)
+    expected = prs_gcd_cofactors(p, q)
+    points = watch_points(monkeypatch)
+    assert poly_gcd_cofactors(p, q) == expected
+    assert max(points[level]) == 2
 
 
 @pytest.mark.parametrize(
     "a, b",
     [
-        # at y = 2^8 the primitive images x - x^2 and 2^16 - x take values at
-        # x = 2^24 that share 2^16 (2^8 - 1), whose digits are no Z[x] divisor
-        pytest.param("2*x*y^3*(1-x)", "3*y^2*(y^2-x)", id="x-level"),
-        # at y = 2^8 the images' Z[x] gcd is 81 2^17 x^3, whose digits in y
-        # give x^3 y^2 (y - 94)
-        pytest.param("-9*x^3*y^3*(2*y+1)", "9*x^4*y^2*(y^2+2)", id="y-level"),
-        # 126 y + 2 at y = 2^8 is a multiple of 2^8 - 2, so the first
-        # candidate (x + y)(y - 2) divides only the second input
-        pytest.param("(x+y)*(126*y+2)", "(x+y)*(y-2)", id="y-level-divides-one"),
-        pytest.param("(x+y)*(y-2)", "(x+y)*(126*y+2)", id="y-level-divides-other"),
+        # 52 2^8 - 9 = 53 * 251, so at x = 2^8 the first candidate x - 5
+        # divides only the second input
+        pytest.param([-9, 52], [-5, 1], id="divides-one"),
+        pytest.param([-5, 1], [-9, 52], id="divides-other"),
+        # the same times x + 1
+        pytest.param([-9, 43, 52], [-5, -4, 1], id="common-divides-one"),
+        pytest.param([-5, -4, 1], [-9, 43, 52], id="common-divides-other"),
     ],
 )
-def test_a_failed_evaluation_point_is_retried(a, b, monkeypatch):
-    p, q = poly(a), poly(b)
-    expected = prs_gcd_cofactors(p, q)
-    monkeypatch.setattr(poly_module, "_prs_gcd", no_prs)
-    monkeypatch.setattr(poly_module, "GCDHEU_TRIES", 2)
-    assert poly_gcd_cofactors(p, q) == expected
-    monkeypatch.setattr(poly_module, "GCDHEU_TRIES", 1)
-    with pytest.raises(AssertionError, match="PRS"):
-        poly_gcd_cofactors(p, q)
+def test_a_failed_x_level_candidate_is_retried(a, b, monkeypatch):
+    # at the Z[x] level itself: above it, a wrong Z[x] gcd is only ever
+    # refused by the y-level trial division, point after point
+    g = _prs_gcd(a, b)
+    points = watch_points(monkeypatch)
+    assert poly_module._heu_zx(a, b) in (g, [-v for v in g])
+    assert points["x"] == [1, 2]
 
 
 @pytest.mark.parametrize(
@@ -137,8 +170,10 @@ def test_a_failed_evaluation_point_is_retried(a, b, monkeypatch):
     ids=lambda argv: "-".join(argv[:2]),
 )
 def test_fixture_gcds_never_reach_the_prs(argv, monkeypatch):
-    monkeypatch.setattr(poly_module, "_prs_gcd", no_prs)
+    # one y-level point and at most two x-level points per fixture gcd
+    points = watch_points(monkeypatch)
     assert main([argv[0], fixture_path(argv[1]), *argv[2:]]) == 0
+    assert set(points["y"]) == {1} and set(points["x"]) <= {1, 2}
 
 
 def test_exact_division():
