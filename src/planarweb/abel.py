@@ -11,15 +11,15 @@ nonzero function h only multiplies the result by h, which the gcd removes,
 so X needs no normalization (such as unit speed along another unknown's
 integral) and no rational function is formed during elimination.
 
-The one-unknown equation left is then differentiated along the target's level
-field until every ratio A_j / A_top depends on the target's integral alone;
-only those ratios become rational functions, re-expressed univariately.
+The target's transverse differentiation is the same step with the target as
+pivot, once it is the only unknown left.  When that step leaves nothing, every
+ratio A_j / A_top depends on the target's integral alone; only those ratios
+become rational functions, re-expressed univariately.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import reduce
 from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .linalg import exact_nullspace
 from .parse import format_ratfunc
-from .poly import BivarPoly, poly_gcd, poly_gcd_cofactors, poly_quo
+from .poly import BivarPoly, poly_gcd_cofactors, poly_quo
 from .ratfunc import RatFunc, cleared_jacobian
 from .web import Web
 
@@ -82,9 +82,15 @@ class Adfe:
     def __init__(self, inner: Sequence[RatFunc], coeffs: Dict[Tuple[int, int], BivarPoly]):
         self.inner = list(inner)
         coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
-        content = gcd(*(v for c in coeffs.values() for v in c.terms.values()))
-        divisor = reduce(poly_gcd, coeffs.values(), BivarPoly.zero()).scale(content)
-        self.coeffs = {k: poly_quo(c, divisor) for k, c in coeffs.items()}
+        # quotients by the running gcd g, from the cofactors of each gcd step
+        g, quotients = BivarPoly.zero(), []
+        for c in coeffs.values():
+            g, a, b = poly_gcd_cofactors(g, c)
+            if a != BivarPoly.const(1):
+                quotients = [q * a for q in quotients]
+            quotients.append(b)
+        content = BivarPoly.const(gcd(*(v for q in quotients for v in q.terms.values())))
+        self.coeffs = {k: poly_quo(q, content) for k, q in zip(coeffs, quotients)}
 
     @staticmethod
     def from_web(web: Web) -> "Adfe":
@@ -116,7 +122,10 @@ def reduce_step(eq: Adfe, pivot: int) -> Adfe:
 
     The pivot's order strictly drops (the unknown disappears when it was at
     order zero, or when its lower coefficients all cancel); every other
-    active unknown's order rises by exactly one."""
+    active unknown's order rises by exactly one.  When the pivot is the only
+    unknown, X(V_pivot) = 0 and L is a positive constant: the step maps each
+    a to t X(a) - a s, and it leaves nothing iff every a / top depends on
+    V_pivot alone."""
     m_p = eq.order_of(pivot)
     if m_p < 0:
         raise ZeroPivotCoefficient(f"unknown {pivot + 1} is absent from the equation")
@@ -216,10 +225,10 @@ def derive_lde(web: Web, target: int) -> UnivarODE:
     """Eliminate all unknowns but `target` (1-based) and return the linear
     ODE satisfied by that component of every local solution.
 
-    Elimination order: ascending index, pivot = lowest active non-target.
-    After elimination the one-unknown equation is repeatedly differentiated
-    along the target's level field until every coefficient ratio depends on
-    the target's integral alone, then re-expressed univariately.
+    Every step is `reduce_step`.  The pivot is the lowest active non-target,
+    and the target itself once it is alone: that step differentiates along
+    the target's level field.  When it leaves nothing, the ratios
+    A_j / A_top are re-expressed univariately.
     """
     if not 1 <= target <= web.size:
         raise ValueError("target out of range")
@@ -228,63 +237,31 @@ def derive_lde(web: Web, target: int) -> UnivarODE:
     trace: List[dict] = []
     while True:
         actives = eq.active_unknowns()
-        others = [i for i in actives if i != t]
-        if not others:
-            break
-        if t not in actives:
-            raise TrivialEquation(
-                "the target unknown dropped out during elimination"
-            )
-        pivot = others[0]
-        eq = reduce_step(eq, pivot)
-        trace.append(
-            {
-                "step": len(trace) + 1,
-                "kind": "eliminate",
-                "pivot": pivot + 1,
-                "type": {i + 1: m for i, m in eq.type_vector().items()},
-            }
-        )
-    return _finish_one_unknown(eq, t, web, trace)
-
-
-def _finish_one_unknown(eq: Adfe, t: int, web: Web, trace: List[dict]) -> UnivarODE:
-    v_t = eq.inner[t]
-    field = level_field(v_t)
-    while True:
-        if not eq.coeffs:
+        if not actives:
             raise TrivialEquation("the equation vanished identically")
-        order = eq.order_of(t)
-        if order <= 0:
-            raise TrivialEquation(
-                "reduction bottomed out: only the zero solution survives"
-                if order == 0
-                else "empty equation"
-            )
-        top = eq.coeffs[(t, order)]
-        top_t, top_s = _coprime(top, _apply(field, top))
-        # a multiple of X(A_j / top); all zero iff each ratio depends on v_t
-        derived = {k: top_t * _apply(field, c) - c * top_s for k, c in eq.coeffs.items()}
-        if all(d.is_zero() for d in derived.values()):
-            if order == 1 and (t, 0) not in eq.coeffs:
-                raise TrivialEquation("only constant solutions (generic case)")
-            coeffs = [RatFunc.const(0)] * (order + 1)
-            for (_, j), c in eq.coeffs.items():
-                coeffs[j] = _to_univar(RatFunc(c, top), v_t, web)
-            return UnivarODE("v", coeffs, trace)
-        # Corollary-style transverse differentiation: the top term dies and
-        # the order strictly drops
-        eq = Adfe(eq.inner, derived)
-        trace.append(
-            {
-                "step": len(trace) + 1,
-                "kind": "transverse-differentiate",
-                "type": {i + 1: m for i, m in eq.type_vector().items()},
-            }
-        )
+        if t not in actives:
+            raise TrivialEquation("the target unknown dropped out during elimination")
+        pivot = next((i for i in actives if i != t), t)
+        if pivot == t and eq.order_of(t) == 0:
+            raise TrivialEquation("reduction bottomed out: only the zero solution survives")
+        step = reduce_step(eq, pivot)
+        if pivot == t and not step.coeffs:
+            break
+        eq = step
+        # the target's own step is Corollary-style transverse differentiation
+        kind = {"kind": "transverse-differentiate"} if pivot == t else {"kind": "eliminate", "pivot": pivot + 1}
+        trace.append({"step": len(trace) + 1, **kind, "type": {i + 1: m for i, m in eq.type_vector().items()}})
+    order = eq.order_of(t)
+    if order == 1 and (t, 0) not in eq.coeffs:
+        raise TrivialEquation("only constant solutions (generic case)")
+    top = eq.coeffs[(t, order)]
+    coeffs = [RatFunc.const(0)] * (order + 1)
+    for (_, j), c in eq.coeffs.items():
+        coeffs[j] = _to_univar(RatFunc(c, top), eq.inner[t])
+    return UnivarODE("v", coeffs, trace)
 
 
-def _to_univar(c: RatFunc, v_t: RatFunc, web: Web) -> RatFunc:
+def _to_univar(c: RatFunc, v_t: RatFunc) -> RatFunc:
     if c.is_constant():
         return RatFunc.const(c.constant_value())
     bound = 2 * max(

@@ -12,7 +12,7 @@ in the test suite).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..poly import BivarPoly
 from ..ratfunc import RatFunc

@@ -19,7 +19,7 @@ continuation along sampled loops.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..errors import AlphabetMismatch
 from .constants import SymConst

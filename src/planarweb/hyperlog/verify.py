@@ -227,7 +227,7 @@ def parse_word_expr(text: str) -> HyperlogExpr:
 
     Terms are separated by + and -; each term is an optional coefficient
     (rational and/or one of the constant symbols pi, pi2, log2, zeta3, ipi)
-    followed by a bracketed word, e.g.
+    followed by at most one bracketed word, e.g.
 
         {[x-1 x1] - [x0 x1] + log2*[x0] - 1/6*pi2}
     """
@@ -272,6 +272,8 @@ def parse_word_expr(text: str) -> HyperlogExpr:
             if not factor:
                 continue
             if factor.startswith("["):
+                if word is not None:
+                    raise InvalidParameter(f"the term {term!r} multiplies two words")
                 word = HyperlogExpr.word(factor[1:-1].split())  # letters outside the alphabet raise
             elif factor in names:
                 coeff = coeff * names[factor]
@@ -316,6 +318,8 @@ def afe_from_text(text: str) -> AfeInstance:
                 if rest.startswith("{"):
                     close = rest.index("}")
                     comp = parse_word_expr(rest[: close + 1])
+                    if comp.is_zero():
+                        raise InvalidParameter("the word combination is zero: the component drops out of the sum")
                     expr_text = rest[close + 1 :]
                 else:
                     fn_name, expr_text = rest.split(None, 1)

@@ -18,7 +18,7 @@ evaluation multiplicative: eval(L_u) eval(L_v) = eval(shuffle(u, v)).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import AlphabetMismatch
 from .constants import ONE, SymConst

@@ -6,7 +6,8 @@ pencil per point and one conic pencil per 4-subset in general position.
 
 Line pencils use a fixed reduced basis of the linear forms vanishing at the
 point; conic pencils use the two products of opposite connecting lines.
-Only the foliation (not the particular integral) is the contract.
+Only the foliation (not the particular integral) is the contract.  No two of
+these pencils coincide; `web_from_configuration` gives the reason.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import DegenerateQuadruple, InvalidParameter
 from .parse import parse_ratfunc
 from .poly import BivarPoly
 from .ratfunc import RatFunc
-from .web import Foliation, Web, pullback_web, same_foliation, webs_equal_as_foliations
+from .web import Foliation, Web, pullback_web, webs_equal_as_foliations
 
 
 class ProjPoint:
@@ -178,19 +179,15 @@ def conic_pencil(q1: ProjPoint, q2: ProjPoint, q3: ProjPoint, q4: ProjPoint) -> 
 
 def web_from_configuration(config: Configuration, name: Optional[str] = None) -> Web:
     """One line pencil per point plus one conic pencil per general-position
-    4-subset; duplicate foliations merged."""
-    fols: List[Foliation] = []
-
-    def push(f: Foliation):
-        if not any(same_foliation(f, g) for g in fols):
-            fols.append(f)
-
-    for p in config.points:
-        push(line_pencil(p))
-    for subset in combinations(range(len(config)), 4):
-        quad = [config.points[i] for i in subset]
+    4-subset.  These foliations are pairwise distinct, so the web's own
+    pairwise check is the only one: line pencils through distinct points
+    differ; a conic pencil through four points, no three collinear, has
+    exactly those four base points; and its general member is an irreducible
+    conic, so it is no line pencil."""
+    fols = [line_pencil(p) for p in config.points]
+    for subset in combinations(config.points, 4):
         try:
-            push(conic_pencil(*quad))
+            fols.append(conic_pencil(*subset))
         except DegenerateQuadruple:
             continue
     return Web(fols, name=name or (config.name and f"web({config.name})"))

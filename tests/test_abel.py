@@ -178,7 +178,58 @@ def test_generic_web_has_rank_zero():
     assert rank_only(generic) == 0
 
 
+# webs whose target, once alone, takes transverse steps (one and three)
+TRANSVERSE_WEBS = {
+    "transverse1": ["x/y", "1-y", "x+y^2", "x"],
+    "transverse3": ["(1+x)/(1+y)", "x-3*y", "x", "x*(1-y)/(y*(1-x))", "(1-x)/(1-y)"],
+}
+
+
+def _trace(pivots, transverse):
+    """Trace entries: `eliminate` steps with their pivots and types, then
+    `transverse-differentiate` steps with their types."""
+    entries = [{"kind": "eliminate", "pivot": p, "type": t} for p, t in pivots]
+    entries += [{"kind": "transverse-differentiate", "type": t} for t in transverse]
+    return [{"step": n, **e} for n, e in enumerate(entries, start=1)]
+
+
+@pytest.mark.parametrize(
+    "name, coefficients, trace",
+    [
+        (
+            "transverse1",
+            ["0", "(-1)/(v^2 - 2*v + 1)", "(1)/(v - 1)", "1"],
+            _trace([(1, {2: 1, 3: 1, 4: 1}), (3, {2: 2, 4: 2}), (4, {2: 3, 4: 1}), (4, {2: 4})], [{2: 3}]),
+        ),
+        (
+            "transverse3",
+            ["0", "(2)/(v^2 - 4)", "(4*v)/(v^2 - 4)", "1"],
+            _trace(
+                [
+                    (1, {2: 1, 3: 1, 4: 1, 5: 1}),
+                    (3, {2: 2, 4: 2, 5: 2}),
+                    (4, {2: 3, 4: 1, 5: 3}),
+                    (4, {2: 4, 5: 4}),
+                    (5, {2: 5, 5: 3}),
+                    (5, {2: 6}),
+                ],
+                [{2: 5}, {2: 4}, {2: 3}],
+            ),
+        ),
+    ],
+)
+def test_derive_lde_transverse_steps(name, coefficients, trace):
+    """Target 2 of these webs is left alone at order 4 (6), and each
+    differentiation along its level field lowers the order by one until
+    every ratio A_j / A_top depends on its integral alone."""
+    ode = derive_lde(Web.from_expressions(TRANSVERSE_WEBS[name]), 2)
+    assert ode.order == 3
+    assert ode.coefficient_strings() == coefficients
+    assert ode.derivation_trace == trace
+
+
 ODE_TARGETS = [(name, t) for name, size in (("bol", 5), ("cauchy", 3), ("arctan", 3)) for t in range(1, size + 1)]
+ODE_TARGETS += [(name, 2) for name in TRANSVERSE_WEBS]
 
 
 @pytest.mark.parametrize("name, target", ODE_TARGETS, ids=[f"{n}-{t}" for n, t in ODE_TARGETS])
@@ -194,7 +245,10 @@ def test_abel_ode_annihilates_the_rank_kernel(name, target):
     from planarweb.jets import abelian_rank
     from planarweb.web import DEFAULT_POINT, load_web, pick_generic_point
 
-    web = load_web(fixture_path(f"{name}.web"))
+    if name in TRANSVERSE_WEBS:
+        web = Web.from_expressions(TRANSVERSE_WEBS[name])
+    else:
+        web = load_web(fixture_path(f"{name}.web"))
     base = pick_generic_point(web, preferred=DEFAULT_POINT)
     rank, basis = abelian_rank(web, base)
     K = basis.order + 6

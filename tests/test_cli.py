@@ -63,6 +63,14 @@ def test_abel_ode_command():
     assert steps[-1]["type"] == {"1": 4}
 
 
+def test_abel_ode_on_a_generic_web_is_trivial(tmp_path):
+    path = tmp_path / "generic.web"
+    path.write_text("x\ny\nx+y^3+x^2*y\n", encoding="utf-8")
+    rc, doc, _ = run_cli("abel-ode", str(path), "--target", "1")
+    assert rc == 0
+    assert doc == {"web": None, "target": 1, "result": "trivial", "detail": "only constant solutions (generic case)"}
+
+
 def test_hexagonal_command():
     rc, doc, _ = run_cli("hexagonal", fixture_path("cauchy.web"))
     assert rc == 0 and doc["hexagonal"]
@@ -268,6 +276,16 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
         ("verify-num", "a.afe", "component: 0 Li2 x\ncomponent: 0 Li2 y\n", [], "'component: 0 Li2 x'"),
         ("constant", "a.afe", "component: 0 Li2 x\ncomponent: 0 Li2 y\n", [], "'component: 0 Li2 x'"),
         ("rank", "a.web", "variables: u u\nu\nu+1\nu^2\n", [], "'variables: u u': ExprSyntaxError"),
+        (
+            "verify-num", "a.afe", "component: 1 {[x0]*[x1]} x\ncomponent: -1 Li1 x\n", [],
+            "'component: 1 {[x0]*[x1]} x': InvalidParameter: the term '[x0]*[x1]' multiplies two words",
+        ),
+        ("verify-num", "a.afe", "component: 1 {} x\ncomponent: 1 Li2 y\n", [], "'component: 1 {} x'"),
+        ("constant", "a.afe", "component: 1 {0} x\ncomponent: 1 Li2 y\n", [], "'component: 1 {0} x'"),
+        (
+            "verify-num", "a.afe", "component: 1 Li2 y\ncomponent: 1 {[x0] - [x0]} x\n", [],
+            "'component: 1 {[x0] - [x0]} x': InvalidParameter: the word combination is zero",
+        ),
     ],
     ids=[
         "afe-unknown-line", "afe-multiplier", "cfg-coordinates", "cfg-duplicate", "sigma-zero-factor",
@@ -276,6 +294,7 @@ def test_prop7_subset_past_the_configuration_reports_an_error():
         "afe-no-component-verify-num", "afe-no-component-constant", "afe-unknown-letter",
         "afe-unknown-special", "afe-unknown-domain", "afe-unknown-rhs", "afe-bad-inner",
         "afe-zero-multiplier-verify-num", "afe-zero-multiplier-constant", "web-equal-variables",
+        "afe-word-product", "afe-empty-combination", "afe-zero-combination", "afe-cancelling-combination",
     ],
 )
 def test_bad_input_file_or_factor_reports_the_culprit(tmp_path, command, name, text, extra, culprit):

@@ -1,6 +1,7 @@
 """The package imports no numpy, at import time or while it eliminates, and
-no module that only the tests use."""
+no module that only the tests use; every module uses what it imports."""
 
+import ast
 import json
 import os
 import subprocess
@@ -34,3 +35,30 @@ def test_no_module_imports_numpy():
     assert {"planarweb.cli", "planarweb.linalg", "planarweb.hyperlog.verify"} <= set(modules)
     assert out[1] == "False"
     assert json.loads(out[2]) == []
+
+
+def _unused_imports(path):
+    """Names bound by the module-level imports of `path` that no Name node
+    of the module reads (`from __future__` aside)."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in used]
+
+
+def test_every_import_is_used():
+    unused = {}
+    for folder, _, files in os.walk(os.path.join(SRC, "planarweb")):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                names = _unused_imports(path)
+                if names:
+                    unused[os.path.relpath(path, SRC)] = names
+    assert unused == {}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -103,6 +104,29 @@ def test_strata_foliation_counts():
         cfg = Configuration([ProjPoint(*p) for p in pts])
         assert classify_stratum(cfg).label == label
         assert web_from_configuration(cfg).size == expected[label]
+
+
+def test_configuration_pencils_are_pairwise_distinct():
+    """Small random configurations, with points at infinity and collinear
+    triples: the web holds every line pencil and every general-position
+    conic pencil, and its pairwise check raises no DegenerateMap."""
+    rng = random.Random(7)
+    seen_infinity = seen_triple = 0
+    for _ in range(40):
+        n, points = rng.randrange(4, 7), []
+        while len(points) < n:
+            coords = [rng.randrange(-2, 4) for _ in range(3)]
+            if any(coords) and ProjPoint(*coords) not in points:
+                points.append(ProjPoint(*coords))
+        cfg = Configuration(points)
+        general = [
+            quad for quad in combinations(points, 4)
+            if not any(collinear(*triple) for triple in combinations(quad, 3))
+        ]
+        assert web_from_configuration(cfg).size == len(points) + len(general)
+        seen_infinity += any(p.coords[2] == 0 for p in points)
+        seen_triple += cfg.is_degenerate()
+    assert seen_infinity and seen_triple
 
 
 def test_named_configurations():
