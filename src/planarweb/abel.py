@@ -33,7 +33,7 @@ from .errors import (
 from .linalg import exact_nullspace
 from .parse import format_ratfunc
 from .poly import BivarPoly, poly_gcd_cofactors, poly_quo
-from .ratfunc import RatFunc, cleared_jacobian
+from .ratfunc import RatFunc, cleared_gradient, cleared_jacobian
 from .web import Web
 
 Field = Tuple[BivarPoly, BivarPoly]
@@ -41,11 +41,13 @@ Field = Tuple[BivarPoly, BivarPoly]
 
 def level_field(u: RatFunc) -> Field:
     """The polynomial field den^2 (dU/dy d/dx - dU/dx d/dy) of U = num/den,
-    as its (d/dx, d/dy) components; it annihilates U along its level curves."""
+    as its (d/dx, d/dy) components: the cleared gradient (g_x, g_y) of
+    `ratfunc.cleared_gradient` rotated to (g_y, -g_x).  It annihilates U
+    along its level curves."""
     if u.is_constant():
         raise ConstantInput("level field of a constant")
-    n, d = u.num, u.den
-    return n.diff("y") * d - n * d.diff("y"), n * d.diff("x") - n.diff("x") * d
+    gx, gy = cleared_gradient(u)
+    return gy, -gx
 
 
 def _apply(field: Field, p: BivarPoly) -> BivarPoly:

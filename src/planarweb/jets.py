@@ -42,8 +42,9 @@ first_power - 1 and climbs one degree per `_prolong` (`_ladder_kernel`).
 A web's ladder is one system with one block per slot and first power 1,
 from order 0; its BasePoint keeps the rungs (`jet_kernel`).  The web's
 rank, every subweb's rank at the web's point, the filtration and the
-sub-solutions of a pattern read these ladders, so a subweb read at the
-web's order climbs its own ladder there.  A pattern's ladder is one system
+sub-solutions of a pattern read these ladders, so a proper subweb read at
+the web's order climbs its own ladder there; the subweb of all N
+foliations shares the web's.  A pattern's ladder is one system
 per base point with one block per germ key (class, value) and first power
 0, from order -1 (`constrained_rank`).  The kernels are primitive integer
 vectors, so an order-K vector widens to order K + 1 by one entry at the

@@ -25,9 +25,10 @@ from .web import Foliation, Web, pullback_web, webs_equal_as_foliations
 
 
 class ProjPoint:
-    """Homogeneous [X:Y:Z], first nonzero coordinate scaled to 1."""
+    """Homogeneous [X:Y:Z], first nonzero coordinate scaled to 1, and the
+    primitive integer multiple of those coordinates (`ints`)."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "ints")
 
     def __init__(self, x, y, z):
         c = (Fraction(x), Fraction(y), Fraction(z))
@@ -35,6 +36,10 @@ class ProjPoint:
             raise ValueError("all coordinates zero")
         lead = next(v for v in c if v)
         self.coords = tuple(v / lead for v in c)
+        # one coordinate is 1, so the lcm of the reduced denominators leaves
+        # the integer coordinates without a common factor
+        m = lcm(*(v.denominator for v in self.coords))
+        self.ints = tuple(v.numerator * (m // v.denominator) for v in self.coords)
 
     def __eq__(self, other):
         return isinstance(other, ProjPoint) and self.coords == other.coords
@@ -47,7 +52,9 @@ class ProjPoint:
 
 
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = p.coords, q.coords, r.coords
+    # scaling a point scales the determinant, so its zero test can read the
+    # integer coordinates
+    (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = p.ints, q.ints, r.ints
     det = (
         a1 * (b2 * c3 - b3 * c2)
         - a2 * (b1 * c3 - b3 * c1)

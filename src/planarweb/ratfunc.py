@@ -190,17 +190,26 @@ def _taylor_shift(p: BivarPoly, px: Fraction, nx: int, py: Fraction, ny: int):
     return {e: c for e, c in out.items() if c}
 
 
+def cleared_gradient(u: RatFunc) -> Tuple[BivarPoly, BivarPoly]:
+    """den^2 (U_x, U_y) of U = num/den: the pair (n_x d - n d_x, n_y d - n d_y)."""
+    n, d = u.num, u.den
+    return n.diff("x") * d - n * d.diff("x"), n.diff("y") * d - n * d.diff("y")
+
+
+def wedge(a: Tuple[BivarPoly, BivarPoly], b: Tuple[BivarPoly, BivarPoly]) -> BivarPoly:
+    """a_x b_y - a_y b_x, the coefficient of dx ^ dy in a ^ b."""
+    return a[0] * b[1] - a[1] * b[0]
+
+
 def cleared_jacobian(f: RatFunc, g: RatFunc) -> BivarPoly:
-    """Denominator-cleared Jacobian polynomial den_f^2 den_g^2 (f_x g_y - f_y g_x).
+    """Denominator-cleared Jacobian polynomial den_f^2 den_g^2 (f_x g_y - f_y g_x),
+    the wedge of the two cleared gradients.
 
     It vanishes identically exactly when f and g define the same foliation
     (the denominators are nonzero).  Clearing rather than reducing keeps the
     components supported on the pole curves (common leaves of the two
-    pencils), which belong to the web's tangency locus.
+    pencils), which belong to the web's tangency locus.  A `web.Foliation`
+    keeps its integral's cleared gradient, so a web takes the wedge of the
+    stored pairs instead.
     """
-    nf, df, ng, dg = f.num, f.den, g.num, g.den
-    wf_x = nf.diff("x") * df - nf * df.diff("x")
-    wf_y = nf.diff("y") * df - nf * df.diff("y")
-    wg_x = ng.diff("x") * dg - ng * dg.diff("x")
-    wg_y = ng.diff("y") * dg - ng * dg.diff("y")
-    return wf_x * wg_y - wf_y * wg_x
+    return wedge(cleared_gradient(f), cleared_gradient(g))

@@ -4,8 +4,10 @@ A Foliation is the level-curve foliation of a non-constant rational function
 (post-composition with a Mobius map changes the integral, not the foliation).
 
 Foliation equality and the singular locus read one polynomial per pair of
-integrals, the cleared Jacobian den_i^2 den_j^2 (dU_i ^ dU_j) of
-`ratfunc.cleared_jacobian`.  A web computes them once, when it is built, and
+integrals, the cleared Jacobian den_i^2 den_j^2 (dU_i ^ dU_j).  A Foliation
+computes its integral's cleared gradient den^2 dU once, when it is built
+(`ratfunc.cleared_gradient`), and a pair's Jacobian is the wedge of the two
+stored gradients.  A web computes its Jacobians once, when it is built, and
 its subwebs slice them:
 
 * two integrals define the same foliation exactly when it vanishes
@@ -44,25 +46,27 @@ from .errors import (
 )
 from .parse import format_ratfunc, parse_ratfunc
 from .poly import BivarPoly, coprime_split, poly_divides, poly_divmod_exact, squarefree_part
-from .ratfunc import RatFunc, cleared_jacobian
+from .ratfunc import RatFunc, cleared_gradient, wedge
 
 
 class Foliation:
-    """Level-curve foliation of a non-constant rational first integral."""
+    """Level-curve foliation of a non-constant rational first integral, with
+    the integral's cleared gradient den^2 (U_x, U_y)."""
 
-    __slots__ = ("integral",)
+    __slots__ = ("integral", "gradient")
 
     def __init__(self, integral: RatFunc):
         if integral.is_constant():
             raise ConstantInput("a first integral must be non-constant")
         self.integral = integral
+        self.gradient = cleared_gradient(integral)
 
     def __repr__(self):
         return f"Foliation({self.integral})"
 
 
 def same_foliation(f: Foliation, g: Foliation) -> bool:
-    return cleared_jacobian(f.integral, g.integral).is_zero()
+    return wedge(f.gradient, g.gradient).is_zero()
 
 
 class Web:
@@ -75,7 +79,7 @@ class Web:
             raise TooFewFoliations(f"a web needs at least 3 foliations, got {len(fols)}")
         self.jacobians: Dict[Tuple[int, int], BivarPoly] = {}
         for i, j in combinations(range(len(fols)), 2):
-            w = cleared_jacobian(fols[i].integral, fols[j].integral)
+            w = wedge(fols[i].gradient, fols[j].gradient)
             if w.is_zero():
                 raise DegenerateMap(f"foliations {i + 1} and {j + 1} coincide as foliations")
             self.jacobians[(i, j)] = w
@@ -306,7 +310,8 @@ class BasePoint:
     It also holds the rungs of its web's rank ladder: `kernels[K]` is the
     certified kernel of the order-K jet system, filled from order 0 (no
     columns, empty basis) a degree at a time by `jets.jet_kernel`.  A
-    subweb's base point has its own ladder."""
+    proper subweb's base point has its own ladder; the subweb of all the
+    foliations has the same jet systems, so it shares this one."""
 
     def __init__(self, web: Web, point: Tuple[Fraction, Fraction]):
         self.point = (Fraction(point[0]), Fraction(point[1]))
@@ -323,15 +328,16 @@ class BasePoint:
 
     def restrict(self, indices: Sequence[int]) -> "BasePoint":
         """The base point of the subweb of the given (1-based) foliations at
-        this point, sharing this point's jet table.  A point off the web's
-        singular locus is off every subweb's locus."""
+        this point, sharing this point's jet table, and its ladder when the
+        subweb has every foliation.  A point off the web's singular locus is
+        off every subweb's locus."""
         idx = sorted(set(indices))
         sub = BasePoint.__new__(BasePoint)
         sub.point = self.point
         sub.web = self.web.subweb(idx)
         sub.images = [self.images[i - 1] for i in idx]
         sub._jets = [self._jets[i - 1] for i in idx]
-        sub.kernels = []
+        sub.kernels = self.kernels if len(idx) == self.web.size else []
         return sub
 
     def __repr__(self):

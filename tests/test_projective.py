@@ -29,6 +29,34 @@ def test_collinear_examples():
     assert collinear(ProjPoint(1, 1, 1), ProjPoint(-1, -1, 1), ProjPoint(0, 0, 1))
 
 
+def test_collinear_matches_the_fraction_determinant():
+    # random points, some at infinity (z = 0), given by unnormalized
+    # coordinates, and triples r = a p + b q on the line pq
+    rng = random.Random(7)
+
+    def coord():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    def det(p, q, r):
+        (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = p, q, r
+        return a1 * (b2 * c3 - b3 * c2) - a2 * (b1 * c3 - b3 * c1) + a3 * (b1 * c2 - b2 * c1)
+
+    seen = set()
+    for trial in range(300):
+        raw = []
+        while len(raw) < 3:
+            c = (coord(), coord(), Fraction(0) if rng.random() < 0.3 else coord())
+            if trial % 2 and len(raw) == 2:
+                a, b = coord(), coord()
+                c = tuple(a * u + b * v for u, v in zip(*raw))
+            if any(c):
+                raw.append(c)
+        got = collinear(*(ProjPoint(*c) for c in raw))
+        assert got == (det(*raw) == 0), raw
+        seen.add((got, any(c[2] == 0 for c in raw)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
 def test_classify_stratum_examples():
     c = named_configuration("c")
     st = classify_stratum(c)

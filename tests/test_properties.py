@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import assert_jacobian_matches_reference, assert_table_matches_taylor, fixture_path
+from conftest import (
+    assert_jacobian_matches_reference,
+    assert_table_matches_taylor,
+    fixture_path,
+    quotient_rule_jacobian,
+)
 from exact_oracle import taylor
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpf
@@ -12,8 +17,8 @@ from mpmath import mpf
 from planarweb.errors import DegenerateMap, PoleAtCenter
 from planarweb.parse import format_ratfunc, parse_ratfunc
 from planarweb.poly import BivarPoly, coprime_split, squarefree_part
-from planarweb.ratfunc import RatFunc, cleared_jacobian
-from planarweb.web import Web, _JetPowers, load_web, singular_locus
+from planarweb.ratfunc import RatFunc, cleared_jacobian, wedge
+from planarweb.web import Foliation, Web, _JetPowers, load_web, singular_locus
 
 
 # --- random algebra objects -------------------------------------------------
@@ -104,6 +109,19 @@ def test_jacobian_symmetry_and_vanishing(f, g):
     assert cleared_jacobian(g, f) == -cleared_jacobian(f, g)
     assert cleared_jacobian(f, f).is_zero()
     assert_jacobian_matches_reference(f, g)
+
+
+@settings(max_examples=120, deadline=None)
+@given(ratfuncs(), ratfuncs())
+def test_wedge_of_stored_gradients_matches_the_quotient_rule(f, g):
+    assume(not f.is_constant() and not g.is_constant())
+    a, b = Foliation(f), Foliation(g)
+    clear = RatFunc.from_poly(f.den**2 * g.den**2)
+    w = wedge(a.gradient, b.gradient)
+    assert RatFunc.from_poly(w) == quotient_rule_jacobian(f, g) * clear
+    assert w == cleared_jacobian(f, g)
+    for v, gv in zip("xy", a.gradient):
+        assert RatFunc.from_poly(gv) == f.derivative(v) * RatFunc.from_poly(f.den**2)
 
 
 def reference_locus_lists(web):

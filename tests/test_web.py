@@ -1,12 +1,15 @@
+import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 from planarweb.errors import DegenerateMap, PoleAtCenter, TooFewFoliations
 from planarweb.parse import parse_ratfunc as P
 from planarweb.poly import poly_divides, poly_divmod_exact, squarefree_part
+from planarweb.ratfunc import cleared_jacobian
 from planarweb.web import (
     BasePoint,
     Foliation,
@@ -112,6 +115,55 @@ def test_point_test_agrees_with_the_components(name, bol_web_indomain):
     assert seen == {True, False}
 
 
+FIXTURE_WEBS = sorted(f for f in os.listdir(FIXTURES) if f.endswith(".web"))
+
+
+@pytest.mark.parametrize("name", FIXTURE_WEBS)
+def test_web_jacobians_are_the_pairwise_cleared_jacobians(name):
+    web = load_web(fixture_path(name))
+    us = web.integrals()
+    assert list(web.jacobians) == list(combinations(range(web.size), 2))
+    for (i, j), w in web.jacobians.items():
+        assert w == cleared_jacobian(us[i], us[j]), (name, i, j)
+
+
+def test_each_foliation_computes_one_gradient(monkeypatch):
+    # every pairwise test of these webs (their Jacobians, and prop7's
+    # matching of the Cremona image) reads the stored gradients
+    import planarweb.ratfunc
+    import planarweb.web
+    from planarweb.projective import named_configuration, prop7_check, web_from_configuration
+
+    built, computed = [], []
+    init, gradient = Foliation.__init__, planarweb.ratfunc.cleared_gradient
+
+    def counted_init(self, integral):
+        init(self, integral)
+        built.append(integral)
+
+    def counted_gradient(u):
+        computed.append(u)
+        return gradient(u)
+
+    monkeypatch.setattr(Foliation, "__init__", counted_init)
+    monkeypatch.setattr(planarweb.web, "cleared_gradient", counted_gradient)
+    monkeypatch.setattr(planarweb.ratfunc, "cleared_gradient", counted_gradient)
+    sizes = [load_web(fixture_path(name)).size for name in FIXTURE_WEBS]
+    sizes += [web_from_configuration(named_configuration(name)).size for name in ("b", "c", "q")]
+    check = prop7_check(load_web(fixture_path("sk.web")))
+    # sk, its Cremona image and the web of q
+    sizes += [9, check["web_size"], check["web_size"]]
+    assert check["match"] and len(built) == sum(sizes) == 77
+    assert computed == built
+
+
+def test_restrict_to_every_foliation_shares_the_ladder(bol_web):
+    base = pick_generic_point(bol_web)
+    assert base.restrict(range(1, 6)).kernels is base.kernels
+    assert base.restrict([5, 4, 3, 2, 1]).kernels is base.kernels
+    assert base.restrict([1, 2, 3, 4]).kernels is not base.kernels
+
+
 def test_subweb_slices_the_jacobians(sk_web):
     for idx in ([2, 5, 9], [1, 3, 4, 6, 8], list(range(2, 10))):
         sub = sk_web.subweb(idx)
@@ -169,7 +221,7 @@ def test_subweb_trusts_the_parent_distinctness(sk_web, monkeypatch):
         raise AssertionError("subweb re-checked distinctness")
 
     monkeypatch.setattr(planarweb.web, "same_foliation", refuse)
-    monkeypatch.setattr(planarweb.web, "cleared_jacobian", refuse)
+    monkeypatch.setattr(planarweb.web, "wedge", refuse)
     sub = sk_web.subweb([2, 5, 9])
     assert sub.integrals() == [sk_web.integrals()[i] for i in (1, 4, 8)]
     assert sk_web.subweb_without([1]).size == 8
