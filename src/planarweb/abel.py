@@ -5,11 +5,12 @@ coefficients, stored divided by their gcd: one representative up to a constant.
 
 An elimination step divides the equation by the pivot's top coefficient,
 applies the level field X = den^2 (V_y d/dx - V_x d/dy) of the pivot's inner
-function V = num/den and clears denominators: the top term dies, the pivot's
-order drops and every other unknown's order rises by one.  Using h X for a
-nonzero function h only multiplies the result by h, which the gcd removes,
-so X needs no normalization (such as unit speed along another unknown's
-integral) and no rational function is formed during elimination.
+function V = num/den, the rotated gradient its Foliation keeps, and clears
+denominators: the top term dies, the pivot's order drops and every other
+unknown's order rises by one.  Using h X for a nonzero function h only
+multiplies the result by h, which the gcd removes, so X needs no
+normalization (such as unit speed along another unknown's integral) and no
+rational function is formed during elimination.
 
 The target's transverse differentiation is the same step with the target as
 pivot, once it is the only unknown left.  When that step leaves nothing, every
@@ -24,7 +25,6 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
-    ConstantInput,
     NoRationalExpression,
     NotPurelyUnivariate,
     TrivialEquation,
@@ -33,20 +33,18 @@ from .errors import (
 from .linalg import exact_nullspace
 from .parse import format_ratfunc
 from .poly import BivarPoly, poly_gcd_cofactors, poly_quo
-from .ratfunc import RatFunc, cleared_gradient, cleared_jacobian
-from .web import Web
+from .ratfunc import RatFunc, cleared_gradient, wedge
+from .web import Foliation, Web
 
 Field = Tuple[BivarPoly, BivarPoly]
 
 
-def level_field(u: RatFunc) -> Field:
-    """The polynomial field den^2 (dU/dy d/dx - dU/dx d/dy) of U = num/den,
-    as its (d/dx, d/dy) components: the cleared gradient (g_x, g_y) of
-    `ratfunc.cleared_gradient` rotated to (g_y, -g_x).  It annihilates U
-    along its level curves."""
-    if u.is_constant():
-        raise ConstantInput("level field of a constant")
-    gx, gy = cleared_gradient(u)
+def level_field(f: Foliation) -> Field:
+    """The polynomial field den^2 (dU/dy d/dx - dU/dx d/dy) of the
+    foliation's integral U = num/den, as its (d/dx, d/dy) components: the
+    cleared gradient (g_x, g_y) the foliation keeps, rotated to (g_y, -g_x).
+    It annihilates U along its level curves."""
+    gx, gy = f.gradient
     return gy, -gx
 
 
@@ -64,25 +62,26 @@ def _speed(field: Field, v: RatFunc) -> Tuple[BivarPoly, BivarPoly]:
     return _coprime(_apply(field, v.num) * v.den - v.num * _apply(field, v.den), v.den * v.den)
 
 
-def depends_only_on(f: RatFunc, u: RatFunc) -> bool:
-    """True iff f is constant along the level curves of u."""
-    if u.is_constant():
-        raise ConstantInput("dependence test against a constant")
-    return cleared_jacobian(f, u).is_zero()
+def depends_only_on(f: RatFunc, u: Foliation) -> bool:
+    """True iff f is constant along the leaves of u: the wedge of f's
+    cleared gradient with the one u keeps vanishes."""
+    return wedge(cleared_gradient(f), u.gradient).is_zero()
 
 
 class Adfe:
     """Abelian differential functional equation with polynomial coefficients.
 
     coeffs maps (unknown index, derivative order) to a nonzero BivarPoly; the
-    unknown indices refer to the `inner` list (0-based).  The coefficients
-    are stored divided by their gcd and by the integer content of all of
-    them; the gcd is primitive, so dividing by it leaves the contents as they
-    were (Gauss's lemma).
+    unknown indices refer to the `foliations` list (0-based), whose integrals
+    are the inner functions `inner` and whose gradients give the level
+    fields.  The coefficients are stored divided by their gcd and by the
+    integer content of all of them; the gcd is primitive, so dividing by it
+    leaves the contents as they were (Gauss's lemma).
     """
 
-    def __init__(self, inner: Sequence[RatFunc], coeffs: Dict[Tuple[int, int], BivarPoly]):
-        self.inner = list(inner)
+    def __init__(self, foliations: Sequence[Foliation], coeffs: Dict[Tuple[int, int], BivarPoly]):
+        self.foliations = list(foliations)
+        self.inner = [f.integral for f in self.foliations]
         coeffs = {k: c for k, c in coeffs.items() if not c.is_zero()}
         # quotients by the running gcd g, from the cofactors of each gcd step
         g, quotients = BivarPoly.zero(), []
@@ -96,7 +95,7 @@ class Adfe:
 
     @staticmethod
     def from_web(web: Web) -> "Adfe":
-        return Adfe(web.integrals(), {(i, 0): BivarPoly.const(1) for i in range(web.size)})
+        return Adfe(web.foliations, {(i, 0): BivarPoly.const(1) for i in range(web.size)})
 
     def active_unknowns(self) -> List[int]:
         return sorted({i for (i, _) in self.coeffs})
@@ -132,7 +131,7 @@ def reduce_step(eq: Adfe, pivot: int) -> Adfe:
     if m_p < 0:
         raise ZeroPivotCoefficient(f"unknown {pivot + 1} is absent from the equation")
     top = eq.coeffs[(pivot, m_p)]
-    field = level_field(eq.inner[pivot])
+    field = level_field(eq.foliations[pivot])
     t, s = _coprime(top, _apply(field, top))
     speeds = {i: _speed(field, eq.inner[i]) for i in eq.active_unknowns()}
     lcm_den = BivarPoly.const(1)
@@ -144,7 +143,7 @@ def reduce_step(eq: Adfe, pivot: int) -> Adfe:
     for (i, j), a in eq.coeffs.items():
         new_coeffs[(i, j)] += lcm_den * (t * _apply(field, a) - a * s)
         new_coeffs[(i, j + 1)] += a * raised[i]
-    return Adfe(eq.inner, new_coeffs)
+    return Adfe(eq.foliations, new_coeffs)
 
 
 class UnivarODE:
@@ -178,16 +177,17 @@ class UnivarODE:
         return " + ".join(terms) + " = 0"
 
 
-def reexpress(f: RatFunc, u: RatFunc, degree_bound: int) -> RatFunc:
-    """Find a univariate rational g with g(u) = f, by exact linear algebra on
-    P(u) den_f - Q(u) num_f = 0.  The result uses the variable x."""
+def reexpress(f: RatFunc, u: Foliation, degree_bound: int) -> RatFunc:
+    """Find a univariate rational g with g(U) = f, U the integral of u, by
+    exact linear algebra on P(U) den_f - Q(U) num_f = 0.  The result uses
+    the variable x."""
     if not depends_only_on(f, u):
         raise NoRationalExpression("f is not constant on the level curves of u")
     if f.is_constant():
         return RatFunc.const(f.constant_value())
     d = max(degree_bound, 1)
     for _ in range(3):
-        sol = _reexpress_attempt(f, u, d)
+        sol = _reexpress_attempt(f, u.integral, d)
         if sol is not None:
             return sol
         d *= 2
@@ -259,13 +259,14 @@ def derive_lde(web: Web, target: int) -> UnivarODE:
     top = eq.coeffs[(t, order)]
     coeffs = [RatFunc.const(0)] * (order + 1)
     for (_, j), c in eq.coeffs.items():
-        coeffs[j] = _to_univar(RatFunc(c, top), eq.inner[t])
+        coeffs[j] = _to_univar(RatFunc(c, top), eq.foliations[t])
     return UnivarODE("v", coeffs, trace)
 
 
-def _to_univar(c: RatFunc, v_t: RatFunc) -> RatFunc:
+def _to_univar(c: RatFunc, f_t: Foliation) -> RatFunc:
     if c.is_constant():
         return RatFunc.const(c.constant_value())
+    v_t = f_t.integral
     bound = 2 * max(
         c.num.total_degree(),
         c.den.total_degree(),
@@ -274,7 +275,7 @@ def _to_univar(c: RatFunc, v_t: RatFunc) -> RatFunc:
         1,
     )
     try:
-        return reexpress(c, v_t, bound)
+        return reexpress(c, f_t, bound)
     except NoRationalExpression as exc:
         raise NotPurelyUnivariate(
             f"coefficient {c} is not rational in the target integral", equation=c

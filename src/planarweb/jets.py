@@ -41,10 +41,14 @@ k = first_power..K in each block.  It starts with the empty basis at order
 first_power - 1 and climbs one degree per `_prolong` (`_ladder_kernel`).
 A web's ladder is one system with one block per slot and first power 1,
 from order 0; its BasePoint keeps the rungs (`jet_kernel`).  The web's
-rank, every subweb's rank at the web's point, the filtration and the
-sub-solutions of a pattern read these ladders, so a proper subweb read at
-the web's order climbs its own ladder there; the subweb of all N
-foliations shares the web's.  A pattern's ladder is one system
+rank, every subweb's rank at the web's point and the filtration read these
+ladders, so a proper subweb read at the web's order climbs its own ladder
+there; the subweb of all N foliations shares the web's.  The sub-solutions
+of a pattern climb no subweb ladder: the kernel of the (N - 1)-subweb
+without slot s, embedded, is the section {x in ker_K : x = 0 on s's
+columns} of the web's own kernel (a subweb's system is the web's on its
+columns), so it is sum z_j v_j over the kernel of the K x d matrix of the
+basis entries on s's columns.  A pattern's ladder is one system
 per base point with one block per germ key (class, value) and first power
 0, from order -1 (`constrained_rank`).  The kernels are primitive integer
 vectors, so an order-K vector widens to order K + 1 by one entry at the
@@ -53,6 +57,15 @@ web's ladder from K = N - 2 on, C has full column rank (the powers
 l_i^(K+1) above), so the lex-first pivots of the certified kernel are C's
 columns, and at an order where the dimension stays each old vector v_j
 extends by itself, with z the j-th unit vector.
+
+Span ranks in the coordinates of the web's kernel.  Every embedded subweb
+jet of the filtration, every sub-solution jet and every projected pattern
+vector lies in the web's kernel ker_K at the order read: at the base point
+the pattern's rows of degree >= 1 are the web's rows with
+F_i = m_i G_class(i).  A basis v_1..v_d of ker_K has d pivot columns, on
+which it is an invertible d x d matrix, so restricting to them is injective
+on ker_K, and span ranks and greedy subsets are taken in d coordinates
+instead of nK (`_kernel_coordinates`).
 
 The jet table.  Rows are built from one table per (web, point), held by
 its BasePoint: for each integral the degree-n part of each power v_i^k,
@@ -262,6 +275,13 @@ def _embed(v: List[int], subset: Sequence[int], n: int, order: int) -> List[int]
     return big
 
 
+def _kernel_coordinates(kernel: List[List[int]]) -> List[int]:
+    """The d pivot columns of a kernel basis of d vectors, the columns that
+    independent_rows keeps of the basis's columns.  The basis is invertible
+    on them, so restricting to them is injective on its span."""
+    return exact_nullspace(kernel).pivot_cols
+
+
 # ---------------------------------------------------------------------------
 # filtration by solution order
 # ---------------------------------------------------------------------------
@@ -275,8 +295,9 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
     rank, basis = abelian_rank(web, base)
     order = basis.order
     n = web.size
+    pivots = _kernel_coordinates(basis.vectors)
     out: Dict[int, int] = {}
-    vecs: List[List[int]] = []  # a basis of F^(p-1), then the new jets
+    vecs: List[List[int]] = []  # a basis of F^(p-1), then the new jets, on the pivots
     for p in range(3, n + 1):
         for subset in combinations(range(1, n + 1), p):
             sub_base = base.restrict(subset)
@@ -287,7 +308,9 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
                     f"subweb {subset} kernel at order {order} has dim "
                     f"{len(jets)} but stabilized rank {sub_rank}"
                 )
-            vecs.extend(_embed(v, subset, n, order) for v in jets)
+            for v in jets:
+                big = _embed(v, subset, n, order)
+                vecs.append([big[c] for c in pivots])
         vecs = [vecs[i] for i in independent_rows(vecs)]
         out[p] = len(vecs)
     assert out[n] == rank, "full filtration level must equal the rank"
@@ -413,6 +436,18 @@ def _pattern_systems(web: Web, pattern: Pattern, base: BasePoint):
     return aux_pts, germ_keys, systems
 
 
+def _sections(kernel: List[List[int]], n: int, order: int) -> List[List[int]]:
+    """The sub-solutions as sections of a web's kernel basis v_1..v_d at
+    `order`: for each slot i in turn, a basis of the z with sum z_j v_j = 0
+    on i's columns.  Those sums span the kernel of the (N - 1)-subweb
+    without i, embedded."""
+    out = []
+    for i in range(n):
+        on_slot = [[v[i * order + k] for v in kernel] for k in range(order)]
+        out.extend(exact_nullspace(on_slot, n_cols=len(kernel)).basis)
+    return out
+
+
 def constrained_rank(
     web: Web,
     pattern: Pattern,
@@ -430,14 +465,17 @@ def constrained_rank(
     # and quotiented out of the kernel, so its ladder starts at order -1
     ladder: List[List[List[int]]] = []
 
+    def kernel_at(order):
+        return _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
+
     def dim_at(order):
-        kernel = _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
-        width = order + 1
-        return exact_rank_of_span([[c for j, c in enumerate(v) if j % width] for v in kernel])
+        # the degree-0 rows alone touch the k = 0 columns, so the constants
+        # in the kernel are exactly the order-0 kernel
+        return len(kernel_at(order)) - len(kernel_at(0))
 
     dims = _stabilized_dims(n, dim_at, "constrained system not stabilized: {dims}")
     order = list(dims)[-1]
-    kernel = _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
+    kernel = kernel_at(order)
     col_of = {
         (ci, val, k): j * (order + 1) + k
         for j, (ci, val) in enumerate(germ_keys)
@@ -445,7 +483,8 @@ def constrained_rank(
     }
 
     # project kernel vectors to slot-jet coordinates at the primary point and
-    # quotient by the span of proper-sub-equation solution jets there
+    # quotient by the span of proper-sub-equation solution jets there, all in
+    # the web's kernel at this order and ranked on its pivot columns
     slot_cols = _jet_columns(n, order)
     projected = []
     for v in kernel:
@@ -459,18 +498,19 @@ def constrained_rank(
                 if c:
                     big[slot_cols[(s - 1, k)]] = m * c
         projected.append(big)
-    dim_image = exact_rank_of_span(projected)
+    web_kernel = jet_kernel(base, order)
+    pivots = _kernel_coordinates(web_kernel)
+    on_pivots = [[v[c] for c in pivots] for v in web_kernel]
+    short = [[v[c] for c in pivots] for v in projected]
+    dim_image = exact_rank_of_span(short)
 
     # sub-solutions first, so a projected vector is kept iff it enlarges the
     # span of the sub-solution jets and of the projected vectors before it
-    sub_jets: List[List[int]] = []
-    for subset in combinations(range(1, n + 1), n - 1):
-        jets = jet_kernel(base.restrict(subset), order)
-        sub_jets.extend(_embed(v, subset, n, order) for v in jets)
-    n_sub = len(sub_jets)
-    genuine = [
-        projected[i - n_sub] for i in independent_rows(sub_jets + projected) if i >= n_sub
+    sub_jets = [
+        [sum(map(mul, z, col)) for col in zip(*on_pivots)] for z in _sections(web_kernel, n, order)
     ]
+    n_sub = len(sub_jets)
+    genuine = [projected[i - n_sub] for i in independent_rows(sub_jets + short) if i >= n_sub]
     return {
         "web": web.name,
         "dim_mod_constants": dims[order],

@@ -455,26 +455,29 @@ def coprime_split(polys: Iterable[BivarPoly], basis: Iterable[BivarPoly] = ()):
 
     basis, an earlier output (squarefree, primitive with positive leading
     coefficient and pairwise coprime), is the starting point: only polys are
-    split against it, and the result is coprime_split(basis + polys)."""
-    work = [squarefree_part(p) for p in polys if not p.is_constant()]
+    split against it, and the result is coprime_split(basis + polys).
+
+    Each input p is scanned once along the list.  Where p shares a
+    nontrivial g with an element q, q gives way to g and q / g, and the scan
+    goes on with p / g, which is coprime to g, to q / g and to every element
+    already scanned; what is left of p at the end is a new element.  The
+    coarsest coprime base is unique, so the sorted result does not depend on
+    the order of the inputs."""
     out: list[BivarPoly] = list(basis)
-    while work:
-        p = work.pop()
+    for p in polys:
         if p.is_constant():
             continue
-        fresh = True
-        for i, q in enumerate(out):
-            g, p1, q1 = poly_gcd_cofactors(p, q)
+        p = squarefree_part(p)
+        i = 0
+        while i < len(out) and not p.is_constant():
+            g, p1, q1 = poly_gcd_cofactors(p, out[i])
             if g.is_constant():
+                i += 1
                 continue
-            fresh = False
-            out.pop(i)
-            for h in (g, q1.primitive_z()[1]):
-                if not h.is_constant():
-                    out.append(h)
-            if not p1.is_constant():
-                work.append(p1.primitive_z()[1])
-            break
-        if fresh:
+            parts = [g] if q1.is_constant() else [g, q1.primitive_z()[1]]
+            out[i : i + 1] = parts
+            i += len(parts)
+            p = p1.primitive_z()[1]
+        if not p.is_constant():
             out.append(p)
     return sorted(out, key=lambda q: (q.total_degree(), sorted(q.terms.items())))

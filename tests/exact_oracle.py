@@ -9,6 +9,11 @@ The full truncated jet systems, web and multi-point pattern, built in one
 piece at one order and solved by one certified nullspace: the systems that
 the rank ladders of planarweb.jets prolong a degree at a time.
 
+The pattern rank with its sub-solutions read from the ladders of the
+(N - 1)-subwebs and every span ranked in the web's nK jet columns, as
+planarweb.jets computed it before it took them as sections of the web's
+kernel, ranked on that kernel's pivot columns.
+
 The truncated Taylor expansion of a RatFunc at a rational center, exact in
 Q: a Fraction jet by binomial expansion of numerator and denominator and one
 series division, the reference for the integer jet tables that the jet-rank
@@ -16,12 +21,22 @@ linear algebra reads (planarweb.web.BasePoint, built on RatFunc.translate).
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Dict, Tuple
 
 from planarweb.errors import PoleAtCenter
-from planarweb.jets import _jet_columns, _jet_rows
-from planarweb.linalg import exact_nullspace
+from planarweb.jets import (
+    KernelBasis,
+    _embed,
+    _jet_columns,
+    _jet_rows,
+    _ladder_kernel,
+    _pattern_systems,
+    _stabilized_dims,
+    jet_kernel,
+)
+from planarweb.linalg import exact_nullspace, exact_rank_of_span, independent_rows
 from planarweb.poly import BivarPoly
 from planarweb.ratfunc import RatFunc
 
@@ -122,6 +137,64 @@ def pattern_system(systems, n_blocks, order):
         cols = [(i, m, b * (order + 1)) for i, m, b in terms]
         rows.extend(_jet_rows(base, cols, order, n_cols, 0))
     return rows, exact_nullspace(rows, n_cols=n_cols)
+
+
+def constrained_rank_by_subweb_ladders(web, pattern, base):
+    """jets.constrained_rank's report computed the earlier way: the
+    constants quotiented by a span rank at every order, the sub-solution
+    jets from each (N - 1)-subweb's own ladder, embedded, and every span
+    ranked in the web's nK jet columns."""
+    slots = pattern.slots()
+    n = web.size
+    aux_pts, germ_keys, systems = _pattern_systems(web, pattern, base)
+    ladder = []
+
+    def dim_at(order):
+        kernel = _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
+        width = order + 1
+        return exact_rank_of_span([[c for j, c in enumerate(v) if j % width] for v in kernel])
+
+    dims = _stabilized_dims(n, dim_at, "constrained system not stabilized: {dims}")
+    order = list(dims)[-1]
+    kernel = _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
+    col_of = {
+        (ci, val, k): j * (order + 1) + k
+        for j, (ci, val) in enumerate(germ_keys)
+        for k in range(order + 1)
+    }
+    slot_cols = _jet_columns(n, order)
+    projected = []
+    for v in kernel:
+        big = [0] * len(slot_cols)
+        for s in slots:
+            ci = pattern.class_of(s)
+            val = base.images[s - 1]
+            m = pattern.multipliers[s]
+            for k in range(1, order + 1):
+                c = v[col_of[(ci, val, k)]]
+                if c:
+                    big[slot_cols[(s - 1, k)]] = m * c
+        projected.append(big)
+    dim_image = exact_rank_of_span(projected)
+    sub_jets = []
+    for subset in combinations(range(1, n + 1), n - 1):
+        jets = jet_kernel(base.restrict(subset), order)
+        sub_jets.extend(_embed(v, subset, n, order) for v in jets)
+    n_sub = len(sub_jets)
+    genuine = [
+        projected[i - n_sub] for i in independent_rows(sub_jets + projected) if i >= n_sub
+    ]
+    return {
+        "web": web.name,
+        "dim_mod_constants": dims[order],
+        "dim_jet_image": dim_image,
+        "dim_mod_subsolutions": len(genuine),
+        "order": order,
+        "aux_points": [(str(a), str(b)) for a, b in aux_pts],
+        "kernel": KernelBasis(kernel, order, col_of),
+        "genuine_jets": genuine,
+        "slot_columns": slot_cols,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from planarweb.errors import (
 )
 from planarweb.parse import parse_ratfunc as P
 from planarweb.ratfunc import RatFunc
-from planarweb.web import Web
+from planarweb.web import Foliation, Web
 
 
 def _apply_field(field, f):
@@ -27,12 +27,12 @@ def _apply_field(field, f):
 
 
 def test_level_field_examples():
-    assert level_field(P("x")) == (P("0").num, P("-1").num)
+    assert level_field(Foliation(P("x"))) == (P("0").num, P("-1").num)
     # den^2 (dU/dy, -dU/dx) is polynomial and kills U
-    assert level_field(P("x/y")) == (P("-x").num, P("-y").num)
+    assert level_field(Foliation(P("x/y"))) == (P("-x").num, P("-y").num)
     for text in ["x/y", "x*(1-y)/(y*(1-x))", "(x^2+y)/(x-y^3)"]:
         u = P(text)
-        field = level_field(u)
+        field = level_field(Foliation(u))
         assert _apply_field(field, u).is_zero()
         assert not _apply_field(field, P("x+2*y")).is_zero()
 
@@ -150,18 +150,19 @@ def _mul_trunc(a, b, order):
 
 
 def test_depends_only_on_examples():
-    assert depends_only_on(P("(x/y)^2"), P("x/y"))
-    assert not depends_only_on(P("x"), P("y"))
-    assert depends_only_on(P("(x-y)/(x+y)"), P("x/y"))
+    assert depends_only_on(P("(x/y)^2"), Foliation(P("x/y")))
+    assert not depends_only_on(P("x"), Foliation(P("y")))
+    assert depends_only_on(P("(x-y)/(x+y)"), Foliation(P("x/y")))
 
 
 def test_reexpress_examples():
-    g = reexpress(P("(x-y)/(x+y)"), P("x/y"), 2)
+    u = Foliation(P("x/y"))
+    g = reexpress(P("(x-y)/(x+y)"), u, 2)
     assert g == P("(x-1)/(x+1)")
-    assert reexpress(P("x/y"), P("x/y"), 1) == P("x")
-    assert reexpress(P("5"), P("x/y"), 1) == P("5")
+    assert reexpress(P("x/y"), u, 1) == P("x")
+    assert reexpress(P("5"), u, 1) == P("5")
     with pytest.raises(NoRationalExpression):
-        reexpress(P("x"), P("y"), 3)
+        reexpress(P("x"), Foliation(P("y")), 3)
 
 
 def test_genericity_examples(cauchy_web, bol_web):
@@ -291,3 +292,30 @@ def test_coefficients_are_ints(name):
     for _ in range(min(web.size - 1, 4)):
         eq = reduce_step(eq, eq.active_unknowns()[0])
         assert all(type(v) is int for c in eq.coeffs.values() for v in c.terms.values())
+
+
+@pytest.mark.parametrize("name", ["bol", "cauchy", "arctan"])
+def test_abel_ode_reads_the_foliations_gradients(name, monkeypatch, capsys):
+    # every gradient of a web integral that abel-ode uses is the one its
+    # Foliation computed when it was built: one per integral, no more
+    import planarweb.abel as abel_module
+    import planarweb.ratfunc as ratfunc_module
+    import planarweb.web as web_module
+    from conftest import fixture_path
+
+    from planarweb.cli import main
+    from planarweb.ratfunc import cleared_gradient
+    from planarweb.web import load_web
+
+    integrals = load_web(fixture_path(f"{name}.web")).integrals()
+    seen = []
+
+    def counted(u):
+        seen.append(u)
+        return cleared_gradient(u)
+
+    for module in (abel_module, ratfunc_module, web_module):
+        monkeypatch.setattr(module, "cleared_gradient", counted)
+    assert main(["abel-ode", fixture_path(f"{name}.web"), "--target", "1"]) == 0
+    capsys.readouterr()
+    assert sorted(integrals.index(u) for u in seen if u in integrals) == list(range(len(integrals)))

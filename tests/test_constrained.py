@@ -9,14 +9,30 @@ surviving the quotient by sub-equation solution jets.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from operator import mul
 
 import pytest
 
-from exact_oracle import FractionSpan, JetSystem, assert_primitive, free_columns, pattern_system
+from exact_oracle import (
+    FractionSpan,
+    JetSystem,
+    assert_primitive,
+    constrained_rank_by_subweb_ladders,
+    free_columns,
+    pattern_system,
+)
 from planarweb.hyperlog.calculus import PrefactoredExpr
 from planarweb.hyperlog.registry import special
-from planarweb.jets import Pattern, _ladder_kernel, _pattern_systems, constrained_rank
+from planarweb.jets import (
+    Pattern,
+    _embed,
+    _ladder_kernel,
+    _pattern_systems,
+    _sections,
+    constrained_rank,
+    jet_kernel,
+)
 from planarweb.web import BasePoint, Web, pick_generic_point
 
 
@@ -183,3 +199,64 @@ def test_pattern_ladder_equals_full_system(case, bol_web_indomain, sk_web):
         assert_primitive(vectors)
         assert all(sum(map(mul, r, v)) == 0 for v in vectors for r in rows), order
         assert FractionSpan(vectors).rank == len(vectors), order
+
+
+def _case(case, bol_web_indomain, sk_web):
+    if case == "sk-trilog":
+        return sk_belowone(sk_web), SK_TRILOG
+    pattern = pattern_prop11(bol_web_indomain) if case == "prop11" else PROP13
+    return bol_web_indomain, pattern
+
+
+@pytest.mark.parametrize("case", ["prop11", "prop13", "sk-trilog"])
+def test_report_equals_the_subweb_ladder_oracle(case, bol_web_indomain, sk_web):
+    # sub-solutions as sections of the web's kernel, ranked on its pivot
+    # columns, give the report of the (N - 1)-subweb ladders ranked in nK
+    # columns: dims, order, points, kernel and the genuine jets themselves
+    web, pattern = _case(case, bol_web_indomain, sk_web)
+    point = (Fraction(1, 3), Fraction(1, 2))
+    rep = constrained_rank(web, pattern, pick_generic_point(web, preferred=point))
+    ref = constrained_rank_by_subweb_ladders(web, pattern, pick_generic_point(web, preferred=point))
+    for key in ("dim_mod_constants", "dim_jet_image", "dim_mod_subsolutions", "order"):
+        assert rep[key] == ref[key], key
+    assert rep["aux_points"] == ref["aux_points"]
+    assert rep["kernel"].vectors == ref["kernel"].vectors
+    assert rep["kernel"].unknown_index == ref["kernel"].unknown_index
+    assert rep["genuine_jets"] == ref["genuine_jets"]
+    assert rep["slot_columns"] == ref["slot_columns"]
+
+
+@pytest.mark.parametrize("case", ["prop11", "prop13", "sk-trilog"])
+def test_constants_are_the_order_zero_kernel(case, bol_web_indomain, sk_web):
+    # at every order N..N+2, dropping the order-0 kernel from the count gives
+    # the rank of the kernel's span with the k = 0 columns deleted
+    web, pattern = _case(case, bol_web_indomain, sk_web)
+    base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    _, germ_keys, systems = _pattern_systems(web, pattern, base)
+    ladder = []
+    for order in range(web.size, web.size + 3):
+        kernel = _ladder_kernel(ladder, systems, len(germ_keys), 0, order)
+        constants = _ladder_kernel(ladder, systems, len(germ_keys), 0, 0)
+        width = order + 1
+        dropped = [[c for j, c in enumerate(v) if j % width] for v in kernel]
+        assert len(kernel) - len(constants) == FractionSpan(dropped).rank, order
+
+
+@pytest.mark.parametrize("case,order", [("bol", 7), ("sk", 11)])
+def test_sections_span_the_subweb_kernels(case, order, bol_web_indomain, sk_web):
+    # the sections of the web's kernel that vanish on one slot span what the
+    # (N - 1)-subwebs' own ladders give, embedded, at the pattern's order
+    web = bol_web_indomain if case == "bol" else sk_belowone(sk_web)
+    base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    n = web.size
+    kernel = jet_kernel(base, order)
+    sections = FractionSpan(
+        [sum(map(mul, z, col)) for col in zip(*kernel)] for z in _sections(kernel, n, order)
+    )
+    subwebs = FractionSpan(
+        _embed(v, subset, n, order)
+        for subset in combinations(range(1, n + 1), n - 1)
+        for v in jet_kernel(base.restrict(subset), order)
+    )
+    assert sections.rank == subwebs.rank > 0
+    assert all(sections.contains(v) for v in subwebs.rows)

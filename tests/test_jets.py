@@ -93,6 +93,13 @@ def test_filtration_bol(bol_web):
     assert dims == {3: 5, 4: 5, 5: 6}
 
 
+def test_filtration_cauchy_and_configc(cauchy_web, configc_web):
+    # ranked on the pivot columns of the web's kernel, as frozen from the
+    # ranks in all nK jet columns
+    assert filtration_dims(cauchy_web) == {3: 1}
+    assert filtration_dims(configc_web) == {3: 14, 4: 14, 5: 17, 6: 21, 7: 21, 8: 21}
+
+
 def test_hexagonality_examples():
     assert hexagonality(Web.from_expressions(["x", "y", "x+y"]))["hexagonal"]
     bad = Web.from_expressions(["x", "y", "x+y+x^2*y"])
@@ -416,14 +423,15 @@ def test_ladder_equals_jet_system_on_subwebs(bol_web, sk_web):
 
 
 @pytest.mark.parametrize(
-    "web_name,rungs,nullspaces", [("sk_web", 420, 420), ("bol_web", 87, 90)], ids=["sk_web", "bol_web"]
+    "web_name,rungs,nullspaces", [("sk_web", 420, 420), ("bol_web", 87, 91)], ids=["sk_web", "bol_web"]
 )
 def test_each_ladder_rung_is_one_prolongation(web_name, rungs, nullspaces, request, monkeypatch):
     # every ladder climbs from order 0 by one _prolong per order, each
     # solving one small system: sk's 84 triples stop at order 5 (84 * 5);
     # bol's filtration climbs the web's ladder to order 7 and each proper
     # p-subweb's to its stop order p + 2 (7 + 10 * 5 + 5 * 6); the 5-subweb
-    # shares the web's ladder; and it ranks three spans
+    # shares the web's ladder; and it ranks three spans, plus the kernel's
+    # pivot columns
     import planarweb.jets as jets
     import planarweb.linalg as linalg
 

@@ -227,6 +227,30 @@ def test_coprime_split_from_a_basis():
     assert coprime_split([], basis=basis) == basis
 
 
+@pytest.mark.parametrize("name,gcds", [("sk", 321), ("configc", 239)])
+def test_coprime_split_scans_each_input_once(name, gcds, monkeypatch):
+    # every gcd of a web's locus split, the squarefree parts included: each
+    # input is scanned once along the list, and a split part is not tested
+    # again against what it is known to be coprime to; the coarsest coprime
+    # base does not depend on the order of the inputs
+    from planarweb.web import load_web, singular_locus
+
+    locus = singular_locus(load_web(fixture_path(f"{name}.web")))
+    calls = []
+    cofactors = poly_module.poly_gcd_cofactors
+
+    def counted(p, q):
+        calls.append(1)
+        return cofactors(p, q)
+
+    monkeypatch.setattr(poly_module, "poly_gcd_cofactors", counted)
+    components = locus.curve_components
+    assert len(calls) == gcds
+    monkeypatch.setattr(poly_module, "poly_gcd_cofactors", cofactors)
+    tangency = coprime_split(locus.jacobians[::-1])
+    assert coprime_split(locus.poles[::-1], basis=tangency) == components
+
+
 def test_canonical_leading_sign():
     _, prim = poly("-2*x-2*y").primitive_z()
     assert prim == poly("x+y")

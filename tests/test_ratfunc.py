@@ -40,7 +40,7 @@ def test_jacobian_examples():
     with pytest.raises(ConstantInput):
         Foliation(P("3"))
     with pytest.raises(ConstantInput):
-        depends_only_on(y, P("3"))
+        depends_only_on(y, Foliation(P("3")))
 
 
 def test_jacobian_symmetry():
