@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Tuple
 
-SYMBOLS = ("pi", "log2", "zeta3")
-
 # monomial: (i_power in {0,1}, pi_power, log2_power, zeta3_power)
 Monomial = Tuple[int, int, int, int]
 _ONE: Monomial = (0, 0, 0, 0)
@@ -135,11 +133,4 @@ class SymConst:
         return " + ".join(parts)
 
 
-ZERO = SymConst()
 ONE = SymConst.rational(1)
-I = SymConst.monomial(i=1)
-PI = SymConst.monomial(pi=1)
-LOG2 = SymConst.monomial(log2=1)
-ZETA3 = SymConst.monomial(zeta3=1)
-PI2 = PI * PI
-TWO_PI_I = SymConst.monomial(i=1, pi=1, coeff=2)

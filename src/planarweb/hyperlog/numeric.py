@@ -7,17 +7,18 @@ steps stay within half the distance to the nearest ramification point.  The
 Taylor recursion at a regular point uses the geometric structure of the
 kernels, so one step costs O(terms) per word.
 
-One log-series routine gives the expansion at the base point 0 (every
-integration constant 0) and at every ramification point (each word's
-constant fixed from its value transported to a nearby point).  It runs on
-ints in the fixed point of the transport below, with one mpmath log per
-call.  The coefficients C[k][n] of log(h)**k h**n are scaled by H**n, H the
-real offset at which the expansion is summed (the anchor, or the nearby
-point), so every kernel ratio u is real, |u| <= 1/2 (2/5 at the anchor); the
-products are rounded toward zero, each slice stops exactly once every later
-term is 0, and the value at H is the plain sum sum_k L**k sum_n C[k][n],
-L = log|H|.  The anchor values are summed once per word family and cached
-as fixed-point ints.
+One integration routine, _integrate, serves the transport and the
+log series: it integrates sign/(z - a) times a word's tail, on ints in the
+fixed point below, coefficient by coefficient with the same rounding and
+the same exact stop.  The log series gives the expansion at the base point
+0 (every integration constant 0) and at every ramification point (each
+word's constant fixed from its value transported to a nearby point), with
+one mpmath log per call.  Its coefficients C[k][n] of log(h)**k h**n are
+scaled by H**n, H the real offset at which the expansion is summed (the
+anchor, or the nearby point), so every kernel ratio u is real, |u| <= 1/2
+(2/5 at the anchor), and the value at H is the plain sum
+sum_k L**k sum_n C[k][n], L = log|H|.  The anchor values are summed once
+per word family and cached as fixed-point ints.
 
 Transport runs on plain Python ints from start to finish.  Word values are
 fixed point, real and imaginary parts apart, scaled by 2**prec, prec =
@@ -25,16 +26,17 @@ mp.prec + GUARD_BITS; waypoints are exact grid pairs on the coordinate scale
 2**(2 * prec), fine enough that every corner of a route at the working
 precision, its target too, lies on the grid (a corner off it raises
 PrecisionNotReached and is never rounded).  Only the word values coming out
-are mpmath numbers.  The recurrence of a step p -> q is scaled by the step:
-it carries the coefficients of h**n, h = q - p, so each term is O(|u|**n),
-u = h/(p - a), |u| <= 1/2 however far p lies from the alphabet, and the
-value at q is the plain sum of the terms.  Unscaled coefficients of
-(z - p)**n grow like |p|**n and would leave no correct bit of a fixed-point
-sum far from the alphabet.  The products are rounded toward zero, and the
-guard bits absorb that rounding over the ~n_terms operations per word and
-step.  A word's series stops exactly where every later term is
-0: past its tail's last nonzero coefficient, once the accumulator is 0,
-which rounding toward zero makes every accumulator there reach.
+are mpmath numbers.  A step p -> q is the integration at the regular point
+p, one log-free slice per word, scaled by the step: it carries the
+coefficients of h**n, h = q - p, so each term is O(|u|**n), u = h/(p - a),
+|u| <= 1/2 however far p lies from the alphabet, and the value at q is the
+plain sum of the terms.  Unscaled coefficients of (z - p)**n grow like
+|p|**n and would leave no correct bit of a fixed-point sum far from the
+alphabet.  The products are rounded toward zero, and the guard bits absorb
+that rounding over the ~n_terms operations per word and step.  A word's
+series stops exactly where every later term is 0: past its tail's last
+nonzero coefficient, once the accumulator is 0, which rounding toward zero
+makes every accumulator there reach.
 
 Each evaluator keeps the fixed-point values it reaches at every waypoint,
 keyed by the subdivided path prefix from the anchor (the grid pair of each
@@ -111,70 +113,89 @@ def _exact(x) -> Fraction:
     return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
-def _integrate_part(tail, sign, u, n_terms, prec):
-    """One real part of the scaled expansion of L_{a w}, with constant 0,
-    from the same part of L_w's (tail): the antiderivative of sign/(z - a)
-    times it.  A part is a list over k of int lists, part[k][n] for
-    log(h)**k h**n.  u is the fixed-point kernel ratio H/(center - a), or
-    None when the letter a is the center itself.
+def _integrate(tail, sign, u, head, n_terms, prec):
+    """The series of L_{a w} from its tail's, the series of L_w: the
+    antiderivative of sign/(z - a) times the tail, with the value head =
+    (re, im) at h = 0.  A series is a list over the log power k of (re, im)
+    pairs of equal-length int lists: the coefficients of log(h)**k h**n,
+    times H**n and 2**prec, H the offset at which it is summed.  They are
+    stored without trailing zeros, but for each slice's constant term and
+    the first slice.  u is the fixed-point kernel ratio (ur, ui) =
+    H/(center - a), or None when the letter a is the center itself.
 
-    In t = h/H the kernel is sign*u/H * sum (-u t)**n, so with the h**n
-    coefficients scaled by H**n the integrand of h**(n-1), times H, is
-    sign*m_n, m_n = u * acc_{n-1} rounded toward zero, acc_n = tail_n - m_n,
-    as in _transport; a slice stops exactly once it is past its tail and m_n
-    is 0.  The ansatz sum_j A_{j,n} h**n log(h)**j then needs
-    n A_{j,n} + (j+1) A_{j+1,n} = rhs_{j,n}, solved downward in j with floor
-    division by n."""
+    In t = h/H the kernel is sign*u/H * sum (-u t)**n, so the integrand of
+    h**(n-1), times H, is sign*m_n, m_n = u * acc_{n-1} rounded toward zero,
+    acc_n = tail_n - m_n.  So |m_n| <= |u| |acc_{n-1}|: past the tail's
+    stored coefficients (acc_n = -m_n there) an accumulator shrinks by |u|
+    per term down to exactly 0, and the slice's recurrence stops there,
+    every later m_n being 0; at |u| close to 1/2 that takes about prec
+    terms, which may be more than n_terms.  The loop carries -acc_n and -u,
+    so past the tail it carries m_n itself, with nothing to negate.  The
+    ansatz sum_j A_{j,n} h**n log(h)**j then needs
+    n A_{j,n} + (j+1) A_{j+1,n} = sign*m_{j,n}, solved downward in j with
+    floor division by n (by sign*n, which rounds the same rational down).
+    When a is the center, sign/h times the tail is the integrand itself: its
+    h**0 terms raise the log power, the others integrate from h**(n-1) as
+    they are."""
     if u is None:
-        # sign/h * C h**n log**k: the n = 0 term raises the log power, the
-        # others integrate from h**(n-1) as they are
-        rhs = [[sign * c for c in s] for s in tail]
-        heads = [0] + [sign * s[0] // (k + 1) if s else 0 for k, s in enumerate(tail)]
+        heads = [head] + [(sign * r[0] // j, sign * i[0] // j) for j, (r, i) in enumerate(tail, 1)]
     else:
-        rhs = []
-        for s in tail:
-            size = len(s)
-            b = [0]
-            acc = s[0] if size else 0
+        heads = [head] + [(0, 0)] * (len(tail) - 1)
+        vr, vi = -u[0], -u[1]
+    out = [None] * len(heads)
+    upr = upi = ()  # A_{j+1}
+    for j in reversed(range(len(heads))):
+        j1, top = j + 1, len(upr)
+        cr, ci = [heads[j][0]], [heads[j][1]]
+        tr, ti = tail[j] if j < len(tail) else ([0], [0])
+        size = len(tr)
+        if u is None:
+            cr += [(sign * tr[n] - (j1 * upr[n] if n < top else 0)) // n for n in range(1, size)]
+            ci += [(sign * ti[n] - (j1 * upi[n] if n < top else 0)) // n for n in range(1, size)]
+        else:
+            sj1 = sign * j1
+            ar, ai = -tr[0], -ti[0]
             for n in range(1, n_terms):
-                m = acc * u
-                m = m >> prec if m >= 0 else -(-m >> prec)
+                mr = ar * vr - ai * vi
+                mr = mr >> prec if mr >= 0 else -(-mr >> prec)
+                mi = ar * vi + ai * vr
+                mi = mi >> prec if mi >= 0 else -(-mi >> prec)
                 if n < size:
-                    acc = s[n] - m
-                elif m:
-                    acc = -m
+                    ar = mr - tr[n]
+                    ai = mi - ti[n]
+                elif mr or mi:
+                    ar, ai = mr, mi
                 else:
                     break
-                b.append(sign * m)
-            rhs.append(b)
-        heads = [0] * len(tail)
-    out = [None] * len(heads)
-    upper: List[int] = []
-    for j in reversed(range(len(heads))):
-        b = rhs[j] if j < len(rhs) else [0]
-        size = max(len(b), len(upper))
-        b, upper = b + [0] * (size - len(b)), upper + [0] * (size - len(upper))
-        out[j] = upper = [heads[j]] + [(b[n] - (j + 1) * upper[n]) // n for n in range(1, size)]
+                sn = sign * n
+                if n < top:
+                    cr.append((mr - sj1 * upr[n]) // sn)
+                    ci.append((mi - sj1 * upi[n]) // sn)
+                else:
+                    cr.append(mr // sn)
+                    ci.append(mi // sn)
+        if len(cr) < top:  # past the integrand's last term only A_{j+1} contributes
+            cr += [-j1 * upr[n] // n for n in range(len(cr), top)]
+            ci += [-j1 * upi[n] // n for n in range(len(ci), top)]
+        while len(cr) > 1 and not (cr[-1] or ci[-1]):
+            cr.pop()
+            ci.pop()
+        out[j] = upr, upi = cr, ci
+    while len(out) > 1 and out[-1] == ([0], [0]):
+        out.pop()
     return out
 
 
-def _sum_at(part, log_h, prec):
-    """sum_k L**k sum_n part[k][n], L = log_h, by Horner in L rounded
-    toward zero: one real part's value at h = H."""
-    total = 0
-    for s in reversed(part):
-        total *= log_h
-        total = (total >> prec if total >= 0 else -(-total >> prec)) + sum(s)
-    return total
-
-
-def _strip(part):
-    """Drop trailing zero coefficients, then trailing empty slices."""
-    for s in part:
-        while s and not s[-1]:
-            s.pop()
-    while part and not part[-1]:
-        part.pop()
+def _sum_at(series, log_h, prec):
+    """The series' value (re, im) at h = H: sum_k L**k sum_n series[k][n],
+    L = log_h, by Horner in L rounded toward zero, each part apart."""
+    re = im = 0
+    for r, i in reversed(series):
+        re *= log_h
+        im *= log_h
+        re = (re >> prec if re >= 0 else -(-re >> prec)) + sum(r)
+        im = (im >> prec if im >= 0 else -(-im >> prec)) + sum(i)
+    return re, im
 
 
 def _log_series(
@@ -184,12 +205,12 @@ def _log_series(
     """Log-series expansions of the closure words at center, on ints, and
     their values at h = H, h = z - center, H rational and real.
 
-    series[w] = (re, im), its real and imaginary parts: part[k][n] is the
-    coefficient of log(h)**k h**n times H**n, as an int scaled by 2**prec,
-    in lists without trailing zeros.  The slice variable is log(h) if H > 0
-    and log(-h) if H < 0 (any branch serves, all have derivative 1/h), so it
-    is L = log|H| at h = H, the one mpmath operation here, and the value
-    there is the plain sum sum_k L**k sum_n part[k][n].  Every kernel ratio
+    series[w] is the word's series as _integrate builds it: the coefficient
+    of log(h)**k h**n times H**n, scaled by 2**prec, is series[w][k] =
+    (re, im) at n.  The slice variable is log(h) if H > 0 and log(-h) if
+    H < 0 (any branch serves, all have derivative 1/h), so it is L = log|H|
+    at h = H, the one mpmath operation here, and the value there is the
+    plain sum sum_k L**k sum_n series[w][k][n].  Every kernel ratio
     u = H/(center - a) is real, |u| <= 2/5 at the anchor and 1/2 at a
     letter's point, and the operator is real, so the two parts never mix.
 
@@ -207,27 +228,21 @@ def _log_series(
         # rounded toward zero, so |u| never exceeds the exact ratio's
         q = H / (center - pt)
         mag = (abs(q.numerator) << prec) // q.denominator
-        ratio[a] = mag if q > 0 else -mag
-    series = {(): ([[1 << prec]], [])}
+        ratio[a] = (mag if q > 0 else -mag, 0)
+    series = {(): [([1 << prec], [0])]}
     values = {(): (1 << prec, 0)}
     for w in closure:
         if not w:
             continue
-        sign, u = alphabet.signs[w[0]], ratio[w[0]]
-        parts = tuple(_integrate_part(t, sign, u, n_terms, prec) for t in series[w[1:]])
-        if at is None:
-            values[w] = tuple(_sum_at(part, log_h, prec) for part in parts)
-        else:
+        s = series[w] = _integrate(
+            series[w[1:]], alphabet.signs[w[0]], ratio[w[0]], (0, 0), n_terms, prec
+        )
+        values[w] = _sum_at(s, log_h, prec)
+        if at is not None:
+            (r, i), (re, im) = s[0], values[w]
             values[w] = at[w]
-            for part, target in zip(parts, at[w]):
-                const = target - _sum_at(part, log_h, prec)
-                if part:
-                    part[0][0] += const
-                else:
-                    part.append([const])
-        for part in parts:
-            _strip(part)
-        series[w] = parts
+            r[0] += at[w][0] - re
+            i[0] += at[w][1] - im
     return series, values
 
 
@@ -283,53 +298,25 @@ def _transport(alphabet: Alphabet, letters, closure, vals, p, q, n_terms, prec):
     p and q are grid pairs (coordinate scale 2**(2 * prec)), letters maps
     each letter to its real grid coordinate.  Fixed point: every value is a
     pair of ints (re, im) scaled by 2**prec, prec = mp.prec + GUARD_BITS.
-    The step carries the coefficients of h**n, h = q - p, so with u = h/(p -
-    a), computed from the ints by _step_ratio, the kernel sign/(z - a)
-    becomes sign*u * sum (-u)**n and every term is O(|u|**n) whatever |p|.
-
-    The products m = u * acc are rounded toward zero, so |m| <= |u| |acc|:
-    past its tail's stored coefficients an accumulator (acc = -m there)
-    shrinks by |u| <= 1/2 per term down to exactly 0, and the word's series
-    stops there, every later coefficient being 0.  At |u| close to 1/2 that
-    takes about prec terms, which may be more than n_terms.  Coefficient
-    lists are stored without trailing zeros (the empty word's unit is
-    ([1 << prec], [0])), so a word's tail runs out as soon as it can.  The
-    values at q are exactly those of a loop over all n_terms terms, which is
-    what lets WordEvaluator.values_along keep them as the waypoint q of its
-    prefix trie and call this only for the steps past a known prefix."""
+    The step is _integrate at the regular point p, with H = h = q - p, the
+    ratios u = h/(p - a) from the ints by _step_ratio and the values at p as
+    the heads: each word's series is one slice, every term is O(|u|**n)
+    whatever |p|, and the value at q is the plain sum of its terms.  Each
+    series stops exactly where every later term is 0, so the values at q
+    are those of a loop over all n_terms terms, which is what lets
+    WordEvaluator.values_along keep them as the waypoint q of its prefix
+    trie and call this only for the steps past a known prefix."""
     h = (q[0] - p[0], q[1] - p[1])
     ratio = {a: _step_ratio(h, (p[0] - x, p[1]), prec) for a, x in letters.items()}
-    coeffs = {(): ([1 << prec], [0])}
+    series = {(): [([1 << prec], [0])]}
     out = {(): vals[()]}
     for w in closure:
         if not w:
             continue
-        ur, ui = ratio[w[0]]
-        sign = alphabet.signs[w[0]]
-        tr, ti = coeffs[w[1:]]
-        size = len(tr)
-        cr, ci = [vals[w][0]], [vals[w][1]]
-        ar, ai = tr[0], ti[0]
-        for n in range(1, n_terms):
-            # m = u * acc_{n-1} toward zero;  c_n = sign * m / n;  acc_n = tail_n - m
-            mr = ar * ur - ai * ui
-            mr = mr >> prec if mr >= 0 else -(-mr >> prec)
-            mi = ar * ui + ai * ur
-            mi = mi >> prec if mi >= 0 else -(-mi >> prec)
-            cr.append(sign * mr // n)
-            ci.append(sign * mi // n)
-            if n < size:
-                ar = tr[n] - mr
-                ai = ti[n] - mi
-            elif mr or mi:
-                ar, ai = -mr, -mi
-            else:
-                break
-        while len(cr) > 1 and not (cr[-1] or ci[-1]):
-            cr.pop()
-            ci.pop()
-        coeffs[w] = (cr, ci)
-        out[w] = (sum(cr), sum(ci))
+        s = series[w] = _integrate(
+            series[w[1:]], alphabet.signs[w[0]], ratio[w[0]], vals[w], n_terms, prec
+        )
+        out[w] = _sum_at(s, 0, prec)
     return out
 
 
@@ -505,10 +492,12 @@ class WordEvaluator:
             vals, children = node
         return vals
 
-    def value_vector(self, z, strict_words: Optional[Iterable[Word]] = None) -> Dict[Word, object]:
+    def value_vector(self, z, strict: Optional[Dict[Word, object]] = None) -> Dict[Word, object]:
         """Values of all closure words at z.  At a ramification point itself,
         finite words get their limit and divergent ones their regularized
-        constant; divergence of a word listed in strict_words raises OnCut."""
+        constant, and OnCut is raised if the combination sum_w strict[w] L_w
+        (numeric coefficients) diverges there: if the constant term of one
+        of its log powers above 0 is not 0."""
         mp = self.mp
         if isinstance(z, Fraction):
             z = mp.mpf(z.numerator) / z.denominator
@@ -517,15 +506,13 @@ class WordEvaluator:
             p = mp.mpf(pt.numerator) / pt.denominator
             if zc == p:
                 exps = self.local_expansions_at(pt)
-                out = {}
                 tol = mp.mpf(10) ** (-(self.dps))
-                strict = set(map(tuple, strict_words)) if strict_words else set()
-                for w in self.closure:
-                    slices = exps[w]
-                    if w in strict and any(abs(s[0]) > tol for s in slices[1:]):
-                        raise OnCut(f"L_{w} diverges at the ramification point {pt}")
-                    out[w] = slices[0][0]
-                return out
+                for k in range(1, max((len(exps[w]) for w in strict or ()), default=1)):
+                    lead = sum(c * exps[w][k][0] for w, c in strict.items() if k < len(exps[w]))
+                    if abs(lead) > tol:
+                        what = f"L_{next(iter(strict))}" if len(strict) == 1 else "the word combination"
+                        raise OnCut(f"{what} diverges at the ramification point {pt}")
+                return {w: slices[0][0] for w, slices in exps.items()}
         path = self.route(z)
         return self.values_along(path)
 
@@ -550,19 +537,13 @@ class WordEvaluator:
         series, _ = _log_series(self.alphabet, self.closure, pt, H, self.n_terms, prec, at)
         # the coefficient of h**n is the scaled one over H**n
         inv_h = mp.mpf(H.denominator) / H.numerator
-        out = {}
-        for w in self.closure:
-            re, im = series[w]
-            slices = []
-            for k in range(max(len(re), len(im), 1)):
-                r, i = (part[k] if k < len(part) else [] for part in (re, im))
-                r, i = r + [0] * (len(i) - len(r)), i + [0] * (len(r) - len(i))
-                slices.append(
-                    [_from_fixed(c, prec, mp) * inv_h**n for n, c in enumerate(zip(r, i))]
-                    or [mp.mpc(0)]
-                )
-            out[w] = slices
-        return out
+        return {
+            w: [
+                [_from_fixed(c, prec, mp) * inv_h**n for n, c in enumerate(zip(r, i))]
+                for r, i in series[w]
+            ]
+            for w in self.closure
+        }
 
 
 def eval_word(
@@ -582,7 +563,7 @@ def eval_word(
         if path is not None:
             vals = ev.values_along(path)
         else:
-            vals = ev.value_vector(z, strict_words=[w])
+            vals = ev.value_vector(z, strict={w: 1})
         results.append(vals[w])
     mp = ev.mp
     err = abs(results[0] - results[1]) + mp.mpf(10) ** (-(dps + 4))
@@ -599,11 +580,13 @@ def eval_expr(
     evaluator: Optional[WordEvaluator] = None,
 ) -> object:
     """Numeric value of a hyperlog expression (single computation, no
-    doubling; eval_word adds an error estimate)."""
+    doubling; eval_word adds an error estimate).  At a ramification point
+    where the expression diverges, OnCut is raised."""
     ev = evaluator or WordEvaluator(expr.alphabet, expr.words(), dps=dps)
-    vals = ev.value_vector(z)
     mp = ev.mp
+    coeffs = {w: c.numeric(mp) for w, c in expr.terms.items()}
+    vals = ev.value_vector(z, strict=coeffs)
     total = mp.mpc(0)
-    for w, c in expr.terms.items():
-        total += c.numeric(mp) * vals[w]
+    for w, c in coeffs.items():
+        total += c * vals[w]
     return total

@@ -62,10 +62,11 @@ Span ranks in the coordinates of the web's kernel.  Every embedded subweb
 jet of the filtration, every sub-solution jet and every projected pattern
 vector lies in the web's kernel ker_K at the order read: at the base point
 the pattern's rows of degree >= 1 are the web's rows with
-F_i = m_i G_class(i).  A basis v_1..v_d of ker_K has d pivot columns, on
-which it is an invertible d x d matrix, so restricting to them is injective
-on ker_K, and span ranks and greedy subsets are taken in d coordinates
-instead of nK (`_kernel_coordinates`).
+F_i = m_i G_class(i).  A basis v_1..v_d of ker_K has d columns on which
+it is an invertible d x d matrix, the pivots of one mod-p elimination at a
+prime where its rank is d (`linalg.invertible_columns`: a minor nonzero mod
+p is nonzero over Z), so restricting to them is injective on ker_K, and
+span ranks and greedy subsets are taken in d coordinates instead of nK.
 
 The jet table.  Rows are built from one table per (web, point), held by
 its BasePoint: for each integral the degree-n part of each power v_i^k,
@@ -88,7 +89,7 @@ from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidParameter, NotStabilized
-from .linalg import exact_nullspace, exact_rank_of_span, independent_rows
+from .linalg import exact_nullspace, exact_rank_of_span, independent_rows, invertible_columns
 from .web import DEFAULT_POINT, BasePoint, Web, pick_generic_point, singular_locus
 
 
@@ -103,38 +104,37 @@ def _jet_columns(n: int, order: int) -> Dict[Tuple[int, int], int]:
 
 
 def _jet_rows(
-    base: BasePoint, terms, order: int, n_cols: int, first_power: int, lowest: int = 0
+    base: BasePoint, terms, degree: int, n_cols: int, first_power: int
 ) -> List[List[int]]:
-    """Rows of sum over terms (i, m, col) of m * sum_k c_{col+k} v_i^k,
-    k = first_power..order, v_i^k read from the base point's jet table: one
-    row per monomial of total degree lowest..order with a nonzero
-    coefficient.  The coefficient of a degree-n monomial in v_i^k is
-    powers[k][n] over d0_i^(k + n), so each row is multiplied by the lcm
+    """The degree-`degree` rows of sum over terms (i, m, col) of
+    m * sum_k c_{col+k} v_i^k, k = first_power..degree, v_i^k read from the
+    base point's jet table: one row per monomial of that total degree with
+    a nonzero coefficient.  The coefficient of a degree-n monomial in v_i^k
+    is powers[k][n] over d0_i^(k + n), so each row is multiplied by the lcm
     of the d0_i^(k + n) it touches and divided by its gcd: the primitive
     integer row proportional to the rational one."""
-    tables = [(base.jet_powers(i, order), m, col) for i, m, col in terms]
+    tables = [(base.jet_powers(i, degree), m, col) for i, m, col in terms]
     rows = []
-    for total in range(lowest, order + 1):
-        for a in range(total + 1):
-            e = (a, total - a)
-            hits = []
-            scale = 1
-            for (d0, powers), m, col in tables:
-                den, top = d0 ** (first_power + total), 0
-                for k in range(first_power, total + 1):  # v^k starts at degree k
-                    c = powers[k][total].get(e)
-                    if c:
-                        hits.append((col + k, m * c, den))
-                        top = den
-                    den *= d0
-                if top:
-                    scale = lcm(scale, top)
-            row = [0] * n_cols
-            for j, c, d in hits:
-                row[j] += c * (scale // d)
-            g = gcd(*row)
-            if g:
-                rows.append([x // g for x in row] if g > 1 else row)
+    for a in range(degree + 1):
+        e = (a, degree - a)
+        hits = []
+        scale = 1
+        for (d0, powers), m, col in tables:
+            den, top = d0 ** (first_power + degree), 0
+            for k in range(first_power, degree + 1):  # v^k starts at degree k
+                c = powers[k][degree].get(e)
+                if c:
+                    hits.append((col + k, m * c, den))
+                    top = den
+                den *= d0
+            if top:
+                scale = lcm(scale, top)
+        row = [0] * n_cols
+        for j, c, d in hits:
+            row[j] += c * (scale // d)
+        g = gcd(*row)
+        if g:
+            rows.append([x // g for x in row] if g > 1 else row)
     return rows
 
 
@@ -164,7 +164,7 @@ def _prolong(systems, n_blocks: int, first_power: int, vectors: List[List[int]],
     rows = []
     for base, terms in systems:
         cols = [(i, m, b * (width + 1) - first_power) for i, m, b in terms]
-        rows.extend(_jet_rows(base, cols, new, n_cols, first_power, new))
+        rows.extend(_jet_rows(base, cols, new, n_cols, first_power))
     small = [[r[c] for c in tops] + [sum(map(mul, r, w)) for w in old] for r in rows]
     out = []
     for yz in exact_nullspace(small, n_cols=n_blocks + len(old)).basis:
@@ -275,13 +275,6 @@ def _embed(v: List[int], subset: Sequence[int], n: int, order: int) -> List[int]
     return big
 
 
-def _kernel_coordinates(kernel: List[List[int]]) -> List[int]:
-    """The d pivot columns of a kernel basis of d vectors, the columns that
-    independent_rows keeps of the basis's columns.  The basis is invertible
-    on them, so restricting to them is injective on its span."""
-    return exact_nullspace(kernel).pivot_cols
-
-
 # ---------------------------------------------------------------------------
 # filtration by solution order
 # ---------------------------------------------------------------------------
@@ -295,7 +288,7 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
     rank, basis = abelian_rank(web, base)
     order = basis.order
     n = web.size
-    pivots = _kernel_coordinates(basis.vectors)
+    pivots = invertible_columns(basis.vectors)
     out: Dict[int, int] = {}
     vecs: List[List[int]] = []  # a basis of F^(p-1), then the new jets, on the pivots
     for p in range(3, n + 1):
@@ -499,7 +492,7 @@ def constrained_rank(
                     big[slot_cols[(s - 1, k)]] = m * c
         projected.append(big)
     web_kernel = jet_kernel(base, order)
-    pivots = _kernel_coordinates(web_kernel)
+    pivots = invertible_columns(web_kernel)
     on_pivots = [[v[c] for c in pivots] for v in web_kernel]
     short = [[v[c] for c in pivots] for v in projected]
     dim_image = exact_rank_of_span(short)

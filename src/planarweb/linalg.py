@@ -30,7 +30,10 @@ vectors among them, in the columns of a matrix: each verified kernel vector
 writes one free column as a combination of earlier pivot columns only, so
 the pivot columns are exactly the vectors that a greedy pass over Q keeps.
 Ranks of spans and independent subsets are read off those pivots; there is
-no second elimination engine and no conversion of the vectors.
+no second elimination engine and no conversion of the vectors.  One prime
+also certifies that a square minor is nonzero, since a minor nonzero mod p
+is nonzero over Z: invertible_columns reads d columns on which d
+independent vectors are invertible from a single elimination.
 
 The primes are the primes just below 2^62, found by a Miller-Rabin test
 with the twelve prime bases 2..37, which is a proof below 3.18 * 10^23.
@@ -292,6 +295,18 @@ def independent_rows(vectors: Sequence[Sequence[int]]) -> List[int]:
     if not vectors:
         return []
     return exact_nullspace(list(zip(*vectors)), n_cols=len(vectors)).pivot_cols
+
+
+def invertible_columns(vectors: Sequence[Sequence[int]]) -> List[int]:
+    """d columns on which d independent integer vectors are invertible: the
+    pivots of modp_rref at the first prime where the vectors have rank d.
+    That d x d minor is nonzero mod p, so it is nonzero over Z, and
+    restricting the vectors' span to those columns is injective."""
+    for i in range(_MAX_PRIMES):
+        piv, _ = modp_rref(vectors, _prime(i))
+        if len(piv) == len(vectors):
+            return piv
+    raise ValueError("the vectors are dependent")
 
 
 def exact_rank_of_span(vectors: Sequence[Sequence[int]]) -> int:

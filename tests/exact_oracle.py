@@ -121,7 +121,8 @@ class JetSystem:
         self.order = order
         self.unknown_index = _jet_columns(web.size, order)
         terms = [(i, 1, i * order - 1) for i in range(web.size)]
-        self.rows = _jet_rows(base, terms, order, len(self.unknown_index), 1)
+        n_cols = len(self.unknown_index)
+        self.rows = [r for degree in range(order + 1) for r in _jet_rows(base, terms, degree, n_cols, 1)]
 
     def nullspace(self):
         return exact_nullspace(self.rows, n_cols=len(self.unknown_index))
@@ -135,7 +136,8 @@ def pattern_system(systems, n_blocks, order):
     rows = []
     for base, terms in systems:
         cols = [(i, m, b * (order + 1)) for i, m, b in terms]
-        rows.extend(_jet_rows(base, cols, order, n_cols, 0))
+        for degree in range(order + 1):
+            rows.extend(_jet_rows(base, cols, degree, n_cols, 0))
     return rows, exact_nullspace(rows, n_cols=n_cols)
 
 

@@ -311,6 +311,23 @@ def test_bad_input_file_or_factor_reports_the_culprit(tmp_path, command, name, t
     assert doc["type"] == "InvalidParameter" and culprit in doc["error"]
 
 
+@pytest.mark.parametrize("command", ["verify-num", "constant"])
+@pytest.mark.parametrize(
+    "text,letter",
+    [("component: 1 {[x1]} 1\n", "L_('x1',) diverges at the ramification point 1"),
+     ("component: 1 log x-x\n", "L_('x0',) diverges at the ramification point 0")],
+    ids=["minus-log-one-minus-z-at-1", "log-at-0"],
+)
+def test_divergent_component_is_an_evaluation_failure(tmp_path, command, text, letter):
+    # every sample puts the component at a letter where it diverges; its
+    # regularized constant there is 0, which made a vacuous PASS
+    path = tmp_path / "divergent.afe"
+    path.write_text(text, encoding="utf-8")
+    rc, doc, _ = run_cli(command, str(path), "--samples", "2")
+    assert rc == 1 and doc["type"] == "EvaluationFailure"
+    assert doc["error"].startswith("evaluation failed at (") and letter in doc["error"]
+
+
 def test_bad_variables_line_is_a_syntax_error(tmp_path):
     path = tmp_path / "three.web"
     path.write_text("variables: x y z\nx\ny\nx+y\n", encoding="utf-8")

@@ -18,9 +18,10 @@ from planarweb.jets import (
     rank_only,
     rank_report,
 )
+from planarweb.linalg import invertible_columns
 from planarweb.parse import parse_ratfunc as P
 from planarweb.ratfunc import RatFunc
-from planarweb.web import BasePoint, Web, _JetPowers, pick_generic_point
+from planarweb.web import DEFAULT_POINT, BasePoint, Web, _JetPowers, pick_generic_point
 
 from conftest import assert_table_matches_taylor
 from exact_oracle import FractionSpan, JetSystem, SeriesJet, assert_primitive, free_columns, taylor
@@ -423,15 +424,15 @@ def test_ladder_equals_jet_system_on_subwebs(bol_web, sk_web):
 
 
 @pytest.mark.parametrize(
-    "web_name,rungs,nullspaces", [("sk_web", 420, 420), ("bol_web", 87, 91)], ids=["sk_web", "bol_web"]
+    "web_name,rungs,nullspaces", [("sk_web", 420, 420), ("bol_web", 87, 90)], ids=["sk_web", "bol_web"]
 )
 def test_each_ladder_rung_is_one_prolongation(web_name, rungs, nullspaces, request, monkeypatch):
     # every ladder climbs from order 0 by one _prolong per order, each
     # solving one small system: sk's 84 triples stop at order 5 (84 * 5);
     # bol's filtration climbs the web's ladder to order 7 and each proper
     # p-subweb's to its stop order p + 2 (7 + 10 * 5 + 5 * 6); the 5-subweb
-    # shares the web's ladder; and it ranks three spans, plus the kernel's
-    # pivot columns
+    # shares the web's ladder; and it ranks three spans (the kernel's
+    # invertible columns take one mod-p elimination, not a nullspace)
     import planarweb.jets as jets
     import planarweb.linalg as linalg
 
@@ -455,3 +456,14 @@ def test_each_ladder_rung_is_one_prolongation(web_name, rungs, nullspaces, reque
     else:
         filtration_dims(web)
     assert (len(prolonged), len(solved)) == (rungs, nullspaces)
+
+
+@pytest.mark.parametrize("web_name,order", [("bol_web", 7), ("configc_web", 8), ("sk_web", 9)])
+def test_kernel_on_its_invertible_columns_keeps_its_rank(web_name, order, request):
+    # the span ranks of filtration_dims and constrained_rank are taken on
+    # these d columns, which is sound only if restriction is injective there
+    web = request.getfixturevalue(web_name)
+    kernel = jet_kernel(pick_generic_point(web, seed=0, preferred=DEFAULT_POINT), order)
+    cols = invertible_columns(kernel)
+    assert len(cols) == len(kernel) > 0
+    assert FractionSpan([[v[c] for c in cols] for v in kernel]).rank == len(kernel)

@@ -10,6 +10,7 @@ from planarweb.linalg import (
     exact_nullspace,
     exact_rank_of_span,
     independent_rows,
+    invertible_columns,
     rational_reconstruct,
 )
 
@@ -229,6 +230,17 @@ def test_first_prime_dividing_an_entry(monkeypatch):
     assert independent_rows([[p0], [1]]) == [0]
     kern = exact_nullspace([[p0, 1], [0, 1]])
     assert (kern.dimension, kern.basis, kern.pivot_cols) == (0, [], [0, 1])
+
+
+def test_invertible_columns_skip_a_prime_of_lower_rank(monkeypatch):
+    # modulo the first prime p0 the rows [p0, 1] and [0, 1] have rank 1, so
+    # their columns are read at the second prime, where the rank is 2
+    p0 = next(linalg.prime_stream())
+    calls = count_modp_rref(monkeypatch)
+    assert invertible_columns([[p0, 1], [0, 1]]) == [0, 1]
+    assert calls == [p0, linalg._prime(1)]
+    assert invertible_columns([[0, 3, 1], [0, 6, 5]]) == [1, 2]
+    assert invertible_columns([]) == []
 
 
 def test_full_column_rank_needs_one_prime(monkeypatch):

@@ -6,16 +6,19 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
 from planarweb.errors import OnCut, PrecisionNotReached
+from planarweb.hyperlog import numeric
 from planarweb.hyperlog.numeric import (
     WordEvaluator,
     _anchor_values,
     _exact,
+    _fixed_log,
     _from_fixed,
     _step_ratio,
     _transport,
+    eval_expr,
     eval_word,
 )
-from planarweb.hyperlog.verify import load_afe
+from planarweb.hyperlog.verify import load_afe, parse_word_expr
 from planarweb.hyperlog.words import STANDARD
 
 from conftest import fixture_path
@@ -54,6 +57,17 @@ def test_li2_at_one():
 def test_divergent_at_letter_raises():
     with pytest.raises(OnCut):
         eval_word(("x1",), 1, dps=30)
+
+
+def test_a_combination_whose_divergences_cancel_is_finite_at_the_letter():
+    # L_{x1 x-1}(z) = int_0^z log(1 + t)/(1 - t) dt diverges at 1 like
+    # log 2 * L_{x1}(z) = -log 2 * log(1 - z); their difference has a limit
+    with pytest.raises(OnCut, match="diverges at the ramification point 1"):
+        eval_expr(parse_word_expr("{[x1 x-1]}"), 1, dps=30)
+    got = eval_expr(parse_word_expr("{[x1 x-1] - log2*[x1]}"), 1, dps=30)
+    with mp.workdps(40):
+        ref = mp.quad(lambda t: (mp.log(1 + t) - mp.log(2)) / (1 - t), [0, 1])
+        assert abs(got - ref) < mpf(10) ** -28
 
 
 def test_on_cut_detection():
@@ -321,6 +335,89 @@ def _transport_all_terms(alphabet, letters, closure, vals, p, q, n_terms, prec):
         coeffs[w] = (cr, ci)
         out[w] = (sum(cr), sum(ci))
     return out
+
+
+def _integrate_part_all_terms(tail, sign, u, n_terms, prec):
+    """One real part of a word's log series from its tail's (real ratio u,
+    or None at the center), every slice over all n_terms terms with no
+    early stop, and the division by n in a pass of its own."""
+    if u is None:
+        rhs = [[sign * c for c in s] for s in tail]
+        heads = [0] + [sign * s[0] // (k + 1) for k, s in enumerate(tail)]
+    else:
+        rhs = []
+        for s in tail:
+            acc, b = s[0], [0]
+            for n in range(1, n_terms):
+                m = _toward_zero(u * acc, prec)
+                acc = s[n] - m
+                b.append(sign * m)
+            rhs.append(b)
+        heads = [0] * len(tail)
+    out, upper = [None] * len(heads), [0] * n_terms
+    for j in reversed(range(len(heads))):
+        b = rhs[j] if j < len(rhs) else [0] * n_terms
+        out[j] = upper = [heads[j]] + [(b[n] - (j + 1) * upper[n]) // n for n in range(1, n_terms)]
+    return out
+
+
+def _horner(part, log_h, prec):
+    total = 0
+    for s in reversed(part):
+        total = _toward_zero(total * log_h, prec) + sum(s)
+    return total
+
+
+def _log_series_all_terms(alphabet, closure, center, H, n_terms, prec, at=None):
+    """Reference for numeric._log_series: the real and imaginary parts
+    apart, each a list of slices, every slice over all n_terms terms."""
+    log_h = _fixed_log(abs(H), prec)
+    # int() of a Fraction rounds toward zero
+    ratio = {
+        a: None if pt == center else int(H / (center - pt) * (1 << prec))
+        for a, pt in alphabet.points.items()
+    }
+    series = {(): ([[1 << prec] + [0] * (n_terms - 1)], [[0] * n_terms])}
+    values = {(): (1 << prec, 0)}
+    for w in closure:
+        if not w:
+            continue
+        sign, u = alphabet.signs[w[0]], ratio[w[0]]
+        parts = tuple(_integrate_part_all_terms(t, sign, u, n_terms, prec) for t in series[w[1:]])
+        values[w] = tuple(_horner(part, log_h, prec) for part in parts)
+        if at is not None:
+            for part, target, value in zip(parts, at[w], values[w]):
+                part[0][0] += target - value
+            values[w] = at[w]
+        series[w] = parts
+    return series, values
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+@pytest.mark.parametrize("center", [None, 0, 1, -1], ids=["anchor", "0", "1", "-1"])
+def test_log_series_matches_the_all_terms_reference(pool, center):
+    # the expansion at 0 summed at the anchor, and the expansions at the
+    # letters with the constants of the values transported to the point half
+    # way to the next letter, as local_expansions_at takes them: the very
+    # same ints, coefficient for coefficient, as the reference's
+    ev = WordEvaluator(STANDARD, POOLS[pool], dps=50)
+    if center is None:
+        center, H, at = Fraction(0), _exact(ev.anchor), None
+    else:
+        H = Fraction(1 if ev.anchor >= center else -1, 2)
+        at = ev._fixed_values_along(ev.route(center + H))
+    args = (STANDARD, ev.closure, Fraction(center), H, ev.n_terms, ev.prec, at)
+    series, values = numeric._log_series(*args)
+    ref_series, ref_values = _log_series_all_terms(*args)
+    assert values == ref_values
+    if at is None:
+        assert values == ev._anchor_values
+    for w in ev.closure:
+        depth = max(len(series[w]), *map(len, ref_series[w]))
+        for part, ref in enumerate(ref_series[w]):
+            got = [list(s[part]) + [0] * (ev.n_terms - len(s[part])) for s in series[w]]
+            zero = [0] * ev.n_terms
+            assert got + [zero] * (depth - len(got)) == ref + [zero] * (depth - len(ref)), (pool, center, w)
 
 
 def _fixed_anchor_values(ev):
