@@ -400,6 +400,8 @@ class WordEvaluator:
         # fixed-point values by subdivided path prefix: a trie of waypoints,
         # each node (values, children keyed by the next grid pair)
         self._waypoints: Dict[tuple, tuple] = {}
+        # by letter point: each word's constant terms, one per log power
+        self._letter_constants: Dict[Fraction, Dict[Word, list]] = {}
 
     # -- paths ---------------------------------------------------------
 
@@ -505,16 +507,27 @@ class WordEvaluator:
         for pt in self.alphabet.points.values():
             p = mp.mpf(pt.numerator) / pt.denominator
             if zc == p:
-                exps = self.local_expansions_at(pt)
+                consts = self._constants_at(pt)
                 tol = mp.mpf(10) ** (-(self.dps))
-                for k in range(1, max((len(exps[w]) for w in strict or ()), default=1)):
-                    lead = sum(c * exps[w][k][0] for w, c in strict.items() if k < len(exps[w]))
+                for k in range(1, max((len(consts[w]) for w in strict or ()), default=1)):
+                    lead = sum(c * consts[w][k] for w, c in strict.items() if k < len(consts[w]))
                     if abs(lead) > tol:
                         what = f"L_{next(iter(strict))}" if len(strict) == 1 else "the word combination"
                         raise OnCut(f"{what} diverges at the ramification point {pt}")
-                return {w: slices[0][0] for w, slices in exps.items()}
+                return {w: c[0] for w, c in consts.items()}
         path = self.route(z)
         return self.values_along(path)
+
+    def _constants_at(self, pt: Fraction) -> Dict[Word, list]:
+        """The h^0 coefficient of each log power of every closure word's
+        expansion at the letter point pt (local_expansions_at), computed on
+        the first call at pt and kept, like the waypoints, for the
+        evaluator's lifetime."""
+        consts = self._letter_constants.get(pt)
+        if consts is None:
+            exps = self.local_expansions_at(pt)
+            consts = self._letter_constants[pt] = {w: [s[0] for s in slices] for w, slices in exps.items()}
+        return consts
 
     def local_expansions_at(self, letter_point) -> Dict[Word, List[List]]:
         """Log-structured expansions sum_k log(h)^k P_k(h) of every closure

@@ -14,7 +14,9 @@ upper bound on the rank.  A relation whose F_i have zero derivatives 1..K
 at the base images satisfies sum_i c_i l_i^(K+1) = 0 in degree K + 1, with
 l_i = dU_i(base); powers l_i^m of pairwise non-proportional linear forms
 (the base point is off the tangency locus) are independent when N <= m + 1,
-so c = 0 and, by induction, every F_i is constant.
+so c = 0 and, by induction, every F_i is constant.  For the same reason an
+empty kernel at an order K >= N - 2 stays empty at every higher order, and
+a rank of 0 is a certificate: a zero dimension there bounds the rank by 0.
 
 Every kernel at order K + 1 is prolonged from the certified kernel at
 order K, never solved at one order in one piece, and it is certified as
@@ -29,11 +31,11 @@ onto ker_{K+1}, and that small kernel is certified like any other.  The
 argument holds from the order below the first power, whose system has no
 columns and the kernel {0}, and for rows stacked over several base points.
 
-What is heuristic.  Only the stop rule: K starts at N and grows by 1, and
-the rank is taken to be the dimension once `stabilize` (default three)
-consecutive orders give equal dimensions, with a hard cap N(N-1)/2 + 3.
-The stop rule is `_stabilized_dims`, shared by the web rank and the
-pattern rank.
+What is heuristic.  Only the stop rule, and only for a nonzero rank: K
+starts at N and grows by 1, and the rank is taken to be the dimension once
+`stabilize` (default three) consecutive orders give equal dimensions, with
+a hard cap N(N-1)/2 + 3.  The stop rule is `_stabilized_dims`, shared by
+the web rank and the pattern rank.
 
 The rank ladder.  A ladder is a list of systems, each a base point with its
 terms (slot, multiplier, block), over columns laid out block by block,
@@ -56,7 +58,12 @@ end of each block.  The new columns come first in the small system.  On a
 web's ladder from K = N - 2 on, C has full column rank (the powers
 l_i^(K+1) above), so the lex-first pivots of the certified kernel are C's
 columns, and at an order where the dimension stays each old vector v_j
-extends by itself, with z the j-th unit vector.
+extends by itself, with z the j-th unit vector.  Full column rank makes
+ker_{K+1} -> ker_K injective, so an empty rung there is followed by empty
+ones: `jet_kernel` records them with no prolongation, rows or nullspace.
+A pattern's ladder climbs every rung, empty ones included (its first, at
+order -1, is empty), since the argument is not made for its stacked
+multi-point rows.
 
 Span ranks in the coordinates of the web's kernel.  Every embedded subweb
 jet of the filtration, every sub-solution jet and every projected pattern
@@ -74,11 +81,15 @@ v_i = U_i - U_i(base), as integers over d0_i^(k + n), where N/D is
 U_i(base + (s, t)) over Z and d0_i = D(0, 0).  That denominator does not
 depend on the order, so a table grows a degree at a time, as far as a
 ladder reads it, and never recomputes an entry; no ladder has to ask
-ahead for the orders its stop rule may read.  A subweb's base point at
-the parent's point (BasePoint.restrict) shares the parent's tables, so
-the web, every subweb and every order read one table.  Each row is scaled
-to the primitive integer row of the rational system: multiplied by the
-lcm of the d0_i^(k + n) it touches and divided by its gcd.
+ahead for the orders its stop rule may read.  With each degree n the
+table keeps its block: the coefficients of v_i^0..v_i^n at each monomial
+of degree n, over the one denominator d0_i^(2n).  A subweb's base point
+at the parent's point (BasePoint.restrict) shares the parent's tables, so
+the web, every subweb and every order read one table and one block per
+degree.  A row is the sum over its terms of m * the block's row at its
+monomial, each times the lcm of the d0_i^(2n) the row touches over
+d0_i^(2n), divided by its gcd: a positive multiple of the rational row,
+made primitive.
 """
 
 from __future__ import annotations
@@ -107,31 +118,26 @@ def _jet_rows(
     base: BasePoint, terms, degree: int, n_cols: int, first_power: int
 ) -> List[List[int]]:
     """The degree-`degree` rows of sum over terms (i, m, col) of
-    m * sum_k c_{col+k} v_i^k, k = first_power..degree, v_i^k read from the
-    base point's jet table: one row per monomial of that total degree with
-    a nonzero coefficient.  The coefficient of a degree-n monomial in v_i^k
-    is powers[k][n] over d0_i^(k + n), so each row is multiplied by the lcm
-    of the d0_i^(k + n) it touches and divided by its gcd: the primitive
-    integer row proportional to the rational one."""
-    tables = [(base.jet_powers(i, degree), m, col) for i, m, col in terms]
+    m * sum_k c_{col+k} v_i^k, k = first_power..degree, read from the base
+    point's jet table: one row per monomial of that total degree with a
+    nonzero coefficient.  The coefficients of a degree-n monomial in
+    v_i^0..v_i^n are one block row over d0_i^(2n), so each row is the sum of
+    m * block row times the lcm of the d0_i^(2n) it touches over d0_i^(2n),
+    divided by its gcd: the primitive integer row proportional to the
+    rational one.  Terms may share a col (a pattern's germ blocks), so
+    their entries add."""
+    blocks = [(base.jet_block(i, degree), m, col) for i, m, col in terms]
     rows = []
     for a in range(degree + 1):
-        e = (a, degree - a)
-        hits = []
-        scale = 1
-        for (d0, powers), m, col in tables:
-            den, top = d0 ** (first_power + degree), 0
-            for k in range(first_power, degree + 1):  # v^k starts at degree k
-                c = powers[k][degree].get(e)
-                if c:
-                    hits.append((col + k, m * c, den))
-                    top = den
-                den *= d0
-            if top:
-                scale = lcm(scale, top)
+        hits = [(den, m, col, cs[a]) for (den, cs), m, col in blocks if any(cs[a][first_power:])]
+        if not hits:
+            continue
+        scale = lcm(*(den for den, _, _, _ in hits))
         row = [0] * n_cols
-        for j, c, d in hits:
-            row[j] += c * (scale // d)
+        for den, m, col, cs in hits:
+            f = m * (scale // den)
+            for k in range(first_power, degree + 1):
+                row[col + k] += f * cs[k]
         g = gcd(*row)
         if g:
             rows.append([x // g for x in row] if g > 1 else row)
@@ -179,26 +185,33 @@ def _prolong(systems, n_blocks: int, first_power: int, vectors: List[List[int]],
     return out
 
 
-def _ladder_kernel(kernels, systems, n_blocks: int, first_power: int, order: int):
+def _ladder_kernel(kernels, systems, n_blocks: int, first_power: int, order: int, settled=None):
     """Certified kernel basis at `order` of the jet systems (as in _prolong)
     from their ladder `kernels`, whose entry j is the basis at order
     first_power - 1 + j.  The ladder starts with the empty basis on no
-    columns, and each missing order is prolonged from the one below."""
+    columns, and each missing order is prolonged from the one below, except
+    that an empty rung at an order >= `settled` is followed by empty ones."""
     if not kernels:
         kernels.append([])
     start = first_power - 1
     while start + len(kernels) <= order:
         top = start + len(kernels) - 1
-        kernels.append(_prolong(systems, n_blocks, first_power, kernels[-1], top))
+        if settled is not None and top >= settled and not kernels[-1]:
+            kernels.append([])
+        else:
+            kernels.append(_prolong(systems, n_blocks, first_power, kernels[-1], top))
     return kernels[order - start]
 
 
 def jet_kernel(base: BasePoint, order: int) -> List[List[int]]:
     """Certified kernel basis of base.web's order-`order` jet system, as
     primitive integer vectors in the columns of _jet_columns, from the base
-    point's ladder: one system, one block per slot, first power 1."""
+    point's ladder: one system, one block per slot, first power 1.  From
+    order N - 2 on, an empty rung ends the climb: every rung above it is
+    empty (see "What is certified")."""
     n = base.web.size
-    return _ladder_kernel(base.kernels, [(base, [(i, 1, i) for i in range(n)])], n, 1, order)
+    systems = [(base, [(i, 1, i) for i in range(n)])]
+    return _ladder_kernel(base.kernels, systems, n, 1, order, settled=n - 2)
 
 
 class KernelBasis:

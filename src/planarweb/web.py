@@ -252,11 +252,16 @@ class _JetPowers:
     d0^(k + a + b), which does not depend on the order: `powers[k][n]` maps
     each (a, b) of total degree n
     to that integer, for k, n = 0..K, and a higher order only appends
-    degrees.  U's coefficients u_e over d0^(|e| + 1) follow from N = D U
-    without a division: u_e = N_e d0^|e| - sum_{0 < f <= e} D_f
-    d0^(|f| - 1) u_(e - f).  d0 = 0 is a pole at the point."""
+    degrees.  With each degree n comes its block, `blocks[n]` =
+    (d0^(2n), block): block[a][k] is the coefficient of s^a t^(n - a) in
+    v^k, k = 0..n, over that one denominator, so a jet row of degree n
+    reads one list per monomial and one denominator per integral, shared
+    by every subweb and order that reads the table.  U's coefficients u_e
+    over d0^(|e| + 1) follow from N = D U without a division:
+    u_e = N_e d0^|e| - sum_{0 < f <= e} D_f d0^(|f| - 1) u_(e - f).
+    d0 = 0 is a pole at the point."""
 
-    __slots__ = ("num", "dens", "d0", "coeffs", "value", "powers")
+    __slots__ = ("num", "dens", "d0", "coeffs", "value", "powers", "blocks")
 
     def __init__(self, u: RatFunc, point: Tuple[Fraction, Fraction]):
         px, py = point
@@ -269,6 +274,7 @@ class _JetPowers:
         self.coeffs = {(0, 0): self.num.get((0, 0), 0)}  # the u_e
         self.value = Fraction(self.coeffs[(0, 0)], d0)
         self.powers: List[List[Dict[Tuple[int, int], int]]] = [[{(0, 0): 1}]]
+        self.blocks: List[Tuple[int, List[List[int]]]] = [(1, [[1]])]
 
     def at(self, order: int):
         """(d0, powers), holding the degrees 0..K of v^0..v^K, K >= order."""
@@ -293,7 +299,22 @@ class _JetPowers:
             for k in range(n):
                 powers[k].append(new[k])
             powers.append([{} for _ in range(n)] + [new[n]])
+            # v^k's degree-n part over d0^(2n): times d0^(n - k)
+            block = [[0] * (n + 1) for _ in range(n + 1)]
+            scale = 1
+            for k in range(n, 0, -1):
+                for (a, _), c in new[k].items():
+                    block[a][k] = c * scale
+                scale *= self.d0
+            self.blocks.append((self.d0 ** (2 * n), block))
         return self.d0, powers
+
+    def block(self, n: int):
+        """(d0^(2n), block) of degree n: block[a][k] is the coefficient of
+        s^a t^(n - a) in v^k, k = 0..n, over that one denominator."""
+        if n >= len(self.blocks):
+            self.at(n)
+        return self.blocks[n]
 
 
 class BasePoint:
@@ -302,16 +323,19 @@ class BasePoint:
 
     It holds the point's jet table, one `_JetPowers` per integral, which
     gives the values too.  A table grows a degree at a time, as far as a
-    ladder reads it, and never recomputes an entry (see `jet_powers`).  A
-    subweb's base point from `restrict` shares the parent's tables, so each
-    degree of each integral is computed once, however many subwebs and
-    orders read it.
+    ladder reads it, and never recomputes an entry; the jet rows read its
+    per-degree blocks (see `jet_block`).  A subweb's base point from
+    `restrict` shares the parent's tables, so each degree of each integral,
+    and its block, is computed once, however many subwebs and orders read
+    it.
 
     It also holds the rungs of its web's rank ladder: `kernels[K]` is the
     certified kernel of the order-K jet system, filled from order 0 (no
-    columns, empty basis) a degree at a time by `jets.jet_kernel`.  A
-    proper subweb's base point has its own ladder; the subweb of all the
-    foliations has the same jet systems, so it shares this one."""
+    columns, empty basis) a degree at a time by `jets.jet_kernel`; after
+    an empty rung at K >= N - 2 every higher rung is recorded empty, with
+    nothing solved.  A proper subweb's base point has its own ladder; the
+    subweb of all the foliations has the same jet systems, so it shares
+    this one."""
 
     def __init__(self, web: Web, point: Tuple[Fraction, Fraction]):
         self.point = (Fraction(point[0]), Fraction(point[1]))
@@ -320,11 +344,11 @@ class BasePoint:
         self.images: List[Fraction] = [jet.value for jet in self._jets]
         self.kernels: List[List[List[int]]] = []
 
-    def jet_powers(self, i: int, order: int):
-        """(d0, powers) of integral i (0-based), grown to `order` at least:
-        the degree-n part of v^k, v = U_i - U_i(point), is powers[k][n]
-        over d0^(k + n)."""
-        return self._jets[i].at(order)
+    def jet_block(self, i: int, degree: int):
+        """(d0^(2n), block) of integral i (0-based) at degree n = `degree`:
+        block[a][k] is the coefficient of s^a t^(n - a) in v^k,
+        v = U_i - U_i(point), k = 0..n, over that denominator."""
+        return self._jets[i].block(degree)
 
     def restrict(self, indices: Sequence[int]) -> "BasePoint":
         """The base point of the subweb of the given (1-based) foliations at

@@ -291,7 +291,9 @@ def assert_append_only(asked, n_tables, order):
 
 def test_hexagonality_expands_each_integral_once_per_order(sk_web, monkeypatch):
     # the triples share the web's jet table, and every triple of sk stops
-    # at order 5, so each of the 9 integrals has one table, grown to order 5
+    # at order 5; the 48 of rank 1 read rows of every degree up to 5, the
+    # 36 of rank 0 none above their empty order 3, so each of the 9
+    # integrals has one table, grown to order 5
     asked = watch_tables(monkeypatch)
     hexagonality(sk_web)
     assert_append_only(asked, sk_web.size, 5)
@@ -424,11 +426,14 @@ def test_ladder_equals_jet_system_on_subwebs(bol_web, sk_web):
 
 
 @pytest.mark.parametrize(
-    "web_name,rungs,nullspaces", [("sk_web", 420, 420), ("bol_web", 87, 90)], ids=["sk_web", "bol_web"]
+    "web_name,rungs,nullspaces", [("sk_web", 348, 348), ("bol_web", 87, 90)], ids=["sk_web", "bol_web"]
 )
 def test_each_ladder_rung_is_one_prolongation(web_name, rungs, nullspaces, request, monkeypatch):
     # every ladder climbs from order 0 by one _prolong per order, each
-    # solving one small system: sk's 84 triples stop at order 5 (84 * 5);
+    # solving one small system, until a rung at order >= N - 2 is empty:
+    # sk's 84 triples stop at order 5, the 48 of rank 1 climbing all five
+    # orders and the 36 of rank 0 the three up to their empty order 3
+    # (48 * 5 + 36 * 3);
     # bol's filtration climbs the web's ladder to order 7 and each proper
     # p-subweb's to its stop order p + 2 (7 + 10 * 5 + 5 * 6); the 5-subweb
     # shares the web's ladder; and it ranks three spans (the kernel's
@@ -456,6 +461,66 @@ def test_each_ladder_rung_is_one_prolongation(web_name, rungs, nullspaces, reque
     else:
         filtration_dims(web)
     assert (len(prolonged), len(solved)) == (rungs, nullspaces)
+
+
+def _stop_rule_on_the_oracle(sub):
+    """(rank, order) of the stop rule read on the kernel dimensions of the
+    full JetSystems of sub's web at sub, from order N on."""
+    dims = _stabilized_dims(sub.web.size, lambda k: JetSystem(sub.web, sub, k).nullspace().dimension, "{dims}")
+    order = list(dims)[-3]
+    return dims[order], order
+
+
+@pytest.mark.parametrize(
+    "web_name,sizes,zero_ranks", [("sk_web", [3], 36), ("bol_web", [3, 4, 5], 0)], ids=["sk_web", "bol_web"]
+)
+def test_subweb_ranks_follow_the_stop_rule_on_the_oracle(web_name, sizes, zero_ranks, request):
+    # each subweb's ladder, empty rungs and all, gives the rank and order
+    # that the stop rule gives on the oracle's dims at orders N..N + 2
+    web = request.getfixturevalue(web_name)
+    base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
+    ranks = []
+    for p in sizes:
+        for subset in combinations(range(1, web.size + 1), p):
+            sub = base.restrict(subset)
+            want = _stop_rule_on_the_oracle(sub)
+            assert rank_only(sub.web, sub) == want[0], subset
+            rank, basis = abelian_rank(sub.web, base.restrict(subset))
+            assert (rank, basis.order) == want == (rank, p), subset
+            ranks.append(rank)
+    assert ranks.count(0) == zero_ranks
+
+
+def test_an_empty_web_rung_ends_the_climb(sk_web, bol_web_indomain, monkeypatch):
+    import planarweb.jets as jets
+
+    prolonged = []
+    prolong = jets._prolong
+
+    def counted_prolong(systems, n_blocks, first_power, vectors, order):
+        prolonged.append((first_power, order))
+        return prolong(systems, n_blocks, first_power, vectors, order)
+
+    monkeypatch.setattr(jets, "_prolong", counted_prolong)
+    # the rank-0 triple falls 1, 1, 0 from order 1: the rungs above its
+    # empty order 3 are recorded empty, with no prolongation, read a rung at
+    # a time or all at once, and the full systems there have no kernel
+    sk_base = pick_generic_point(sk_web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    for orders in (range(1, 9), [8]):
+        sub = sk_base.restrict((1, 3, 7))
+        prolonged.clear()
+        for order in orders:
+            jet_kernel(sub, order)
+        assert prolonged == [(1, 0), (1, 1), (1, 2)]
+        assert [len(k) for k in sub.kernels] == [0, 1, 1, 0, 0, 0, 0, 0, 0]
+    assert all(JetSystem(sub.web, sub, order).nullspace().dimension == 0 for order in range(4, 9))
+    # a pattern's ladder starts with the empty rung at order -1 and climbs
+    # on from it, one prolongation per order
+    web = bol_web_indomain
+    base = pick_generic_point(web, preferred=(Fraction(1, 3), Fraction(1, 2)))
+    prolonged.clear()
+    rep = constrained_rank(web, Pattern([[1, 2, 3, 4, 5]], {1: 1, 2: -1, 3: -1, 4: -1, 5: 1}), base)
+    assert [order for first_power, order in prolonged if first_power == 0] == list(range(-1, rep["order"]))
 
 
 @pytest.mark.parametrize("web_name,order", [("bol_web", 7), ("configc_web", 8), ("sk_web", 9)])

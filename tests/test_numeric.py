@@ -120,6 +120,28 @@ def test_regularized_values_weight_two():
     assert abs(regm1[("x1",)] + mpl.log(2)) < mpf(10) ** -40
 
 
+def test_letter_constants_are_expanded_once(monkeypatch):
+    # the first call at a letter expands every closure word there; a second
+    # call at 1 or -1 reads the kept constants, with the same values, and
+    # the divergence test still sees the log powers' constant terms
+    ev = WordEvaluator(STANDARD, POOLS["g21"], dps=50)
+    first = {z: ev.value_vector(z) for z in (1, -1)}
+    expanded = []
+    log_series = numeric._log_series
+
+    def counted(*args, **kwargs):
+        expanded.append(args[3])
+        return log_series(*args, **kwargs)
+
+    monkeypatch.setattr(numeric, "_log_series", counted)
+    for z in (1, -1, Fraction(1), Fraction(-1)):
+        got = ev.value_vector(z)
+        assert {w: v._mpc_ for w, v in got.items()} == {w: v._mpc_ for w, v in first[int(z)].items()}
+    with pytest.raises(OnCut):
+        ev.value_vector(1, strict={("x1",): 1})
+    assert expanded == []
+
+
 def test_shuffle_evaluation_homomorphism():
     from planarweb.hyperlog.numeric import eval_expr
     from planarweb.hyperlog.words import shuffle
