@@ -1,11 +1,12 @@
 """Arbitrary-precision evaluation of hyperlogarithm words.
 
 Strategy: expand the whole suffix-closed family of words at the tangential
-base point 0 (power series with log z slices, shuffle-regularized), move to
-a regular anchor, then transport the value vector along a polyline whose
-steps stay within half the distance to the nearest ramification point.  The
-Taylor recursion at a regular point uses the geometric structure of the
-kernels, so one step costs O(terms) per word.
+base point 0 (power series with log z slices, shuffle-regularized), sum it
+at two regular anchors, a > 0 and its mirror -a, then transport the value
+vector from one of them along a polyline whose steps stay within half the
+distance to the nearest ramification point.  The Taylor recursion at a
+regular point uses the geometric structure of the kernels, so one step
+costs O(terms) per word.
 
 One integration routine, _integrate, serves the transport and the
 log series: it integrates sign/(z - a) times a word's tail, on ints in the
@@ -17,8 +18,13 @@ one mpmath log per call.  Its coefficients C[k][n] of log(h)**k h**n are
 scaled by H**n, H the real offset at which the expansion is summed (the
 anchor, or the nearby point), so every kernel ratio u is real, |u| <= 1/2
 (2/5 at the anchor), and the value at H is the plain sum
-sum_k L**k sum_n C[k][n], L = log|H|.  The anchor values are summed once
-per word family and cached as fixed-point ints.
+sum_k L**k sum_n C[k][n], L = log|H|.  At -H it is the alternating sum
+sum_k L**k sum_n (-1)**n C[k][n] with L = log|H| + i*pi, the log's branch
+above 0, so the expansion at 0 summed at a gives the values at -a as well,
+with no second series.  The values at both anchors are summed once per word
+family and cached as fixed-point ints.  Real points between the largest
+letter below 0 and 0 are reached straight from -a, every other point from a
+(route).
 
 Transport runs on plain Python ints from start to finish.  Word values are
 fixed point, real and imaginary parts apart, scaled by 2**prec, prec =
@@ -39,17 +45,18 @@ nonzero coefficient, once the accumulator is 0, which rounding toward zero
 makes every accumulator there reach.
 
 Each evaluator keeps the fixed-point values it reaches at every waypoint,
-keyed by the subdivided path prefix from the anchor (the grid pair of each
-point), never by the point alone: a loop comes back to its start with other
-values.  A later path resumes from its longest transported prefix, so the
-samples and components of one evaluation share their common first steps.
-The subdivision is integral too, and on the horizontal and vertical legs of
-a route each step is exactly half the distance to the nearest letter
-(rounded down), so a waypoint depends only on where its leg starts and which
-way it heads: routes that head the same way share every waypoint up to the
-nearer target.  The cache lives and dies with the evaluator.  Values differ
-from those of a transport with mpmath step ratios and floored products only
-inside the guard bits, so they are not bit for bit the same.
+keyed by the subdivided path prefix from its anchor, a or -a (the grid pair
+of each point), never by the point alone: a loop comes back to its start
+with other values.  A later path resumes from its longest transported
+prefix, so the samples and components of one evaluation share their common
+first steps.  The subdivision is integral too, and on the horizontal and
+vertical legs of a route each step is exactly half the distance to the
+nearest letter (rounded down), so a waypoint depends only on where its leg
+starts and which way it heads: routes that head the same way share every
+waypoint up to the nearer target.  The cache lives and dies with the
+evaluator.  Values differ from those of a transport with mpmath step ratios
+and floored products only inside the guard bits, so they are not bit for
+bit the same.
 
 Default paths stay inside the cut plane: vertical cuts leave each real
 ramification point downward except at 1, where the cut goes upward (so the
@@ -63,12 +70,12 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import isqrt
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import mpmath
-from mpmath.libmp import from_man_exp, from_rational, mpf_log, round_nearest, to_fixed
+from mpmath.libmp import from_man_exp, from_rational, mpf_log, mpf_pi, round_nearest, to_fixed
 
-from ..errors import OnCut, PrecisionNotReached
+from ..errors import InvalidParameter, OnCut, PrecisionNotReached
 from .words import Alphabet, HyperlogExpr, STANDARD, Word
 
 
@@ -186,15 +193,17 @@ def _integrate(tail, sign, u, head, n_terms, prec):
     return out
 
 
-def _sum_at(series, log_h, prec):
-    """The series' value (re, im) at h = H: sum_k L**k sum_n series[k][n],
-    L = log_h, by Horner in L rounded toward zero, each part apart."""
+def _sum_at(series, log_h, prec, sign=1):
+    """The series' value (re, im) at h = sign * H: sum_k L**k sum_n
+    sign**n series[k][n], L = log_h = (re, im) the fixed-point log of h, by
+    Horner in L with each part of each product rounded toward zero."""
+    lr, li = log_h
+    total = sum if sign > 0 else (lambda c: sum(c[::2]) - sum(c[1::2]))
     re = im = 0
     for r, i in reversed(series):
-        re *= log_h
-        im *= log_h
-        re = (re >> prec if re >= 0 else -(-re >> prec)) + sum(r)
-        im = (im >> prec if im >= 0 else -(-im >> prec)) + sum(i)
+        re, im = re * lr - im * li, re * li + im * lr
+        re = (re >> prec if re >= 0 else -(-re >> prec)) + total(r)
+        im = (im >> prec if im >= 0 else -(-im >> prec)) + total(i)
     return re, im
 
 
@@ -237,7 +246,7 @@ def _log_series(
         s = series[w] = _integrate(
             series[w[1:]], alphabet.signs[w[0]], ratio[w[0]], (0, 0), n_terms, prec
         )
-        values[w] = _sum_at(s, log_h, prec)
+        values[w] = _sum_at(s, (log_h, 0), prec)
         if at is not None:
             (r, i), (re, im) = s[0], values[w]
             values[w] = at[w]
@@ -316,7 +325,7 @@ def _transport(alphabet: Alphabet, letters, closure, vals, p, q, n_terms, prec):
         s = series[w] = _integrate(
             series[w[1:]], alphabet.signs[w[0]], ratio[w[0]], vals[w], n_terms, prec
         )
-        out[w] = _sum_at(s, 0, prec)
+        out[w] = _sum_at(s, (0, 0), prec)
     return out
 
 
@@ -365,11 +374,16 @@ def _anchor_point(alphabet: Alphabet, mp):
 @functools.lru_cache(maxsize=32)
 def _anchor_values(
     alphabet: Alphabet, closure, anchor: Fraction, n_terms: int, prec: int
-) -> Dict[Word, tuple]:
+) -> Tuple[Dict[Word, tuple], Dict[Word, tuple]]:
     """Fixed-point values (scale 2**prec) of the closure words at the
-    anchor, summed from the expansion at 0.  Shared, so callers must not
-    mutate the result."""
-    return _log_series(alphabet, closure, Fraction(0), anchor, n_terms, prec)[1]
+    anchor a and at its mirror -a, both summed from the one expansion at 0.
+    Its coefficients are scaled by a**n, so at h = -a the term of h**n takes
+    the sign (-1)**n, and the slice variable log(h) is L = log a + i*pi,
+    its branch continued from a above 0, where the routes over the axis
+    pass.  Shared, so callers must not mutate the result."""
+    series, values = _log_series(alphabet, closure, Fraction(0), anchor, n_terms, prec)
+    log_mirror = (_fixed_log(anchor, prec), to_fixed(mpf_pi(prec + 20), prec))
+    return values, {w: _sum_at(s, log_mirror, prec, -1) for w, s in series.items()}
 
 
 class WordEvaluator:
@@ -377,26 +391,39 @@ class WordEvaluator:
 
     The values at every waypoint reached are kept for the evaluator's
     lifetime in a trie keyed by the grid pairs of the subdivided path from
-    the anchor, so a path is transported only past its longest known prefix;
-    the results are exactly those of a fresh evaluator."""
+    its anchor (a or -a), so a path is transported only past its longest
+    known prefix; the results are exactly those of a fresh evaluator."""
 
     def __init__(self, alphabet: Alphabet = STANDARD, words: Iterable[Word] = (), dps: int = 50):
         self.alphabet = alphabet
         self.closure = suffix_closure(list(words) or [()])
         self.dps = dps
-        self.mp = mpmath.mp.clone()
-        self.mp.dps = dps + 10 + 5 * max(len(w) for w in self.closure)
-        self.n_terms = int(self.mp.dps * 3.4) + 24
-        self.anchor = _anchor_point(alphabet, self.mp)
-        self.prec = self.mp.prec + GUARD_BITS  # fixed-point value scale
-        self._anchor_values = _anchor_values(
-            alphabet, tuple(self.closure), _exact(self.anchor), self.n_terms, self.prec
+        self.mp = mp = mpmath.mp.clone()
+        mp.dps = dps + 10 + 5 * max(len(w) for w in self.closure)
+        self.n_terms = int(mp.dps * 3.4) + 24
+        self.anchor = a = _anchor_point(alphabet, mp)
+        self.prec = mp.prec + GUARD_BITS  # fixed-point value scale
+        self.grid_bits = bits = 2 * self.prec  # coordinate scale of the waypoints
+        values, mirrored = _anchor_values(
+            alphabet, tuple(self.closure), _exact(a), self.n_terms, self.prec
         )
-        self.grid_bits = 2 * self.prec  # coordinate scale of the waypoints
+        # the fixed-point values at each anchor, by its grid pair
+        self._anchors = {_to_grid(mp.mpc(a), bits): values, _to_grid(mp.mpc(-a), bits): mirrored}
         # real letters on the grid; a letter off it would move by < 2**-grid_bits
-        self.letters = {
-            a: round(pt * 2**self.grid_bits) for a, pt in alphabet.points.items()
-        }
+        self.letters = {label: round(pt * 2**bits) for label, pt in alphabet.points.items()}
+        # each letter's point, exact and as an mpf of the context
+        points = sorted(alphabet.points.values())
+        self._points = [(pt, mp.mpf(pt.numerator) / pt.denominator) for pt in points]
+        # route's real gaps: (max_low, up_cut), between the letters below 1 and
+        # the upward cuts, reached from a; (below_zero, 0) reached from -a
+        low = [p for pt, p in self._points if pt < 1]
+        up = [p for pt, p in self._points if pt >= 1]
+        below = [p for pt, p in self._points if pt < 0]
+        self._max_low = max(low) if low else None
+        self._up_cut = min(up) if up else None
+        self._below_zero = max(below) if below else mp.ninf
+        min_gap = min((b - c for c, b in zip(points, points[1:])), default=Fraction(1))
+        self._alt = mp.mpf("0.35") * min(1, mp.mpf(min_gap.numerator) / min_gap.denominator)
         # fixed-point values by subdivided path prefix: a trie of waypoints,
         # each node (values, children keyed by the next grid pair)
         self._waypoints: Dict[tuple, tuple] = {}
@@ -408,8 +435,7 @@ class WordEvaluator:
     def on_cut(self, z) -> bool:
         mp = self.mp
         re, im = mp.re(z), mp.im(z)
-        for pt in self.alphabet.points.values():
-            p = mp.mpf(pt.numerator) / pt.denominator
+        for pt, p in self._points:
             if re == p:
                 if im == 0:
                     return True  # a ramification point itself
@@ -420,33 +446,24 @@ class WordEvaluator:
         return False
 
     def route(self, z) -> List:
-        """Waypoints from the anchor to z inside the cut plane."""
+        """Waypoints from an anchor to z inside the cut plane.  A real z
+        between the letters below 1 and the first upward cut is reached
+        straight from a, and a real z between the largest letter below 0 and
+        0 straight from -a; every other z from a, over the axis (under it
+        from the first upward cut on)."""
         mp = self.mp
         if isinstance(z, Fraction):
             z = mp.mpf(z.numerator) / z.denominator
         z = mp.mpc(z)
         if self.on_cut(z):
             raise OnCut(f"{z} lies on a branch cut")
-        a = self.anchor
-
-        def num(p: Fraction):
-            return mp.mpf(p.numerator) / p.denominator
-
+        a, alt, low, up = self.anchor, self._alt, self._max_low, self._up_cut
         re, im = mp.re(z), mp.im(z)
-        up_cuts = [num(p) for p in self.alphabet.points.values() if p >= 1]
-        low = [num(p) for p in self.alphabet.points.values() if p < 1]
-        max_low = max(low) if low else None
-        gap_hi = min(up_cuts) if up_cuts else None
-        pts = sorted(self.alphabet.points.values())
-        min_gap = min(
-            (Fraction(b - a2) for a2, b in zip(pts, pts[1:])), default=Fraction(1)
-        )
-        alt = mp.mpf("0.35") * min(
-            1, mp.mpf(min_gap.numerator) / min_gap.denominator
-        )
-        if im == 0 and gap_hi is not None and max_low is not None and max_low < re < gap_hi:
+        if im == 0 and up is not None and low is not None and low < re < up:
             return [a, z]
-        if gap_hi is None or re < gap_hi:
+        if im == 0 and self._below_zero < re < 0:
+            return [-a, z]
+        if up is None or re < up:
             # travel above (all cuts below except those at points >= 1)
             return [a, a + 1j * alt, mp.mpc(re, alt), z]
         # re >= first up-cut: travel below, come up through the (max_low, oo)
@@ -463,29 +480,35 @@ class WordEvaluator:
 
     def values_along(self, path: Sequence) -> Dict[Word, object]:
         """Values of all closure words at the end of the polyline from the
-        anchor (_fixed_values_along), as mpc."""
+        anchor a or -a (_fixed_values_along), as mpc."""
         vals = self._fixed_values_along(path)
         return {w: _from_fixed(z, self.prec, self.mp) for w, z in vals.items()}
 
     def _fixed_values_along(self, path: Sequence) -> Dict[Word, tuple]:
-        """Transport all closure words from the anchor along the polyline,
-        resuming from the longest already transported prefix of its
-        subdivision and keeping every new waypoint's values.
+        """Transport all closure words along the polyline from its first
+        point, which must be the anchor a or -a (InvalidParameter
+        otherwise), resuming from the longest already transported prefix of
+        its subdivision and keeping every new waypoint's values.
 
         The corners are taken exactly onto the coordinate grid 2**-grid_bits,
         grid_bits = 2 * prec, which is fine enough for every corner at the
         working precision, down to arguments far below 2**-prec; a corner
         off the grid raises PrecisionNotReached.  The trie is keyed by the
-        waypoints' grid pairs, so routes that head the same way from a common
-        corner share every waypoint up to the shorter one's last step."""
-        pts = self.subdivide(path)
-        vals, children = None, self._waypoints
+        waypoints' grid pairs, its roots the two anchors', so routes that
+        head the same way from a common corner share every waypoint up to
+        the shorter one's last step."""
+        start = self.mp.mpc(path[0])
+        vals = self._anchors.get(_to_grid(start, self.grid_bits))
+        if vals is None:
+            a = mpmath.nstr(self.anchor, 8)
+            raise InvalidParameter(
+                f"the path starts at {mpmath.nstr(start, 8)}, not at an anchor ({a} or -{a})"
+            )
+        pts, children = self.subdivide(path), self._waypoints
         for i, q in enumerate(pts):
             node = children.get(q)
             if node is None:
-                if i == 0:
-                    vals = self._anchor_values
-                else:
+                if i:
                     vals = _transport(
                         self.alphabet, self.letters, self.closure, vals, pts[i - 1], q,
                         self.n_terms, self.prec,
@@ -504,8 +527,7 @@ class WordEvaluator:
         if isinstance(z, Fraction):
             z = mp.mpf(z.numerator) / z.denominator
         zc = mp.mpc(z)
-        for pt in self.alphabet.points.values():
-            p = mp.mpf(pt.numerator) / pt.denominator
+        for pt, p in self._points:
             if zc == p:
                 consts = self._constants_at(pt)
                 tol = mp.mpf(10) ** (-(self.dps))
@@ -532,7 +554,7 @@ class WordEvaluator:
     def local_expansions_at(self, letter_point) -> Dict[Word, List[List]]:
         """Log-structured expansions sum_k log(h)^k P_k(h) of every closure
         word at the given ramification point, with the branch constants fixed
-        by transport from the anchor.  The h^0 log^0 coefficients are the
+        by transport from an anchor.  The h^0 log^0 coefficients are the
         regularized values at the point."""
         mp, prec = self.mp, self.prec
         pt = Fraction(letter_point)
@@ -566,9 +588,10 @@ def eval_word(
     alphabet: Alphabet = STANDARD,
     path: Optional[Sequence] = None,
 ) -> MultiFloat:
-    """Value of L_word at z (path from 0 inside the cut plane), with an error
-    estimate: the difference from a recomputation at 12 more digits, which
-    is not a rigorous bound."""
+    """Value of L_word at z (path from 0 inside the cut plane), or at the end
+    of `path`, a polyline from the anchor a or -a (WordEvaluator.values_along),
+    with an error estimate: the difference from a recomputation at 12 more
+    digits, which is not a rigorous bound."""
     w = tuple(word)
     results = []
     for extra in (0, 12):

@@ -38,17 +38,25 @@ def all_words_weight_le_3():
 
 def test_symbolic_vs_numeric_continuation_all_weight3_words():
     """The independent oracle for every monodromy normalization: transport
-    the whole word family around explicit based loops and compare."""
+    the whole word family around explicit based loops and compare.  Each
+    loop is compared with the values at its own base point: the route to
+    -0.7 starts at the mirror -a, so the first x-1 loop is based there; the
+    second, based at a, goes over 0 along the rectangle written out."""
     words = all_words_weight_le_3()
     ev = WordEvaluator(STANDARD, words, dps=35)
     mpl = ev.mp
-    anchor_vals = ev.value_vector(ev.anchor)
+    a, alt = ev.anchor, mpl.mpf("0.35")
     centers = {"x0": 0, "x1": 1, "x-1": -1}
+    loops = []
     for letter in LETTERS:
         c = mpl.mpc(centers[letter])
-        r = mpl.mpf("0.3")
-        approach = c + r if centers[letter] <= 0.4 else c - r
-        eta = ev.route(approach)
+        approach = c + mpl.mpf("0.3") if centers[letter] <= 0.4 else c - mpl.mpf("0.3")
+        loops.append((letter, c, ev.route(approach)))
+    loops.append(("x-1", mpl.mpc(-1), [a, mpl.mpc(a, alt), mpl.mpc("-0.7", alt), mpl.mpf("-0.7")]))
+    assert {eta[0] for _, _, eta in loops} == {a, -a}
+    for letter, c, eta in loops:
+        base_vals = ev.values_along(eta[:1])
+        approach = mpl.mpc(eta[-1])
         circle = [
             c + (approach - c) * mpl.exp(2j * mpl.pi * k / 8) for k in range(1, 8)
         ] + [approach]
@@ -58,5 +66,5 @@ def test_symbolic_vs_numeric_continuation_all_weight3_words():
             sym = monodromy(W(*w), letter)
             val = mpl.mpc(0)
             for u, coef in sym.terms.items():
-                val += coef.numeric(mpl) * anchor_vals[u]
-            assert abs(val - cont[w]) < mpf(10) ** -25, (letter, w)
+                val += coef.numeric(mpl) * base_vals[u]
+            assert abs(val - cont[w]) < mpf(10) ** -25, (letter, eta[0], w)

@@ -5,24 +5,32 @@ import pytest
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp
 
-from planarweb.errors import OnCut, PrecisionNotReached
+from planarweb.errors import InvalidParameter, OnCut, PrecisionNotReached
 from planarweb.hyperlog import numeric
 from planarweb.hyperlog.numeric import (
+    GUARD_BITS,
     WordEvaluator,
     _anchor_values,
     _exact,
     _fixed_log,
     _from_fixed,
     _step_ratio,
+    _to_grid,
     _transport,
     eval_expr,
     eval_word,
 )
-from planarweb.hyperlog.verify import load_afe, parse_word_expr
+from planarweb.hyperlog.verify import load_afe, parse_word_expr, verify_afe_numeric
 from planarweb.hyperlog.words import STANDARD
 
 from conftest import fixture_path
 from series_oracle import _eval_log_series, _log_series
+
+
+def _fixed_at_anchor(ev, sign=1):
+    """The evaluator's fixed-point values at its anchor a (sign 1) or at
+    the mirror -a (sign -1)."""
+    return ev._anchors[_to_grid(ev.mp.mpc(sign * ev.anchor), ev.grid_bits)]
 
 
 def test_li2_half_against_direct_series():
@@ -172,6 +180,7 @@ LI3, LI2, X1, XM1 = ("x0", "x0", "x1"), ("x0", "x1"), ("x1",), ("x-1",)
         (Fraction(9972, 9973), 0),  # next to the letter 1
         (Fraction(-9000, 17), 1),  # far from the alphabet; log(1+z) reached from above
         (Fraction(5, 2), -1),  # beyond 1, reached below the upward cut
+        (Fraction(-9, 10), 1),  # from the mirror -a, next to the letter -1
         (0.3 + 0.7j, 0),
         (0.3 - 0.7j, 0),
         (-2 + 0.5j, 0),
@@ -258,10 +267,17 @@ def test_anchor_values_against_mpmath():
     mpl = ev.mp
     anchor = ev.anchor
     assert anchor == mpl.mpf(2) / 5
-    vals = {w: _from_fixed(z, ev.prec, mpl) for w, z in ev._anchor_values.items()}
+    vals = {w: _from_fixed(z, ev.prec, mpl) for w, z in _fixed_at_anchor(ev).items()}
     assert abs(vals[LI3] - mpl.polylog(3, anchor)) < mpf(10) ** -40
     assert abs(vals[LI2] - mpl.polylog(2, anchor)) < mpf(10) ** -40
     assert abs(vals[X1] + mpl.log(mpl.mpf(3) / 5)) < mpf(10) ** -40
+    # at the mirror -a, log z takes its branch above 0: log a + i*pi
+    vals = {w: _from_fixed(z, ev.prec, mpl) for w, z in _fixed_at_anchor(ev, -1).items()}
+    assert abs(vals[LI3] - mpl.polylog(3, -anchor)) < mpf(10) ** -40
+    assert abs(vals[LI2] - mpl.polylog(2, -anchor)) < mpf(10) ** -40
+    assert abs(vals[X1] + mpl.log(mpl.mpf(7) / 5)) < mpf(10) ** -40
+    assert abs(vals[("x0",)] - mpl.log(mpl.mpc(-anchor))) < mpf(10) ** -40
+    assert mpl.im(mpl.log(mpl.mpc(-anchor))) == mpl.pi
 
 
 AFE_FIXTURES = ["arctan", "g21", "l2_schaffer", "newman", "rogers_d", "sk_r3"]
@@ -279,17 +295,20 @@ def _oracle_context(ev):
 
 @pytest.mark.parametrize("pool", sorted(POOLS))
 def test_anchor_values_match_the_mpmath_oracle(pool):
-    # the integer expansion at 0, summed at the anchor, against the mpmath
-    # series at 40 more digits: within 2 units of 2**-mp.prec
+    # the integer expansion at 0, summed at the anchor a and at its mirror
+    # -a, against the mpmath series at 40 more digits, with log(-a) on the
+    # branch above 0: within 2 units of 2**-mp.prec
     ev = WordEvaluator(STANDARD, POOLS[pool], dps=50)
     hi, n_terms = _oracle_context(ev)
-    anchor = hi.mpf(ev.anchor)
     series = _log_series(STANDARD, ev.closure, Fraction(0), n_terms, hi)
     unit = hi.ldexp(1, -ev.mp.prec)
-    for w in ev.closure:
-        ref = _eval_log_series(series[w], hi.mpc(anchor), hi.log(anchor), hi)
-        got = _from_fixed(ev._anchor_values[w], ev.prec, hi)
-        assert abs(got - ref) <= 2 * unit, (pool, w)
+    for sign in (1, -1):
+        z = hi.mpc(sign * hi.mpf(ev.anchor))
+        log_z = hi.log(z)  # the principal log of -a is log a + i*pi
+        for w in ev.closure:
+            ref = _eval_log_series(series[w], z, log_z, hi)
+            got = _from_fixed(_fixed_at_anchor(ev, sign)[w], ev.prec, hi)
+            assert abs(got - ref) <= 2 * unit, (pool, sign, w)
 
 
 @pytest.mark.parametrize("pool", sorted(POOLS))
@@ -320,12 +339,13 @@ def test_local_constants_match_the_mpmath_oracle(pool, center):
 @pytest.mark.parametrize("pool", sorted(POOLS))
 def test_anchor_series_stop_before_n_terms(pool):
     # |u| <= 2/5 at the anchor, so every slice reaches its exact stop within
-    # n_terms: four times the terms give the very same ints
+    # n_terms: four times the terms give the very same ints, at a and at the
+    # mirror -a alike, whose alternating sums read the same coefficients
     ev = WordEvaluator(STANDARD, POOLS[pool], dps=50)
     args = (STANDARD, tuple(ev.closure), _exact(ev.anchor))
     more = _anchor_values(*args, 4 * ev.n_terms, ev.prec)
     assert more == _anchor_values(*args, ev.n_terms, ev.prec)
-    assert more == ev._anchor_values
+    assert more == (_fixed_at_anchor(ev), _fixed_at_anchor(ev, -1))
 
 
 def _toward_zero(x, prec):
@@ -433,7 +453,7 @@ def test_log_series_matches_the_all_terms_reference(pool, center):
     ref_series, ref_values = _log_series_all_terms(*args)
     assert values == ref_values
     if at is None:
-        assert values == ev._anchor_values
+        assert values == _fixed_at_anchor(ev)
     for w in ev.closure:
         depth = max(len(series[w]), *map(len, ref_series[w]))
         for part, ref in enumerate(ref_series[w]):
@@ -442,15 +462,12 @@ def test_log_series_matches_the_all_terms_reference(pool, center):
             assert got + [zero] * (depth - len(got)) == ref + [zero] * (depth - len(ref)), (pool, center, w)
 
 
-def _fixed_anchor_values(ev):
-    return dict(ev._anchor_values)
-
-
-# routes next to a letter, far from the alphabet, beyond 1 below its cut and
-# off the axis: short and long steps, zero and nonzero accumulators
+# routes next to a letter, far from the alphabet, beyond 1 below its cut,
+# off the axis and from the mirror -a toward 0: short and long steps, zero
+# and nonzero accumulators
 TRANSPORT_TARGETS = [
     Fraction(1, 9973), Fraction(9972, 9973), Fraction(-9000, 17), Fraction(5, 2),
-    0.3 + 0.7j, -2 - 0.5j,
+    0.3 + 0.7j, -2 - 0.5j, Fraction(-1, 9973),
 ]
 
 
@@ -459,7 +476,7 @@ def test_transport_stops_exactly(z):
     ev = WordEvaluator(STANDARD, WEIGHT3 + [LI3, LI2, XM1], dps=30)
     mpl, prec = ev.mp, ev.prec
     pts = ev.subdivide(ev.route(z))
-    vals = _fixed_anchor_values(ev)
+    vals = ev._anchors[pts[0]]
     for p, q in zip(pts, pts[1:]):
         args = (ev.alphabet, ev.letters, ev.closure, vals, p, q, ev.n_terms, prec)
         got = _transport(*args)
@@ -486,7 +503,7 @@ def test_every_series_stops_before_n_terms():
     ]
     pts = ev.subdivide(path)
     assert len(pts) == len(path)  # no step needed subdividing
-    vals = _fixed_anchor_values(ev)
+    vals = _fixed_at_anchor(ev)
     for p, q in zip(pts, pts[1:]):
         got, more = (
             _transport(ev.alphabet, ev.letters, ev.closure, vals, p, q, n_terms, ev.prec)
@@ -501,6 +518,7 @@ def test_every_series_stops_before_n_terms():
     [
         (Fraction(7, 100), Fraction(3, 100)),  # left of the anchor, toward 0
         (Fraction(7, 10), Fraction(19, 20)),  # right of the anchor, toward 1
+        (Fraction(-7, 100), Fraction(-3, 100)),  # right of the mirror -a, toward 0
         (0.25 + 0.05j, 0.25 - 0.2j),  # down one vertical leg below one horizontal leg
         (0.1 - 0.1j, 0.1 - 0.3j),  # across the axis between the letters 0 and 1
     ],
@@ -538,6 +556,63 @@ def test_a_corner_off_the_grid_is_refused():
     ev = WordEvaluator(STANDARD, [LI2], dps=30)
     with pytest.raises(PrecisionNotReached):
         ev.values_along([ev.anchor, ev.mp.ldexp(1, -ev.grid_bits - 1)])
+
+
+def test_a_path_must_start_at_an_anchor():
+    # the values at the start of a path are known only at the two anchors;
+    # from anywhere else both entry points refuse it
+    ev = WordEvaluator(STANDARD, [LI2], dps=30)
+    with pytest.raises(InvalidParameter, match=r"starts at \(0\.5 .*anchor \(0\.4 or -0\.4\)"):
+        ev.values_along([0.5, 0.6])
+    assert not ev._waypoints
+    with pytest.raises(InvalidParameter, match="not at an anchor"):
+        eval_word(LI2, None, dps=30, path=[0.5, 0.6])
+    got = ev.values_along([-ev.anchor, -0.6])[LI2]
+    assert abs(got - ev.mp.polylog(2, -0.6)) < mpf(10) ** -30
+
+
+def test_real_points_left_of_zero_start_at_the_mirror():
+    ev = WordEvaluator(STANDARD, [LI2], dps=30)
+    mpl, a = ev.mp, ev.anchor
+    for z in (Fraction(-1, 7), Fraction(-2, 5), Fraction(-9, 10), Fraction(-1, 9973)):
+        zm = mpl.mpf(z.numerator) / z.denominator
+        assert ev.route(z) == [-a, zm]
+    # off the axis, left of -1 and right of 0 the routes start at a as before
+    assert ev.route(mpl.mpc("-0.5", "0.1"))[0] == a
+    alt = mpl.mpf("0.35")
+    assert ev.route(Fraction(-3, 2)) == [a, mpl.mpc(a, alt), mpl.mpc(-1.5, alt), -1.5]
+    assert ev.route(Fraction(1, 3))[0] == a
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_mirror_values_match_the_old_rectangle(pool):
+    # the values summed at -a against those transported there over 0 along
+    # the rectangle every gap point took before: equal within the guard bits
+    ev = WordEvaluator(STANDARD, POOLS[pool], dps=50)
+    mpl, a = ev.mp, ev.anchor
+    alt = mpl.mpf("0.35")
+    rect = ev._fixed_values_along([a, mpl.mpc(a, alt), mpl.mpc(-a, alt), -a])
+    mirror = _fixed_at_anchor(ev, -1)
+    for w in ev.closure:
+        for got, ref in zip(mirror[w], rect[w]):
+            assert abs(got - ref) < 1 << GUARD_BITS, (pool, w)
+
+
+def test_gap_points_are_not_transported_over_zero(monkeypatch):
+    # 5 of the 36 arguments of sk_r3's four samples at seed 0 lie in
+    # (-1, 0): reached from -a, the run takes 73 steps in all; routed over 0
+    # along the vertical leg from a, it would take 83
+    steps = []
+    transport = numeric._transport
+
+    def counted(*args):
+        steps.append(args[4:6])
+        return transport(*args)
+
+    monkeypatch.setattr(numeric, "_transport", counted)
+    report = verify_afe_numeric(load_afe(fixture_path("sk_r3.afe")), samples=4, dps=50, seed=0)
+    assert report["pass"]
+    assert len(steps) == 73
 
 
 def _loop_round(ev, center, radius):
