@@ -106,12 +106,18 @@ def cmd_sigma(args) -> int:
 
 def cmd_rank(args) -> int:
     from .jets import abelian_rank, bol_bound, filtration_dims, rank_report
-    from .web import DEFAULT_POINT, load_web, pick_generic_point
+    from .web import DEFAULT_POINT, BasePoint, load_web, pick_generic_point, singular_locus
 
     web = load_web(args.webfile)
     if args.subwebs and max(args.subwebs) > web.size:
         raise InvalidParameter(f"--subwebs sizes must be at most the web size {web.size}")
-    base = pick_generic_point(web, seed=args.seed, preferred=args.point or DEFAULT_POINT)
+    if args.point is None:
+        base = pick_generic_point(web, seed=args.seed, preferred=DEFAULT_POINT)
+    elif singular_locus(web).vanishes_at(*args.point):
+        # an explicit point is not replaced by another one: the locus holds the poles
+        raise InvalidParameter(f"--point {args.point[0]},{args.point[1]} lies on the web's singular locus")
+    else:
+        base = BasePoint(web, args.point)
     rank, basis = abelian_rank(
         web, base, max_order=args.max_order, stabilize=args.stabilize
     )
@@ -298,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rank", help="web rank by exact jet linear algebra")
     sp.add_argument("webfile")
-    sp.add_argument("--point", type=_point, help="preferred base point 'x,y'")
+    sp.add_argument("--point", type=_point, help="base point 'x,y', off the singular locus")
     sp.add_argument("--max-order", type=_positive_int, default=None)
     sp.add_argument("--stabilize", type=_positive_int, default=3)
     sp.add_argument("--filtration", action="store_true")

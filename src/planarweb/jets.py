@@ -76,20 +76,18 @@ p is nonzero over Z), so restricting to them is injective on ker_K, and
 span ranks and greedy subsets are taken in d coordinates instead of nK.
 
 The jet table.  Rows are built from one table per (web, point), held by
-its BasePoint: for each integral the degree-n part of each power v_i^k,
-v_i = U_i - U_i(base), as integers over d0_i^(k + n), where N/D is
-U_i(base + (s, t)) over Z and d0_i = D(0, 0).  That denominator does not
-depend on the order, so a table grows a degree at a time, as far as a
-ladder reads it, and never recomputes an entry; no ladder has to ask
-ahead for the orders its stop rule may read.  With each degree n the
-table keeps its block: the coefficients of v_i^0..v_i^n at each monomial
-of degree n, over the one denominator d0_i^(2n).  A subweb's base point
-at the parent's point (BasePoint.restrict) shares the parent's tables, so
-the web, every subweb and every order read one table and one block per
-degree.  A row is the sum over its terms of m * the block's row at its
-monomial, each times the lcm of the d0_i^(2n) the row touches over
-d0_i^(2n), divided by its gcd: a positive multiple of the rational row,
-made primitive.
+its BasePoint: for each integral one block per degree n, the coefficients
+of v_i^0..v_i^n, v_i = U_i - U_i(base), at each monomial of degree n, as
+integers over d0_i^(2n), where N/D is U_i(base + (s, t)) over Z and
+d0_i = D(0, 0).  That denominator does not depend on the order, so a
+table grows a degree at a time, as far as a ladder reads it, and never
+recomputes an entry; no ladder has to ask ahead for the orders its stop
+rule may read.  A subweb's base point at the parent's point
+(BasePoint.restrict) shares the parent's tables, so the web, every subweb
+and every order read one table and one block per degree.  A row is the
+sum over its terms of m * the block's row at its monomial, each times the
+lcm of the d0_i^(2n) the row touches over d0_i^(2n), divided by its gcd:
+a positive multiple of the rational row, made primitive.
 """
 
 from __future__ import annotations

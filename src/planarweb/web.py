@@ -245,76 +245,61 @@ def pick_generic_point(
 
 class _JetPowers:
     """The jets at a point of the powers v^k of v = U - U(point), over the
-    integers, grown a degree at a time.
+    integers, as one block per degree, grown a degree at a time.
 
     With N/D = U(point + (s, t)) over Z (`RatFunc.translate`, no gcd) and
-    d0 = D(0, 0), the coefficient of s^a t^b in v^k is an integer over
-    d0^(k + a + b), which does not depend on the order: `powers[k][n]` maps
-    each (a, b) of total degree n
-    to that integer, for k, n = 0..K, and a higher order only appends
-    degrees.  With each degree n comes its block, `blocks[n]` =
-    (d0^(2n), block): block[a][k] is the coefficient of s^a t^(n - a) in
-    v^k, k = 0..n, over that one denominator, so a jet row of degree n
-    reads one list per monomial and one denominator per integral, shared
-    by every subweb and order that reads the table.  U's coefficients u_e
-    over d0^(|e| + 1) follow from N = D U without a division:
-    u_e = N_e d0^|e| - sum_{0 < f <= e} D_f d0^(|f| - 1) u_(e - f).
-    d0 = 0 is a pole at the point."""
+    d0 = D(0, 0), v = M / (d0 D) with M = d0 N - N(0, 0) D, an integer
+    polynomial with no constant term.  `blocks[n]` = (d0^(2n), block):
+    block[a][k] is the coefficient of s^a t^(n - a) in v^k, k = 0..n, over
+    that one denominator, so a jet row of degree n reads one list per
+    monomial and one denominator per integral, shared by every subweb and
+    order that reads the table; a higher order only appends degrees.
+    Column 1 follows from M = d0 D v without a division: with n = |e| and
+    w_e = block_n[a][1],
+    w_e = d0^(2n - 2) M_e - sum_{0 < f < e} D_f d0^(2|f| - 1) w_(e - f),
+    and `dens` holds the D_f d0^(2|f| - 1).  Column k >= 2 is v^(k-1) v:
+    block_n[a][k] = sum_m sum_a2 block_m[a2][1] block_(n - m)[a - a2][k - 1],
+    already over d0^(2m) d0^(2(n - m)) = d0^(2n).  d0 = 0 is a pole at the
+    point."""
 
-    __slots__ = ("num", "dens", "d0", "coeffs", "value", "powers", "blocks")
+    __slots__ = ("num", "dens", "d0", "value", "blocks")
 
     def __init__(self, u: RatFunc, point: Tuple[Fraction, Fraction]):
         px, py = point
         shifted = u.translate(px, py)
-        self.num = shifted.num.terms
         d0 = self.d0 = shifted.den.terms.get((0, 0), 0)
         if d0 == 0:
             raise PoleAtCenter(f"pole at ({px}, {py})")
-        self.dens = [(f, c * d0 ** (f[0] + f[1] - 1)) for f, c in shifted.den.terms.items() if f != (0, 0)]
-        self.coeffs = {(0, 0): self.num.get((0, 0), 0)}  # the u_e
-        self.value = Fraction(self.coeffs[(0, 0)], d0)
-        self.powers: List[List[Dict[Tuple[int, int], int]]] = [[{(0, 0): 1}]]
+        n0 = shifted.num.terms.get((0, 0), 0)
+        self.num = (shifted.num.scale(d0) - shifted.den.scale(n0)).terms  # M
+        self.dens = [(f, c * d0 ** (2 * (f[0] + f[1]) - 1)) for f, c in shifted.den.terms.items() if f != (0, 0)]
+        self.value = Fraction(n0, d0)
         self.blocks: List[Tuple[int, List[List[int]]]] = [(1, [[1]])]
-
-    def at(self, order: int):
-        """(d0, powers), holding the degrees 0..K of v^0..v^K, K >= order."""
-        powers, u = self.powers, self.coeffs
-        for n in range(len(powers), order + 1):
-            v = {}  # the degree-n part of v
-            scale = self.d0**n
-            for a in range(n + 1):
-                c = self.num.get((a, n - a), 0) * scale
-                c -= sum(df * u.get((a - fa, n - a - fb), 0) for (fa, fb), df in self.dens)
-                if c:
-                    u[(a, n - a)] = v[(a, n - a)] = c
-            new = [{}, v]
-            for k in range(2, n + 1):  # v^k = v^(k-1) v, from degrees k - 1 and 1
-                out: Dict[Tuple[int, int], int] = {}
-                for m in range(1, n - k + 2):
-                    for (a2, b2), c2 in powers[1][m].items():
-                        for (a1, b1), c1 in powers[k - 1][n - m].items():
-                            e = (a1 + a2, b1 + b2)
-                            out[e] = out.get(e, 0) + c1 * c2
-                new.append({e: c for e, c in out.items() if c})
-            for k in range(n):
-                powers[k].append(new[k])
-            powers.append([{} for _ in range(n)] + [new[n]])
-            # v^k's degree-n part over d0^(2n): times d0^(n - k)
-            block = [[0] * (n + 1) for _ in range(n + 1)]
-            scale = 1
-            for k in range(n, 0, -1):
-                for (a, _), c in new[k].items():
-                    block[a][k] = c * scale
-                scale *= self.d0
-            self.blocks.append((self.d0 ** (2 * n), block))
-        return self.d0, powers
 
     def block(self, n: int):
         """(d0^(2n), block) of degree n: block[a][k] is the coefficient of
         s^a t^(n - a) in v^k, k = 0..n, over that one denominator."""
-        if n >= len(self.blocks):
-            self.at(n)
-        return self.blocks[n]
+        blocks = self.blocks
+        for deg in range(len(blocks), n + 1):
+            block = [[0] * (deg + 1) for _ in range(deg + 1)]
+            scale = self.d0 ** (2 * deg - 2)
+            for a, row in enumerate(block):
+                c = self.num.get((a, deg - a), 0) * scale
+                for (fa, fb), df in self.dens:
+                    if fa <= a and fb <= deg - a and fa + fb < deg:
+                        c -= df * blocks[deg - fa - fb][1][a - fa][1]
+                row[1] = c
+            for m in range(1, deg):  # v^k = v^(k-1) v, from degrees deg - m and m
+                lower = blocks[deg - m][1]
+                for a2, row2 in enumerate(blocks[m][1]):
+                    c2 = row2[1]
+                    if c2:
+                        for a1, row1 in enumerate(lower):
+                            out = block[a1 + a2]
+                            for k in range(1, deg - m + 1):
+                                out[k + 1] += c2 * row1[k]
+            blocks.append((self.d0 ** (2 * deg), block))
+        return blocks[n]
 
 
 class BasePoint:
@@ -322,12 +307,11 @@ class BasePoint:
     with the integral values.
 
     It holds the point's jet table, one `_JetPowers` per integral, which
-    gives the values too.  A table grows a degree at a time, as far as a
-    ladder reads it, and never recomputes an entry; the jet rows read its
-    per-degree blocks (see `jet_block`).  A subweb's base point from
-    `restrict` shares the parent's tables, so each degree of each integral,
-    and its block, is computed once, however many subwebs and orders read
-    it.
+    gives the values too.  A table is its per-degree blocks, grown a
+    degree at a time, as far as a ladder reads it, and the jet rows read
+    them (see `jet_block`).  A subweb's base point from `restrict` shares
+    the parent's tables, so each block of each integral is computed once,
+    however many subwebs and orders read it.
 
     It also holds the rungs of its web's rank ladder: `kernels[K]` is the
     certified kernel of the order-K jet system, filled from order 0 (no

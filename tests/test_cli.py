@@ -183,6 +183,20 @@ def test_bad_rank_argument_is_usage_error(option):
         assert json.loads(proc.stdout)["type"] == "InvalidParameter"
 
 
+@pytest.mark.parametrize("point", ["0,0", "1,1", "1/3,1/3", "2/3,1"])
+def test_rank_point_on_the_singular_locus_is_usage_error(point):
+    # the poles of x/y and (1-y)/(1-x), a point of the tangency line x = y
+    # and one of the pole line y = 1: an explicit point is never replaced
+    rc, doc, _ = run_cli("rank", fixture_path("bol.web"), "--point", point)
+    assert rc == 2
+    assert doc["type"] == "InvalidParameter" and f"--point {point} " in doc["error"]
+
+
+def test_rank_takes_an_explicit_point_off_the_locus():
+    rc, doc, _ = run_cli("rank", fixture_path("bol.web"), "--point", "2,3")
+    assert rc == 0 and doc["base_point"] == ["2", "3"] and doc["rank"] == 6
+
+
 @pytest.mark.parametrize("command,afe", [("verify-num", "arctan.afe"), ("constant", "rogers_d.afe")])
 @pytest.mark.parametrize("option", [("--samples", "0"), ("--precision", "0")])
 def test_bad_sample_or_precision_is_usage_error(command, afe, option):

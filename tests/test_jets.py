@@ -258,35 +258,34 @@ def test_subweb_jet_rows_read_from_the_parent_table(bol_web):
 
 
 def watch_tables(monkeypatch):
-    """The jet tables read from now on, each with the highest order asked
+    """The jet tables read from now on, each with the highest degree asked
     of it.  RatFunc has no Fraction taylor: no ladder can expand an integral
     by one."""
     assert not hasattr(RatFunc, "taylor")
     asked = {}
-    at = _JetPowers.at
+    block = _JetPowers.block
 
-    def watched(table, order):
-        asked[table] = max(order, asked.get(table, order))
-        return at(table, order)
+    def watched(table, n):
+        asked[table] = max(n, asked.get(table, n))
+        return block(table, n)
 
-    monkeypatch.setattr(_JetPowers, "at", watched)
+    monkeypatch.setattr(_JetPowers, "block", watched)
     return asked
 
 
 def assert_append_only(asked, n_tables, order):
-    """n_tables tables were read, each to `order`, and each ends there; a
-    higher read appends degrees and keeps every lower-degree dict, the same
-    object with the same entries."""
+    """n_tables tables were read, each to degree `order`, and each ends
+    there; a higher read appends blocks and keeps every lower-degree block,
+    the same list with the same entries."""
     assert len(asked) == n_tables and set(asked.values()) == {order}
     for table in list(asked):
-        assert len(table.powers) == order + 1
-        assert all(len(row) == order + 1 for row in table.powers)
-        before = [list(row) for row in table.powers]
-        entries = [[dict(d) for d in row] for row in table.powers]
-        table.at(order + 2)
-        assert len(table.powers) == order + 3
-        for row, old, old_entries in zip(table.powers, before, entries):
-            assert all(d is o for d, o in zip(row, old)) and row[: order + 1] == old_entries
+        assert len(table.blocks) == order + 1
+        before = [block for _, block in table.blocks]
+        entries = [[list(row) for row in block] for block in before]
+        table.block(order + 2)
+        assert len(table.blocks) == order + 3
+        for (_, block), old, old_entries in zip(table.blocks, before, entries):
+            assert block is old and block == old_entries
 
 
 def test_hexagonality_expands_each_integral_once_per_order(sk_web, monkeypatch):
@@ -349,11 +348,12 @@ def test_base_point_tables_need_no_gcd(web_name, request, monkeypatch):
         px, py = base.point
         for u, table in zip(web.integrals(), base._jets):
             ref = u.substitute(RatFunc.var("x") + RatFunc.const(px), RatFunc.var("y") + RatFunc.const(py))
-            d0 = ref.den.terms[(0, 0)]
-            assert table.num == ref.num.terms, (web.name, base.point, u)
+            d0, n0 = ref.den.terms[(0, 0)], ref.num.terms.get((0, 0), 0)
+            assert table.num == (ref.num.scale(d0) - ref.den.scale(n0)).terms, (web.name, base.point, u)
+            assert (0, 0) not in table.num
             assert table.d0 == d0
             assert dict(table.dens) == {
-                f: c * d0 ** (f[0] + f[1] - 1) for f, c in ref.den.terms.items() if f != (0, 0)
+                f: c * d0 ** (2 * (f[0] + f[1]) - 1) for f, c in ref.den.terms.items() if f != (0, 0)
             }
 
 

@@ -15,8 +15,10 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpf
 
 from planarweb.errors import DegenerateMap, PoleAtCenter
+from planarweb.jets import bol_bound, rank_only
 from planarweb.parse import format_ratfunc, parse_ratfunc
 from planarweb.poly import BivarPoly, coprime_split, squarefree_part
+from planarweb.projective import Configuration, ProjPoint, classify_stratum, web_from_configuration
 from planarweb.ratfunc import RatFunc, cleared_jacobian, wedge
 from planarweb.web import Foliation, Web, _JetPowers, load_web, singular_locus
 
@@ -289,3 +291,46 @@ def test_kernel_monotonic_random_small_webs():
         dims = [JetSystem(web, bp, k).nullspace().dimension for k in range(3, 8)]
         assert all(a >= b for a, b in zip(dims, dims[1:])), (picks, dims)
         done += 1
+
+
+# --- configuration webs --------------------------------------------------------
+
+homogeneous = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(0, 3)).filter(any)
+
+
+@st.composite
+def configurations(draw):
+    """Five distinct rational projective points, some at infinity.  The
+    last k of them, k = 0, 1 or 2, are each a combination a P_i + b P_j of
+    two earlier points, so each lies on their line: k = 0 is as a rule
+    generic (S0), one such point makes a collinear triple (S1), and two make
+    four points on a line (S2) or two lines through one pivot (S3)."""
+    free = 5 - draw(st.sampled_from([0, 1, 1, 2, 2]))
+    pts = []
+    for n in range(5):
+        if n >= free:
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            a, b = draw(st.sampled_from([-2, -1, 1, 2])), draw(st.sampled_from([1, 2, 3]))
+            p = tuple(a * x + b * y for x, y in zip(pts[i].ints, pts[j].ints))
+        else:
+            p = draw(homogeneous)
+        assume(any(p) and ProjPoint(*p) not in pts)
+        pts.append(ProjPoint(*p))
+    return Configuration(pts)
+
+
+def test_configuration_webs_have_maximal_rank():
+    # the paper observes that the webs of point configurations all seem to
+    # be of maximal rank; every stratum S0-S3 must come up among the examples
+    strata = {}
+
+    @settings(max_examples=30, deadline=None)
+    @given(configurations())
+    def maximal(config):
+        web = web_from_configuration(config)
+        label = classify_stratum(config).label
+        assert rank_only(web) == bol_bound(web.size), (label, config)
+        strata[label] = strata.get(label, 0) + 1
+
+    maximal()
+    assert {"S0", "S1", "S2", "S3"} <= set(strata), strata
