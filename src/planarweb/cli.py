@@ -118,9 +118,8 @@ def cmd_rank(args) -> int:
         raise InvalidParameter(f"--point {args.point[0]},{args.point[1]} lies on the web's singular locus")
     else:
         base = BasePoint(web, args.point)
-    rank, basis = abelian_rank(
-        web, base, max_order=args.max_order, stabilize=args.stabilize
-    )
+    stop_rule = {"stabilize": args.stabilize, "max_order": args.max_order}
+    rank, basis = abelian_rank(web, base, **stop_rule)
     report = {
         "web": web.name,
         "base_point": [str(base.point[0]), str(base.point[1])],
@@ -130,9 +129,9 @@ def cmd_rank(args) -> int:
         "bol_bound": bol_bound(web.size),
     }
     if args.filtration:
-        report["filtration"] = {str(p): d for p, d in filtration_dims(web, base).items()}
+        report["filtration"] = {str(p): d for p, d in filtration_dims(web, base, **stop_rule).items()}
     if args.subwebs:
-        report["subwebs"] = rank_report(web, args.subwebs, base)["subwebs"]
+        report["subwebs"] = rank_report(web, args.subwebs, base, **stop_rule)["subwebs"]
     _emit(report, args.output)
     return 0
 
@@ -305,8 +304,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("rank", help="web rank by exact jet linear algebra")
     sp.add_argument("webfile")
     sp.add_argument("--point", type=_point, help="base point 'x,y', off the singular locus")
-    sp.add_argument("--max-order", type=_positive_int, default=None)
-    sp.add_argument("--stabilize", type=_positive_int, default=3)
+    sp.add_argument(
+        "--max-order",
+        type=_positive_int,
+        default=None,
+        help="highest jet order of every ladder the command climbs, the web's and each "
+        "subweb's of --filtration and --subwebs (default N(N-1)/2 + 3 for a ladder of N "
+        "foliations)",
+    )
+    sp.add_argument(
+        "--stabilize",
+        type=_positive_int,
+        default=3,
+        help="consecutive equal kernel dimensions that fix a rank (default 3), for every "
+        "rank the command reports, the web's and each subweb's of --filtration and --subwebs",
+    )
     sp.add_argument("--filtration", action="store_true")
     sp.add_argument("--subwebs", type=_subweb_sizes, help="comma-separated subweb sizes to tabulate")
     common(sp)

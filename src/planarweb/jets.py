@@ -84,10 +84,14 @@ table grows a degree at a time, as far as a ladder reads it, and never
 recomputes an entry; no ladder has to ask ahead for the orders its stop
 rule may read.  A subweb's base point at the parent's point
 (BasePoint.restrict) shares the parent's tables, so the web, every subweb
-and every order read one table and one block per degree.  A row is the
-sum over its terms of m * the block's row at its monomial, each times the
-lcm of the d0_i^(2n) the row touches over d0_i^(2n), divided by its gcd:
-a positive multiple of the rational row, made primitive.
+and every order read one table and one block per degree.  Each rung forms
+its small system [C | B v_1 .. B v_d] straight from the degree-(K + 1)
+blocks, one row per monomial (`_prolong`): a term's block row, times m
+times the lcm of its system's d0_i^(2n) over its own, puts its top entry
+in C and the others in B's row, which is dotted with each v_j as it
+stands.  No row of the order-(K + 1) system is built, and no row is
+divided by its gcd: each is a positive multiple of the rational row, and
+the kernel depends only on the row space.
 """
 
 from __future__ import annotations
@@ -112,36 +116,6 @@ def _jet_columns(n: int, order: int) -> Dict[Tuple[int, int], int]:
     return {(i, k): i * order + k - 1 for i in range(n) for k in range(1, order + 1)}
 
 
-def _jet_rows(
-    base: BasePoint, terms, degree: int, n_cols: int, first_power: int
-) -> List[List[int]]:
-    """The degree-`degree` rows of sum over terms (i, m, col) of
-    m * sum_k c_{col+k} v_i^k, k = first_power..degree, read from the base
-    point's jet table: one row per monomial of that total degree with a
-    nonzero coefficient.  The coefficients of a degree-n monomial in
-    v_i^0..v_i^n are one block row over d0_i^(2n), so each row is the sum of
-    m * block row times the lcm of the d0_i^(2n) it touches over d0_i^(2n),
-    divided by its gcd: the primitive integer row proportional to the
-    rational one.  Terms may share a col (a pattern's germ blocks), so
-    their entries add."""
-    blocks = [(base.jet_block(i, degree), m, col) for i, m, col in terms]
-    rows = []
-    for a in range(degree + 1):
-        hits = [(den, m, col, cs[a]) for (den, cs), m, col in blocks if any(cs[a][first_power:])]
-        if not hits:
-            continue
-        scale = lcm(*(den for den, _, _, _ in hits))
-        row = [0] * n_cols
-        for den, m, col, cs in hits:
-            f = m * (scale // den)
-            for k in range(first_power, degree + 1):
-                row[col + k] += f * cs[k]
-        g = gcd(*row)
-        if g:
-            rows.append([x // g for x in row] if g > 1 else row)
-    return rows
-
-
 def _prolong(systems, n_blocks: int, first_power: int, vectors: List[List[int]], order: int):
     """Kernel basis at order K + 1 of the jet systems, from a certified one at
     order K = `order`.  `systems` are (base point, terms) pairs, terms
@@ -151,35 +125,42 @@ def _prolong(systems, n_blocks: int, first_power: int, vectors: List[List[int]],
     order K + 1 are the order-K rows, zero on the new columns (b, K + 1), so
     the kernel is the (x, y) with x = sum_j z_j v_j and B x + C y = 0 for the
     degree-(K + 1) rows [B | C].  The small system [C | B v_1 .. B v_d] is
-    solved exactly and its kernel lifted by (z, y) -> (sum_j z_j v_j, y),
-    which is injective; the lift is divided by its gcd."""
+    formed from the degree-(K + 1) blocks, one row per monomial a: a term
+    (slot, m, b) whose block is (den, cs) adds f cs[a][K + 1] to C's column
+    b and f cs[a][k] to B's column (b, k), k = first_power..K, with f = m
+    times the lcm of its system's dens over den, and B's row is dotted with
+    each v_j.  A row is a positive multiple of the rational one, so the
+    kernel is unchanged.  It is solved exactly and its kernel lifted by
+    (z, y) -> (sum_j z_j v_j, y), which is injective, with y_b written after
+    block b; the lift is divided by its gcd."""
     width = order - first_power + 1  # columns per block at order K
     new = order + 1
-    n_cols = n_blocks * (width + 1)
-    # the old vectors in the order-(K+1) columns, zero on the new ones
-    old = []
-    for v in vectors:
-        w = []
-        for b in range(n_blocks):
-            w.extend(v[b * width : (b + 1) * width])
-            w.append(0)
-        old.append(w)
-    tops = [b * (width + 1) + width for b in range(n_blocks)]  # the columns (b, K+1)
-    rows = []
+    small = []
     for base, terms in systems:
-        cols = [(i, m, b * (width + 1) - first_power) for i, m, b in terms]
-        rows.extend(_jet_rows(base, cols, new, n_cols, first_power))
-    small = [[r[c] for c in tops] + [sum(map(mul, r, w)) for w in old] for r in rows]
+        blocks = [(base.jet_block(i, new), m, b) for i, m, b in terms]
+        scale = lcm(*(den for (den, _), _, _ in blocks))
+        factors = [(cs, m * (scale // den), b, b * width - first_power) for (den, cs), m, b in blocks]
+        for a in range(new + 1):
+            top = [0] * n_blocks
+            row = [0] * (n_blocks * width)  # B's row, in the columns of the v_j
+            for cs, f, b, shift in factors:
+                coeffs = cs[a]
+                top[b] += f * coeffs[new]
+                for k in range(first_power, new):
+                    row[shift + k] += f * coeffs[k]
+            small.append(top + [sum(map(mul, row, v)) for v in vectors])
     out = []
-    for yz in exact_nullspace(small, n_cols=n_blocks + len(old)).basis:
-        x = [0] * n_cols
-        for c, y in zip(tops, yz):
-            x[c] = y
-        for z, w in zip(yz[n_blocks:], old):
+    for yz in exact_nullspace(small, n_cols=n_blocks + len(vectors)).basis:
+        x = [0] * (n_blocks * width)
+        for z, v in zip(yz[n_blocks:], vectors):
             if z:
-                x = [s + z * t for s, t in zip(x, w)]
-        g = gcd(*x)
-        out.append([c // g for c in x])
+                x = [s + z * t for s, t in zip(x, v)]
+        lifted = []
+        for b in range(n_blocks):
+            lifted.extend(x[b * width : (b + 1) * width])
+            lifted.append(yz[b])
+        g = gcd(*lifted)
+        out.append([c // g for c in lifted])
     return out
 
 
@@ -235,7 +216,7 @@ def _stabilized_dims(n, dim_at, failure, stabilize=3, max_order=None) -> Dict[in
     `stabilize` orders can never stop, so it is an InvalidParameter."""
     cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
     if stabilize > cap - n + 1:
-        raise InvalidParameter(f"orders {n}..{cap} are too few to stabilize over {stabilize}")
+        raise InvalidParameter(f"a {n}-web's orders {n}..{cap} are too few to stabilize over {stabilize}")
     dims: Dict[int, int] = {}
     for order in range(n, cap + 1):
         dims[order] = dim_at(order)
@@ -273,8 +254,10 @@ def abelian_rank(
     return rank, KernelBasis(jet_kernel(base, order), order, _jet_columns(n, order))
 
 
-def rank_only(web: Web, base: Optional[BasePoint] = None) -> int:
-    return abelian_rank(web, base)[0]
+def rank_only(
+    web: Web, base: Optional[BasePoint] = None, stabilize: int = 3, max_order: Optional[int] = None
+) -> int:
+    return abelian_rank(web, base, stabilize, max_order)[0]
 
 
 def _embed(v: List[int], subset: Sequence[int], n: int, order: int) -> List[int]:
@@ -291,12 +274,18 @@ def _embed(v: List[int], subset: Sequence[int], n: int, order: int) -> List[int]
 # ---------------------------------------------------------------------------
 
 
-def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int]:
+def filtration_dims(
+    web: Web,
+    base: Optional[BasePoint] = None,
+    stabilize: int = 3,
+    max_order: Optional[int] = None,
+) -> Dict[int, int]:
     """dim F^p for p = 3..N: the span of all p-subweb solution jets inside
-    the web's jet coordinate space at its stabilized order."""
+    the web's jet coordinate space at its stabilized order.  The web and
+    every subweb are ranked with the same stop rule."""
     if base is None:
         base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
-    rank, basis = abelian_rank(web, base)
+    rank, basis = abelian_rank(web, base, stabilize, max_order)
     order = basis.order
     n = web.size
     pivots = invertible_columns(basis.vectors)
@@ -305,7 +294,7 @@ def filtration_dims(web: Web, base: Optional[BasePoint] = None) -> Dict[int, int
     for p in range(3, n + 1):
         for subset in combinations(range(1, n + 1), p):
             sub_base = base.restrict(subset)
-            sub_rank = rank_only(sub_base.web, sub_base)
+            sub_rank = rank_only(sub_base.web, sub_base, stabilize, max_order)
             jets = jet_kernel(sub_base, order)
             if len(jets) != sub_rank:
                 raise NotStabilized(
@@ -336,17 +325,23 @@ def hexagonality(web: Web, base_seed: int = 0) -> dict:
     }
 
 
-def rank_report(web: Web, subweb_sizes: Sequence[int], base: Optional[BasePoint] = None) -> dict:
+def rank_report(
+    web: Web,
+    subweb_sizes: Sequence[int],
+    base: Optional[BasePoint] = None,
+    stabilize: int = 3,
+    max_order: Optional[int] = None,
+) -> dict:
     """Rank, maximal-rank flag (and hexagonality for size 3) for every
     subweb of each requested size, in deterministic index order, all at the
-    web's base point."""
+    web's base point and with one stop rule."""
     if base is None:
         base = pick_generic_point(web, seed=0, preferred=DEFAULT_POINT)
     entries = []
     for size in sorted(set(subweb_sizes)):
         for subset in combinations(range(1, web.size + 1), size):
             sub_base = base.restrict(subset)
-            r = rank_only(sub_base.web, sub_base)
+            r = rank_only(sub_base.web, sub_base, stabilize, max_order)
             entry = {
                 "indices": list(subset),
                 "size": size,

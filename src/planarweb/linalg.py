@@ -4,9 +4,11 @@ matrices in, primitive integer kernel vectors out.
 Nullspaces are computed by reduced row echelon form modulo 62-bit primes,
 Chinese-remainder combination of the (canonical) echelon kernel basis,
 rational reconstruction, and a final exact integer verification M v = 0 of
-every basis vector.  The kernel is reconstructed over Q, and each basis
-vector is returned as the primitive integer multiple of the canonical one,
-positive on its free column.
+every basis vector.  The kernel is reconstructed over Q, each entry as an
+integer pair (n, d) in lowest terms with d > 0, with no Fraction, and each
+basis vector is returned as the primitive integer multiple of the
+canonical one, positive on its free column: the lcm of its entries' d
+times each n/d.
 
 This is a certificate, not a heuristic: rank mod p never exceeds the rank
 over Q, so the mod-p nullity bounds the rational nullity from above, while
@@ -21,8 +23,9 @@ rank, or the same rank with lexicographically smaller pivots, is better and
 restarts the lift, and a worse profile is skipped.  The pivots over Q are
 the lex-first profile of their rank, since no prefix of columns has a larger
 rank mod p than over Q.  The lift carries every kernel entry's residue from
-prime to prime by one Garner step, checks an entry's reconstructed n/d
-against each new prime, and reconstructs only the entries that have none;
+prime to prime by one Garner step, checks an entry's reconstructed pair
+(n, d) against each new prime, n + d r = 0 mod p for its echelon entry r,
+and reconstructs only the entries that have none;
 a candidate basis is verified after every prime once all entries have one.
 
 The same certificate answers span questions.  Put integer vectors, kernel
@@ -45,9 +48,8 @@ stay below (rank + 1) p^2 until one final reduction mod p.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +154,9 @@ def modp_rref(rows: Sequence[Sequence[int]], p: int):
 # ---------------------------------------------------------------------------
 
 
-def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
-    """Unique n/d with a*d = n mod m, |n|, d <= sqrt(m/2), if it exists."""
+def rational_reconstruct(a: int, m: int) -> Optional[Tuple[int, int]]:
+    """The pair (n, d), d > 0 and gcd(n, d) = 1, of the unique n/d with
+    a*d = n mod m and |n|, d <= sqrt(m/2), if it exists."""
     a %= m
     bound = isqrt(m // 2)
     r0, r1 = m, a
@@ -166,7 +169,7 @@ def rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
         return None
     if gcd(abs(r1), abs(s1)) != 1:
         return None
-    return Fraction(r1 * (1 if s1 > 0 else -1), abs(s1))
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 class ExactKernel:
@@ -209,10 +212,11 @@ class _KernelLift:
 
     Entry (f, k), for free column f and pivot index k, is v_f[piv[k]], which
     is -red[k][f] modulo each prime.  Its residue modulo the product of the
-    primes so far grows by one Garner step per prime.  A reconstructed n/d
-    is kept while every new prime agrees with it, (n + d red[k][f]) mod p ==
-    0; a kept candidate is also what reconstruction from scratch would give,
-    since it already meets the smaller bound of an earlier modulus.
+    primes so far grows by one Garner step per prime.  A reconstructed pair
+    (n, d) is kept while every new prime agrees with it, (n + d red[k][f])
+    mod p == 0; a kept candidate is also what reconstruction from scratch
+    would give, since it already meets the smaller bound of an earlier
+    modulus.
     """
 
     def __init__(self, piv: List[int], n: int):
@@ -223,7 +227,7 @@ class _KernelLift:
         size = len(self.free) * len(piv)
         self.modulus = 1
         self.residues = [0] * size
-        self.values: List[Optional[Fraction]] = [None] * size
+        self.values: List[Optional[Tuple[int, int]]] = [None] * size
 
     def add_prime(self, p: int, red: List[List[int]]) -> Optional[List[List[int]]]:
         """Fold in one prime's echelon rows; return the candidate basis once
@@ -242,7 +246,7 @@ class _KernelLift:
                 a = residues[i]
                 residues[i] = a + m * ((-r - a) * inv % p)
                 v = values[i]
-                if v is not None and (v.numerator + v.denominator * r) % p:
+                if v is not None and (v[0] + v[1] * r) % p:
                     values[i] = None
                 i += 1
         self.modulus = m = m * p
@@ -256,11 +260,11 @@ class _KernelLift:
         k = len(self.piv)
         for i, f in enumerate(self.free):
             entries = values[i * k : (i + 1) * k]
-            den = lcm(*(x.denominator for x in entries))
+            den = lcm(*(d for _, d in entries))
             v = [0] * self.n
             v[f] = den
-            for c, x in zip(self.piv, entries):
-                v[c] = x.numerator * (den // x.denominator)
+            for c, (num, d) in zip(self.piv, entries):
+                v[c] = num * (den // d)
             basis.append(v)
         return basis
 

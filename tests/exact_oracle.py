@@ -7,7 +7,11 @@ multi-modular engine it checks.
 
 The full truncated jet systems, web and multi-point pattern, built in one
 piece at one order and solved by one certified nullspace: the systems that
-the rank ladders of planarweb.jets prolong a degree at a time.
+the rank ladders of planarweb.jets prolong a degree at a time.  Their rows
+come from this module's own builder, _jet_rows: full-width primitive
+integer rows, one per monomial, read from the base point's jet blocks.  The
+ladders share no row code with it, since each rung forms its small system
+from the blocks directly.
 
 The pattern rank with its sub-solutions read from the ladders of the
 (N - 1)-subwebs and every span ranked in the web's nK jet columns, as
@@ -22,7 +26,7 @@ linear algebra reads (planarweb.web.BasePoint, built on RatFunc.translate).
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Tuple
 
 from planarweb.errors import PoleAtCenter
@@ -30,7 +34,6 @@ from planarweb.jets import (
     KernelBasis,
     _embed,
     _jet_columns,
-    _jet_rows,
     _ladder_kernel,
     _pattern_systems,
     _stabilized_dims,
@@ -108,6 +111,34 @@ def free_columns(basis):
     for i, f in enumerate(free):
         assert all(w[f] == 0 for j, w in enumerate(basis) if j != i), f
     return free
+
+
+def _jet_rows(base, terms, degree, n_cols, first_power):
+    """The degree-`degree` rows of sum over terms (i, m, col) of
+    m * sum_k c_{col+k} v_i^k, k = first_power..degree, read from the base
+    point's jet table: one row per monomial of that total degree with a
+    nonzero coefficient.  The coefficients of a degree-n monomial in
+    v_i^0..v_i^n are one block row over d0_i^(2n), so each row is the sum of
+    m * block row times the lcm of the d0_i^(2n) it touches over d0_i^(2n),
+    divided by its gcd: the primitive integer row proportional to the
+    rational one.  Terms may share a col (a pattern's germ blocks), so
+    their entries add."""
+    blocks = [(base.jet_block(i, degree), m, col) for i, m, col in terms]
+    rows = []
+    for a in range(degree + 1):
+        hits = [(den, m, col, cs[a]) for (den, cs), m, col in blocks if any(cs[a][first_power:])]
+        if not hits:
+            continue
+        scale = lcm(*(den for den, _, _, _ in hits))
+        row = [0] * n_cols
+        for den, m, col, cs in hits:
+            f = m * (scale // den)
+            for k in range(first_power, degree + 1):
+                row[col + k] += f * cs[k]
+        g = gcd(*row)
+        if g:
+            rows.append([x // g for x in row] if g > 1 else row)
+    return rows
 
 
 class JetSystem:

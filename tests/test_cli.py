@@ -167,6 +167,8 @@ def test_nonpositive_tolerance_is_usage_error(tolerance):
         ("--max-order", "4"),
         ("--stabilize", "50"),
         ("--max-order", "6", "--stabilize", "3"),
+        # a 3-subweb's default cap is order 6: orders 3..6 cannot stabilize over 5
+        ("--subwebs", "3", "--stabilize", "5"),
     ],
 )
 def test_bad_rank_argument_is_usage_error(option):
@@ -181,6 +183,33 @@ def test_bad_rank_argument_is_usage_error(option):
     # reported as InvalidParameter
     if proc.stdout:
         assert json.loads(proc.stdout)["type"] == "InvalidParameter"
+
+
+@pytest.mark.parametrize(
+    "options,stop_rule",
+    [(["--stabilize", "4"], (4, None)), (["--stabilize", "5", "--max-order", "9"], (5, 9))],
+)
+def test_stop_rule_options_reach_every_rank(options, stop_rule, monkeypatch, capsys):
+    # the web's rank, its filtration's (the web's again and its 10 + 5 + 1
+    # p-subwebs') and the 10 triples of --subwebs all take the user's rule
+    import planarweb.jets as jets
+    from planarweb.cli import main
+
+    calls = []
+    stabilized = jets._stabilized_dims
+
+    def recorded(n, dim_at, failure, stabilize=3, max_order=None):
+        calls.append((n, (stabilize, max_order)))
+        return stabilized(n, dim_at, failure, stabilize, max_order)
+
+    monkeypatch.setattr(jets, "_stabilized_dims", recorded)
+    argv = ["rank", fixture_path("bol.web"), "--filtration", "--subwebs", "3", *options]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["rank"] == 6 and doc["filtration"] == {"3": 5, "4": 5, "5": 6}
+    assert [e["rank"] for e in doc["subwebs"]] == [1] * 10
+    assert sorted(n for n, _ in calls) == [3] * 20 + [4] * 5 + [5] * 3
+    assert {rule for _, rule in calls} == {stop_rule}
 
 
 @pytest.mark.parametrize("point", ["0,0", "1,1", "1/3,1/3", "2/3,1"])

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
-from math import lcm
+from itertools import islice
+from math import gcd, isqrt, lcm, prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from exact_oracle import free_columns, greedy_independent
 from planarweb import linalg
@@ -11,6 +13,7 @@ from planarweb.linalg import (
     exact_rank_of_span,
     independent_rows,
     invertible_columns,
+    prime_stream,
     rational_reconstruct,
 )
 
@@ -96,8 +99,6 @@ def test_rank_of_span():
 
 def test_rational_reconstruction_roundtrip():
     rng = random.Random(5)
-    from planarweb.linalg import prime_stream
-
     primes = []
     stream = prime_stream()
     for _ in range(4):
@@ -108,8 +109,34 @@ def test_rational_reconstruction_roundtrip():
     for _ in range(50):
         q = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6))
         a = q.numerator * pow(q.denominator, -1, m) % m
-        assert rational_reconstruct(a, m) == q
+        assert rational_reconstruct(a, m) == (q.numerator, q.denominator)
 
+
+# moduli that are products of one to three of the first six stream primes
+STREAM_PRIMES = list(islice(prime_stream(), 6))
+MODULI = st.lists(st.sampled_from(STREAM_PRIMES), min_size=1, max_size=3, unique=True).map(prod)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=MODULI, data=st.data())
+def test_rational_reconstruction_returns_the_pair_within_the_bound(m, data):
+    bound = isqrt(m // 2)
+    # every n/d within the bound comes back as its pair, d > 0, gcd 1
+    n = data.draw(st.integers(-bound, bound), label="n")
+    d = data.draw(st.integers(1, bound), label="d")
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    assume(gcd(d, m) == 1)
+    assert rational_reconstruct(n * pow(d, -1, m) % m, m) == (n, d)
+    assert rational_reconstruct(0, m) == (0, 1)
+    # a pair returned for any residue is a solution within the bound
+    a = data.draw(st.integers(0, m - 1), label="a")
+    pair = rational_reconstruct(a, m)
+    if pair is not None:
+        num, den = pair
+        assert den > 0 and gcd(num, den) == 1
+        assert abs(num) <= bound and den <= bound
+        assert (num - a * den) % m == 0
 
 
 def rank_deficient_vectors(rng, count, dim, big):
