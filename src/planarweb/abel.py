@@ -14,15 +14,17 @@ rational function is formed during elimination.
 
 The target's transverse differentiation is the same step with the target as
 pivot, once it is the only unknown left.  When that step leaves nothing, every
-ratio A_j / A_top depends on the target's integral alone; only those ratios
-become rational functions, re-expressed univariately.
+ratio A_j / A_top depends on the target's integral U alone; only those ratios
+become rational functions, each re-expressed as g(U) by one exact solve at a
+degree proven from deg A_j / A_top and deg U (`reexpress`).  So a ratio that
+finds no g is proven not rational in U, not merely missed by a search.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import (
     NoRationalExpression,
@@ -147,19 +149,14 @@ def reduce_step(eq: Adfe, pivot: int) -> Adfe:
 
 
 class UnivarODE:
-    """Linear ODE sum_j c_j(v) g^(j)(v) = 0 with monic top coefficient."""
+    """Linear ODE sum_j c_j(v) g^(j)(v) = 0, its coefficients c_0..c_order
+    with c_order = 1."""
 
-    def __init__(self, variable: str, coeffs: Sequence[RatFunc], trace: Optional[List[dict]] = None):
+    def __init__(self, variable: str, coeffs: Sequence[RatFunc], trace: List[dict]):
         self.variable = variable
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if len(coeffs) < 2:
-            raise ValueError("an ODE needs order >= 1")
-        lead = coeffs[-1]
-        self.coeffs = [c / lead for c in coeffs]
+        self.coeffs = list(coeffs)
         self.order = len(self.coeffs) - 1
-        self.derivation_trace = trace or []
+        self.derivation_trace = trace
 
     def coefficient_strings(self) -> List[str]:
         return [format_ratfunc(c, (self.variable, "_")) for c in self.coeffs]
@@ -177,50 +174,49 @@ class UnivarODE:
         return " + ".join(terms) + " = 0"
 
 
-def reexpress(f: RatFunc, u: Foliation, degree_bound: int) -> RatFunc:
-    """Find a univariate rational g with g(U) = f, U the integral of u, by
-    exact linear algebra on P(U) den_f - Q(U) num_f = 0.  The result uses
-    the variable x."""
+def reexpress(f: RatFunc, u: Foliation) -> RatFunc:
+    """The univariate rational g, in the variable x, with g(U) = f for U the
+    integral of u, from one exact solve at the degree d = max(deg f.num,
+    deg f.den) // e, e = max(deg U.num, deg U.den) >= 1.
+
+    The degree is proven.  Both pairs are coprime, so on a generic line
+    (off their finitely many common zeros, in a direction where every
+    polynomial keeps its total degree) U restricts to a map P^1 -> P^1 of
+    degree e and f to one of degree max(deg f.num, deg f.den).  Degrees of
+    rational maps multiply under composition, so f = g(U) gives
+    deg g = max(deg f) / e <= d.
+
+    The solve is a certificate.  The unknowns are the coefficients of P and
+    Q, of degree <= d, in P(U) den_f - Q(U) num_f = 0 cleared by U.den^d.
+    U is not constant, so P(U) = 0 only for P = 0: every nonzero kernel
+    vector has Q != 0 and P(U) / Q(U) = f, hence P / Q = g.  So the kernel
+    is empty iff f is not rational in U, and then NoRationalExpression is a
+    proof, not a failed search."""
     if not depends_only_on(f, u):
         raise NoRationalExpression("f is not constant on the level curves of u")
-    if f.is_constant():
-        return RatFunc.const(f.constant_value())
-    d = max(degree_bound, 1)
-    for _ in range(3):
-        sol = _reexpress_attempt(f, u.integral, d)
-        if sol is not None:
-            return sol
-        d *= 2
-    raise NoRationalExpression(
-        f"no rational expression of degree <= {d // 2} (f may be algebraic in u)"
-    )
-
-
-def _reexpress_attempt(f: RatFunc, u: RatFunc, d: int) -> Optional[RatFunc]:
-    un, ud = u.num, u.den
-    # powers u^k cleared by ud^d
-    pows = [BivarPoly.const(1)]
+    un, ud = u.integral.num, u.integral.den
+    e = max(un.total_degree(), ud.total_degree())
+    d = max(f.num.total_degree(), f.den.total_degree()) // e
+    # U^k cleared by ud^d: un^k ud^(d-k)
+    pows, clear = [BivarPoly.const(1)], [BivarPoly.const(1)]
     for _ in range(d):
         pows.append(pows[-1] * un)
-    clear = [BivarPoly.const(1)]
-    for _ in range(d):
         clear.append(clear[-1] * ud)
     lifted = [pows[k] * clear[d - k] for k in range(d + 1)]
     # unknowns p_0..p_d, q_0..q_d:  sum p_k L_k * den_f - sum q_k L_k * num_f = 0
     cols: List[BivarPoly] = [lk * f.den for lk in lifted] + [-(lk * f.num) for lk in lifted]
-    monomials = sorted({e for col in cols for e in col.terms})
-    matrix = [[col.terms.get(e, 0) for col in cols] for e in monomials]
+    monomials = sorted({m for col in cols for m in col.terms})
+    matrix = [[col.terms.get(m, 0) for col in cols] for m in monomials]
     kern = exact_nullspace(matrix, n_cols=len(cols))
-    for vec in kern.basis:
-        p = BivarPoly({(k, 0): vec[k] for k in range(d + 1)})
-        q = BivarPoly({(k, 0): vec[d + 1 + k] for k in range(d + 1)})
-        if q.is_zero():
-            continue
-        g = RatFunc(p, q)
-        # symbolic verification g(u) == f
-        if g.substitute(u, RatFunc.var("y")) == f:
-            return g
-    return None
+    if not kern.basis:
+        raise NoRationalExpression(f"f is not rational in u: no g of degree <= {d} (deg f // deg U)")
+    vec = kern.basis[0]
+    p = BivarPoly({(k, 0): vec[k] for k in range(d + 1)})
+    q = BivarPoly({(k, 0): vec[d + 1 + k] for k in range(d + 1)})
+    g = RatFunc(p, q)
+    if g.substitute(u.integral, RatFunc.var("y")) != f:
+        raise AssertionError(f"re-expressed {g} does not give back {f}")
+    return g
 
 
 def derive_lde(web: Web, target: int) -> UnivarODE:
@@ -229,8 +225,10 @@ def derive_lde(web: Web, target: int) -> UnivarODE:
 
     Every step is `reduce_step`.  The pivot is the lowest active non-target,
     and the target itself once it is alone: that step differentiates along
-    the target's level field.  When it leaves nothing, the ratios
-    A_j / A_top are re-expressed univariately.
+    the target's level field.  When it leaves nothing, each ratio
+    A_j / A_top is re-expressed as g(U) for the target's integral U by
+    `reexpress`, so the ODE is monic of order >= 1; NotPurelyUnivariate
+    certifies that a ratio is not rational in U.
     """
     if not 1 <= target <= web.size:
         raise ValueError("target out of range")
@@ -259,27 +257,14 @@ def derive_lde(web: Web, target: int) -> UnivarODE:
     top = eq.coeffs[(t, order)]
     coeffs = [RatFunc.const(0)] * (order + 1)
     for (_, j), c in eq.coeffs.items():
-        coeffs[j] = _to_univar(RatFunc(c, top), eq.foliations[t])
+        ratio = RatFunc(c, top)
+        try:
+            coeffs[j] = reexpress(ratio, eq.foliations[t])
+        except NoRationalExpression as exc:
+            raise NotPurelyUnivariate(
+                f"coefficient {ratio} is not rational in the target integral", equation=ratio
+            ) from exc
     return UnivarODE("v", coeffs, trace)
-
-
-def _to_univar(c: RatFunc, f_t: Foliation) -> RatFunc:
-    if c.is_constant():
-        return RatFunc.const(c.constant_value())
-    v_t = f_t.integral
-    bound = 2 * max(
-        c.num.total_degree(),
-        c.den.total_degree(),
-        v_t.num.total_degree(),
-        v_t.den.total_degree(),
-        1,
-    )
-    try:
-        return reexpress(c, f_t, bound)
-    except NoRationalExpression as exc:
-        raise NotPurelyUnivariate(
-            f"coefficient {c} is not rational in the target integral", equation=c
-        ) from exc
 
 
 def genericity_certificate(web: Web) -> dict:

@@ -309,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         help="highest jet order of every ladder the command climbs, the web's and each "
-        "subweb's of --filtration and --subwebs (default N(N-1)/2 + 3 for a ladder of N "
-        "foliations)",
+        "subweb's of --filtration and --subwebs (default N(N-1)/2 + --stabilize for a "
+        "ladder of N foliations)",
     )
     sp.add_argument(
         "--stabilize",

@@ -34,8 +34,10 @@ columns and the kernel {0}, and for rows stacked over several base points.
 What is heuristic.  Only the stop rule, and only for a nonzero rank: K
 starts at N and grows by 1, and the rank is taken to be the dimension once
 `stabilize` (default three) consecutive orders give equal dimensions, with
-a hard cap N(N-1)/2 + 3.  The stop rule is `_stabilized_dims`, shared by
-the web rank and the pattern rank.
+a hard cap N(N-1)/2 + `stabilize` for a ladder of N foliations (so
+N(N-1)/2 + 3 by default) unless the caller fixes one cap for every ladder.
+The stop rule is `_stabilized_dims`, shared by the web rank and the pattern
+rank.
 
 The rank ladder.  A ladder is a list of systems, each a base point with its
 terms (slot, multiplier, block), over columns laid out block by block,
@@ -210,11 +212,12 @@ def bol_bound(n: int) -> int:
 
 def _stabilized_dims(n, dim_at, failure, stabilize=3, max_order=None) -> Dict[int, int]:
     """dim_at(K) for K = N, N + 1, .. until the last `stabilize` dims are
-    equal, capped at max_order (default N(N-1)/2 + 3).  Returns the dims by
-    order; at the cap raises NotStabilized with the message `failure`,
-    formatted with the cap and the dims.  A ladder with fewer than
-    `stabilize` orders can never stop, so it is an InvalidParameter."""
-    cap = max_order if max_order is not None else n * (n - 1) // 2 + 3
+    equal, capped at max_order (default N(N-1)/2 + stabilize, per ladder).
+    Returns the dims by order; at the cap raises NotStabilized with the
+    message `failure`, formatted with the cap and the dims.  A ladder with
+    fewer than `stabilize` orders can never stop, so it is an
+    InvalidParameter; only an explicit max_order can leave that few."""
+    cap = max_order if max_order is not None else n * (n - 1) // 2 + stabilize
     if stabilize > cap - n + 1:
         raise InvalidParameter(f"a {n}-web's orders {n}..{cap} are too few to stabilize over {stabilize}")
     dims: Dict[int, int] = {}

@@ -157,12 +157,18 @@ def test_depends_only_on_examples():
 
 def test_reexpress_examples():
     u = Foliation(P("x/y"))
-    g = reexpress(P("(x-y)/(x+y)"), u, 2)
+    g = reexpress(P("(x-y)/(x+y)"), u)
     assert g == P("(x-1)/(x+1)")
-    assert reexpress(P("x/y"), u, 1) == P("x")
-    assert reexpress(P("5"), u, 1) == P("5")
+    assert reexpress(P("x/y"), u) == P("x")
+    assert reexpress(P("5"), u) == P("5")
     with pytest.raises(NoRationalExpression):
-        reexpress(P("x"), Foliation(P("y")), 3)
+        reexpress(P("x"), Foliation(P("y")))
+    # constant on the level curves of U, yet not rational in U: the solve at
+    # the proven degree (here 0) has an empty kernel
+    for f, v in [("x", "x^2"), ("x*y", "x^2*y^2 + 1")]:
+        assert depends_only_on(P(f), Foliation(P(v)))
+        with pytest.raises(NoRationalExpression):
+            reexpress(P(f), Foliation(P(v)))
 
 
 def test_genericity_examples(cauchy_web, bol_web):

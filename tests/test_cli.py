@@ -165,10 +165,10 @@ def test_nonpositive_tolerance_is_usage_error(tolerance):
         ("--subwebs", "6"),
         ("--max-order", "0"),
         ("--max-order", "4"),
-        ("--stabilize", "50"),
+        # orders 5..40 cannot stabilize over 50 (without --max-order each
+        # ladder's cap leaves room for --stabilize)
+        ("--stabilize", "50", "--max-order", "40"),
         ("--max-order", "6", "--stabilize", "3"),
-        # a 3-subweb's default cap is order 6: orders 3..6 cannot stabilize over 5
-        ("--subwebs", "3", "--stabilize", "5"),
     ],
 )
 def test_bad_rank_argument_is_usage_error(option):
@@ -187,7 +187,12 @@ def test_bad_rank_argument_is_usage_error(option):
 
 @pytest.mark.parametrize(
     "options,stop_rule",
-    [(["--stabilize", "4"], (4, None)), (["--stabilize", "5", "--max-order", "9"], (5, 9))],
+    [
+        (["--stabilize", "4"], (4, None)),
+        (["--stabilize", "5", "--max-order", "9"], (5, 9)),
+        # a triple's default cap is 3 + 5: --stabilize alone leaves it orders 3..8
+        (["--stabilize", "5"], (5, None)),
+    ],
 )
 def test_stop_rule_options_reach_every_rank(options, stop_rule, monkeypatch, capsys):
     # the web's rank, its filtration's (the web's again and its 10 + 5 + 1

@@ -14,6 +14,7 @@ from exact_oracle import taylor
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mpf
 
+from planarweb.abel import reexpress
 from planarweb.errors import DegenerateMap, PoleAtCenter
 from planarweb.jets import bol_bound, rank_only
 from planarweb.parse import format_ratfunc, parse_ratfunc
@@ -291,6 +292,33 @@ def test_kernel_monotonic_random_small_webs():
         dims = [JetSystem(web, bp, k).nullspace().dimension for k in range(3, 8)]
         assert all(a >= b for a, b in zip(dims, dims[1:])), (picks, dims)
         done += 1
+
+
+# --- univariate re-expression ---------------------------------------------
+
+# the fixtures' integrals and two of higher degree, one with a denominator
+fixture_webs = ["bol", "cauchy", "arctan", "configc", "sk"]
+target_integrals = [u for name in fixture_webs for u in load_web(fixture_path(f"{name}.web")).integrals()]
+target_integrals += [parse_ratfunc("x^2"), parse_ratfunc("(x^2+y^2)/(x*y-1)")]
+# univariate polynomials in x of degree <= 3
+univariate = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(
+    lambda cs: BivarPoly({(k, 0): c for k, c in enumerate(cs)})
+)
+
+
+def _degree(f):
+    return max(f.num.total_degree(), f.den.total_degree())
+
+
+@settings(max_examples=300, deadline=None)
+@given(univariate, univariate.filter(lambda q: not q.is_zero()), st.sampled_from(target_integrals))
+def test_reexpress_recovers_g_at_the_proven_degree(p, q, u):
+    # f = g(U) has degree deg g * deg U exactly, so reexpress's bound
+    # max(deg f) // deg U is attained and its one solve returns g
+    g = RatFunc(p, q)
+    f = g.substitute(u, RatFunc.var("y"))
+    assert reexpress(f, Foliation(u)) == g
+    assert _degree(f) == _degree(g) * _degree(u)
 
 
 # --- configuration webs --------------------------------------------------------
