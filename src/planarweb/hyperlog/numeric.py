@@ -544,11 +544,14 @@ class WordEvaluator:
         """The h^0 coefficient of each log power of every closure word's
         expansion at the letter point pt (local_expansions_at), computed on
         the first call at pt and kept, like the waypoints, for the
-        evaluator's lifetime."""
+        evaluator's lifetime.  Only those coefficients leave fixed point."""
         consts = self._letter_constants.get(pt)
         if consts is None:
-            exps = self.local_expansions_at(pt)
-            consts = self._letter_constants[pt] = {w: [s[0] for s in slices] for w, slices in exps.items()}
+            series, _ = self._local_series_at(pt)
+            mp, prec = self.mp, self.prec
+            consts = self._letter_constants[pt] = {
+                w: [_from_fixed((r[0], i[0]), prec, mp) for r, i in series[w]] for w in self.closure
+            }
         return consts
 
     def local_expansions_at(self, letter_point) -> Dict[Word, List[List]]:
@@ -557,19 +560,7 @@ class WordEvaluator:
         by transport from an anchor.  The h^0 log^0 coefficients are the
         regularized values at the point."""
         mp, prec = self.mp, self.prec
-        pt = Fraction(letter_point)
-        rho = min(
-            (abs(pt - q) for q in self.alphabet.points.values() if q != pt), default=Fraction(1)
-        )
-        # slice variable log(direction * h): real along the approach ray, so
-        # the extracted constants follow the real-parameter shuffle
-        # regularization (log(1-z) slices at the point 1, etc.)
-        direction = 1 if _exact(self.anchor) >= pt else -1
-        near = pt + direction * rho / 2
-        p = mp.mpf(near.numerator) / near.denominator
-        H = _exact(p) - pt  # exactly p - pt, p rounded to the working precision
-        at = self._fixed_values_along(self.route(p))
-        series, _ = _log_series(self.alphabet, self.closure, pt, H, self.n_terms, prec, at)
+        series, H = self._local_series_at(Fraction(letter_point))
         # the coefficient of h**n is the scaled one over H**n
         inv_h = mp.mpf(H.denominator) / H.numerator
         return {
@@ -579,6 +570,24 @@ class WordEvaluator:
             ]
             for w in self.closure
         }
+
+    def _local_series_at(self, pt: Fraction):
+        """(series, H): the fixed-point log series of every closure word at
+        the letter point pt (_log_series), scaled to h = H, with the branch
+        constants fixed by transport from an anchor to pt + H."""
+        rho = min(
+            (abs(pt - q) for q in self.alphabet.points.values() if q != pt), default=Fraction(1)
+        )
+        # slice variable log(direction * h): real along the approach ray, so
+        # the extracted constants follow the real-parameter shuffle
+        # regularization (log(1-z) slices at the point 1, etc.)
+        direction = 1 if _exact(self.anchor) >= pt else -1
+        near = pt + direction * rho / 2
+        p = self.mp.mpf(near.numerator) / near.denominator
+        H = _exact(p) - pt  # exactly p - pt, p rounded to the working precision
+        at = self._fixed_values_along(self.route(p))
+        series, _ = _log_series(self.alphabet, self.closure, pt, H, self.n_terms, self.prec, at)
+        return series, H
 
 
 def eval_word(

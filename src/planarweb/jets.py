@@ -8,8 +8,8 @@ sum_i sum_k c_{i,k} (U_i - U_i(base))^k.  Starting the k-range at 1 quotients
 the constants out, so the stabilized kernel dimension is the rank.
 
 What is certified.  Each truncated kernel dimension is exact: the kernel is
-computed modulo primes and verified over Q (see linalg), so it does not
-depend on which primes were lucky.  At an order K >= N - 2 it is also an
+read from an exact Gauss-Jordan elimination over Z (see linalg), whose row
+operations are invertible over Q.  At an order K >= N - 2 it is also an
 upper bound on the rank.  A relation whose F_i have zero derivatives 1..K
 at the base images satisfies sum_i c_i l_i^(K+1) = 0 in degree K + 1, with
 l_i = dU_i(base); powers l_i^m of pairwise non-proportional linear forms
@@ -72,10 +72,10 @@ jet of the filtration, every sub-solution jet and every projected pattern
 vector lies in the web's kernel ker_K at the order read: at the base point
 the pattern's rows of degree >= 1 are the web's rows with
 F_i = m_i G_class(i).  A basis v_1..v_d of ker_K has d columns on which
-it is an invertible d x d matrix, the pivots of one mod-p elimination at a
-prime where its rank is d (`linalg.invertible_columns`: a minor nonzero mod
-p is nonzero over Z), so restricting to them is injective on ker_K, and
-span ranks and greedy subsets are taken in d coordinates instead of nK.
+it is an invertible d x d matrix, the pivot columns of its exact
+elimination (`linalg.invertible_columns`), so restricting to them is
+injective on ker_K, and span ranks and greedy subsets are taken in d
+coordinates instead of nK.
 
 The jet table.  Rows are built from one table per (web, point), held by
 its BasePoint: for each integral one block per degree n, the coefficients

@@ -1,9 +1,10 @@
 """Test oracles.
 
-A plain Fraction span reducer, independent of planarweb.linalg: membership
-and greedy selection by incremental Gauss elimination over Q, with no
-modular arithmetic, so it shares no code path with the certified
-multi-modular engine it checks.
+A plain Fraction span reducer and a Fraction reduced row echelon form,
+independent of planarweb.linalg: membership, greedy selection, pivots and
+the canonical kernel basis by Gauss elimination over Q, with no integer
+row scaling, so they share no code path with the integer Gauss-Jordan
+engine they check.
 
 The full truncated jet systems, web and multi-point pattern, built in one
 piece at one order and solved by one certified nullspace: the systems that
@@ -84,6 +85,44 @@ def greedy_independent(vectors):
     """Indices of the vectors that enlarge the span of those before them."""
     span = FractionSpan()
     return [i for i, v in enumerate(vectors) if span.add(v)]
+
+
+def fraction_rref(rows, n):
+    """(pivot columns, nonzero rows of the reduced row echelon form) over Q
+    of a matrix with n columns, by plain Fraction Gauss-Jordan elimination:
+    the first nonzero entry at or below the current row is the pivot, and
+    its row is scaled to a leading 1."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pr = m[rank]
+        pr[:] = [v / pr[c] for v in pr]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], pr)]
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+def rref_kernel(rows, n):
+    """The canonical kernel basis over Q, one vector per free column f in
+    increasing order: 1 at f, minus the RREF entry of column f at each
+    pivot column, 0 elsewhere."""
+    pivots, red = fraction_rref(rows, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for c, row in zip(pivots, red):
+            v[c] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def assert_primitive(basis):

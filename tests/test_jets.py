@@ -94,11 +94,17 @@ def test_filtration_bol(bol_web):
     assert dims == {3: 5, 4: 5, 5: 6}
 
 
-def test_filtration_cauchy_and_configc(cauchy_web, configc_web):
+def test_filtration_cauchy_and_configc(cauchy_web, configc_web, sk_web):
     # ranked on the pivot columns of the web's kernel, as frozen from the
     # ranks in all nK jet columns
     assert filtration_dims(cauchy_web) == {3: 1}
     assert filtration_dims(configc_web) == {3: 14, 4: 14, 5: 17, 6: 21, 7: 21, 8: 21}
+    # sk's spans, in the 28 coordinates of its kernel, are the largest
+    # systems that linalg eliminates
+    base = pick_generic_point(sk_web, seed=0, preferred=DEFAULT_POINT)
+    rank, basis = abelian_rank(sk_web, base)
+    assert (rank, basis.order) == (28, 9)
+    assert filtration_dims(sk_web, base) == {3: 17, 4: 20, 5: 23, 6: 26, 7: 26, 8: 26, 9: 28}
 
 
 def test_hexagonality_examples():

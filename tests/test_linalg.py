@@ -1,40 +1,23 @@
 import random
 from fractions import Fraction
-from itertools import islice
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from exact_oracle import free_columns, greedy_independent
+from exact_oracle import fraction_rref, free_columns, greedy_independent, rref_kernel
 from planarweb import linalg
 from planarweb.linalg import (
     exact_nullspace,
     exact_rank_of_span,
     independent_rows,
     invertible_columns,
-    prime_stream,
-    rational_reconstruct,
 )
 
 
 def brute_nullspace_dim(rows, n):
-    """Independent oracle: plain Fraction Gauss elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    for c in range(n):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pr = m[rank]
-        pr[:] = [v / pr[c] for v in pr]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], pr)]
-        rank += 1
-    return n - rank
+    """Independent oracle: the nullity of the Fraction RREF."""
+    return n - len(fraction_rref(rows, n)[0])
 
 
 def cleared(rows):
@@ -97,48 +80,6 @@ def test_rank_of_span():
     assert exact_rank_of_span(cleared(vecs)) == 2
 
 
-def test_rational_reconstruction_roundtrip():
-    rng = random.Random(5)
-    primes = []
-    stream = prime_stream()
-    for _ in range(4):
-        primes.append(next(stream))
-    m = 1
-    for p in primes:
-        m *= p
-    for _ in range(50):
-        q = Fraction(rng.randrange(-10**6, 10**6), rng.randrange(1, 10**6))
-        a = q.numerator * pow(q.denominator, -1, m) % m
-        assert rational_reconstruct(a, m) == (q.numerator, q.denominator)
-
-
-# moduli that are products of one to three of the first six stream primes
-STREAM_PRIMES = list(islice(prime_stream(), 6))
-MODULI = st.lists(st.sampled_from(STREAM_PRIMES), min_size=1, max_size=3, unique=True).map(prod)
-
-
-@settings(max_examples=200, deadline=None)
-@given(m=MODULI, data=st.data())
-def test_rational_reconstruction_returns_the_pair_within_the_bound(m, data):
-    bound = isqrt(m // 2)
-    # every n/d within the bound comes back as its pair, d > 0, gcd 1
-    n = data.draw(st.integers(-bound, bound), label="n")
-    d = data.draw(st.integers(1, bound), label="d")
-    g = gcd(n, d)
-    n, d = n // g, d // g
-    assume(gcd(d, m) == 1)
-    assert rational_reconstruct(n * pow(d, -1, m) % m, m) == (n, d)
-    assert rational_reconstruct(0, m) == (0, 1)
-    # a pair returned for any residue is a solution within the bound
-    a = data.draw(st.integers(0, m - 1), label="a")
-    pair = rational_reconstruct(a, m)
-    if pair is not None:
-        num, den = pair
-        assert den > 0 and gcd(num, den) == 1
-        assert abs(num) <= bound and den <= bound
-        assert (num - a * den) % m == 0
-
-
 def rank_deficient_vectors(rng, count, dim, big):
     """Vectors built from a few random generators, with zero and repeated
     vectors mixed in; entries reach 10^60 when big is set."""
@@ -176,105 +117,35 @@ def test_independent_rows_degenerate_inputs():
     assert independent_rows(cleared([v, [Fraction(0)] * 3, v, [2 * x for x in v]])) == [0]
 
 
-def test_prime_stream_is_decreasing_62_bit_primes():
-    sympy = pytest.importorskip("sympy")
-    stream = linalg.prime_stream()
-    primes = [next(stream) for _ in range(12)]
-    assert primes == sorted(set(primes), reverse=True)
-    assert all(2**61 < p < 2**62 and sympy.isprime(p) for p in primes)
-    # no prime is skipped between the first and the last
-    assert [q for q in range(primes[-1], 2**62) if sympy.isprime(q)] == primes[::-1]
+# the prime 2^62 - 57: modulo it the row [P0, 1] has its pivot at column 1,
+# over Q at column 0
+P0 = 4611686018427387847
 
 
-def reference_rref(rows, p):
-    """Reduced echelon form mod p, reduced after every operation."""
-    m = [[v % p for v in row] for row in rows]
-    pivots = []
-    for c in range(len(m[0]) if m else 0):
-        r = len(pivots)
-        i = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if i is None:
-            continue
-        m[r], m[i] = m[i], m[r]
-        inv = pow(m[r][c], -1, p)
-        m[r] = [v * inv % p for v in m[r]]
-        for k in range(len(m)):
-            if k != r:
-                f = m[k][c]
-                m[k] = [(a - f * b) % p for a, b in zip(m[k], m[r])]
-        pivots.append(c)
-    return pivots, m[: len(pivots)]
-
-
-@pytest.mark.parametrize("p", [linalg._prime(0), 7])
-def test_modp_rref_matches_reference(p):
-    # negative entries, multiples of p, zero rows, tall and rank-deficient
-    # matrices; at p = 7 many pivots vanish mod p
-    rng = random.Random(p % 1000)
-    for trial in range(300):
-        n_rows, n_cols = rng.randrange(0, 10), rng.randrange(1, 9)
-        gens = [
-            [rng.choice([0, p, -3 * p, rng.randrange(-p, p), rng.randrange(-20, 20)])
-             for _ in range(n_cols)]
-            for _ in range(rng.randrange(1, n_cols + 1))
-        ]
-        rows = []
-        for _ in range(n_rows):
-            if rng.random() < 0.15:
-                rows.append([0] * n_cols)
-            else:
-                cs = [rng.randrange(-5, 6) for _ in gens]
-                rows.append([sum(c * g[j] for c, g in zip(cs, gens)) for j in range(n_cols)])
-        assert linalg.modp_rref(rows, p) == reference_rref(rows, p), (trial, rows)
-
-
-def count_modp_rref(monkeypatch, limit=None):
-    """Count exact_nullspace's mod-p eliminations; past `limit` calls fail
-    the test instead of letting it run on."""
-    calls = []
-    real = linalg.modp_rref
-
-    def counted(rows, p):
-        calls.append(p)
-        if limit is not None and len(calls) > limit:
-            pytest.fail(f"more than {limit} primes")
-        return real(rows, p)
-
-    monkeypatch.setattr(linalg, "modp_rref", counted)
-    return calls
-
-
-def test_first_prime_dividing_an_entry(monkeypatch):
-    # 2^62 - 57 is the first prime of the stream: modulo it the pivot is
-    # column 1, modulo every later prime column 0 (the pivot over Q)
-    p0 = next(linalg.prime_stream())
-    assert p0 == 4611686018427387847
-    count_modp_rref(monkeypatch, limit=20)
-    kern = exact_nullspace([[p0, 1]])
+def test_first_prime_dividing_an_entry():
+    kern = exact_nullspace([[P0, 1]])
     assert kern.dimension == 1
     assert kern.pivot_cols == [0]
-    assert kern.basis == [[-1, p0]]
-    assert independent_rows([[p0], [1]]) == [0]
-    kern = exact_nullspace([[p0, 1], [0, 1]])
+    assert kern.basis == [[-1, P0]]
+    assert independent_rows([[P0], [1]]) == [0]
+    kern = exact_nullspace([[P0, 1], [0, 1]])
     assert (kern.dimension, kern.basis, kern.pivot_cols) == (0, [], [0, 1])
 
 
-def test_invertible_columns_skip_a_prime_of_lower_rank(monkeypatch):
-    # modulo the first prime p0 the rows [p0, 1] and [0, 1] have rank 1, so
-    # their columns are read at the second prime, where the rank is 2
-    p0 = next(linalg.prime_stream())
-    calls = count_modp_rref(monkeypatch)
-    assert invertible_columns([[p0, 1], [0, 1]]) == [0, 1]
-    assert calls == [p0, linalg._prime(1)]
+def test_invertible_columns_skip_a_prime_of_lower_rank():
+    # modulo P0 the rows [P0, 1] and [0, 1] have rank 1, over Q rank 2
+    assert invertible_columns([[P0, 1], [0, 1]]) == [0, 1]
     assert invertible_columns([[0, 3, 1], [0, 6, 5]]) == [1, 2]
     assert invertible_columns([]) == []
+    with pytest.raises(ValueError):
+        invertible_columns([[1, 2, 3], [0, 0, 0]])
+    with pytest.raises(ValueError):
+        invertible_columns([[P0, 1], [2 * P0, 2]])
 
 
-def test_full_column_rank_needs_one_prime(monkeypatch):
-    calls = count_modp_rref(monkeypatch)
+def test_full_column_rank_needs_one_prime():
     kern = exact_nullspace([[1, 2], [3, 4], [5, 6]])
     assert (kern.dimension, kern.basis, kern.pivot_cols) == (0, [], [0, 1])
-    assert len(calls) == 1
 
 
 def test_kernel_entries_of_300_bits():
@@ -328,3 +199,54 @@ def test_kernel_vectors_are_primitive_integer_vectors():
             assert kern.pivot_cols == []
     full = exact_nullspace([[2, 0, 1], [0, 3, 1], [1, 1, 5]])
     assert (full.basis, full.pivot_cols) == ([], [0, 1, 2])
+
+
+@st.composite
+def integer_matrices(draw):
+    """(n, rows): up to 8 rows of n <= 8 integer entries of up to 300 bits,
+    with zero rows, repeated rows and integer combinations of earlier rows
+    mixed in, and zero entries common enough to leave columns free."""
+    n = draw(st.integers(1, 8), label="n")
+    bound = 2 ** draw(st.integers(1, 300), label="bits")
+    entry = st.one_of(st.just(0), st.integers(-bound, bound))
+    rows = []
+    for _ in range(draw(st.integers(0, 8), label="rows")):
+        kind = draw(st.sampled_from(["new", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "new" or not rows:
+            rows.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            cs = draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)])
+    return n, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_kernel_basis_is_the_primitive_rref_basis(matrix):
+    n, rows = matrix
+    pivots, red = fraction_rref(rows, n)
+    # each reduced row is a positive multiple of its RREF row
+    gj_pivots, gj_rows = linalg._gauss_jordan(rows, n)
+    assert gj_pivots == pivots
+    for c, row, ref in zip(pivots, gj_rows, red):
+        assert row[c] > 0
+        assert [Fraction(x, row[c]) for x in row] == ref
+    # each basis vector is the primitive integer multiple of the RREF
+    # kernel vector of its free column, positive there
+    kern = exact_nullspace(rows, n_cols=n)
+    assert kern.pivot_cols == pivots
+    free = [c for c in range(n) if c not in pivots]
+    assert len(kern.basis) == len(free)
+    for f, v, ref in zip(free, kern.basis, rref_kernel(rows, n)):
+        assert v[f] > 0 and gcd(*v) == 1
+        assert [Fraction(x, v[f]) for x in v] == ref
+    # independent rows are invertible on the RREF pivots; dependent ones fail
+    independent = [rows[i] for i in greedy_independent(rows)]
+    assert invertible_columns(independent) == pivots
+    if len(independent) < len(rows):
+        with pytest.raises(ValueError):
+            invertible_columns(rows)

@@ -148,6 +148,12 @@ def test_letter_constants_are_expanded_once(monkeypatch):
     with pytest.raises(OnCut):
         ev.value_vector(1, strict={("x1",): 1})
     assert expanded == []
+    # the kept constants are the h^0 terms of the full expansions, bit for bit
+    for pt in (Fraction(1), Fraction(-1)):
+        exps = ev.local_expansions_at(pt)
+        assert {w: [c._mpc_ for c in cs] for w, cs in ev._constants_at(pt).items()} == {
+            w: [s[0]._mpc_ for s in slices] for w, slices in exps.items()
+        }
 
 
 def test_shuffle_evaluation_homomorphism():
